@@ -6,11 +6,8 @@
 #include <cstdlib>
 
 #include "sched/coolest_first.h"
-#include "sched/placement_engine.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
-#include "thermal/pcm.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
 
@@ -46,25 +43,6 @@ configureThreadsFromArgs(int argc, const char *const *argv)
     if (threads < 0)
         fatal("--threads must be >= 0 (0 = auto)");
     setGlobalThreadCount(static_cast<std::size_t>(threads));
-    // Shared PCM-integrator override; absent flag leaves the
-    // VMT_PCM_INTEGRATOR / built-in default in place.
-    if (flags.has("pcm-integrator"))
-        setGlobalPcmIntegrator(pcmIntegratorFromString(
-            flags.getString("pcm-integrator")));
-    if (flags.has("thermal-kernel"))
-        setGlobalThermalKernel(thermalKernelFromString(
-            flags.getString("thermal-kernel")));
-    if (flags.has("placement-engine"))
-        setGlobalPlacementEngine(placementEngineFromString(
-            flags.getString("placement-engine")));
-    if (flags.has("thermal-parallel-threshold")) {
-        const long long threshold =
-            flags.getInt("thermal-parallel-threshold", 0);
-        if (threshold < 0)
-            fatal("--thermal-parallel-threshold must be >= 0");
-        setThermalParallelThreshold(
-            static_cast<std::size_t>(threshold));
-    }
 }
 
 SimConfig

@@ -44,15 +44,10 @@ struct SweepObsHandles
 SweepObsHandles sweepObsHandles();
 
 /**
- * Parse the shared bench flags (--threads N, default VMT_THREADS /
- * hardware concurrency; --pcm-integrator closed|substep, default
- * VMT_PCM_INTEGRATOR; --thermal-kernel soa|scalar, default
- * VMT_THERMAL_KERNEL; --thermal-parallel-threshold N, default
- * VMT_THERMAL_PARALLEL_THRESHOLD; --placement-engine batched|scalar,
- * default VMT_PLACEMENT_ENGINE) and configure the global pool,
- * thermal and scheduler knobs accordingly. Call first thing in a
- * bench main(); unknown flags are left alone for the bench's own
- * parsing.
+ * Parse the shared bench flag (--threads N, default VMT_THREADS /
+ * hardware concurrency) and size the global pool accordingly. Call
+ * first thing in a bench main(); other flags are left alone for the
+ * bench's own parsing.
  */
 void configureThreadsFromArgs(int argc, const char *const *argv);
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Isolated thermal-kernel throughput: Cluster::stepThermal on a
- * cluster with no placement churn, scalar versus SoA, across fleet
- * sizes x starting PCM regimes x dt. This is the measurement behind
- * the `kernel_micro` rows in BENCH_sim.json: the end-to-end runs
- * (perf_simulator's `kernel` study) bundle the thermal step with
- * placement and trace bookkeeping; this bench times the step itself.
+ * Isolated thermal kernel throughput: Cluster::stepThermal (the
+ * batched SoA kernel, rows `soa`) against the per-object reference
+ * fleet from tests/reference/ (rows `scalar`) with no placement churn,
+ * across fleet sizes x starting PCM regimes x dt. This is the
+ * measurement behind the `kernel_micro` rows in BENCH_sim.json; the
+ * end-to-end runs bundle the thermal step with placement and trace
+ * bookkeeping, this bench times the step itself.
  *
  * Scenarios pin the starting regime mix:
  *   solid    idle fleet, wax frozen (one long solid run)
@@ -14,10 +15,10 @@
  *   mixed    half loaded/melted, half idle/frozen (regime-run
  *            boundary mid-fleet, exercises the partitioner)
  * State evolves during timing (melting converges toward liquid);
- * both kernels time the identical trajectory, so the ratio is fair.
+ * both fleets time the identical trajectory, so the ratio is fair.
  *
- * Flags: --check             exit non-zero if SoA is slower than
- *                            scalar on the cluster1000 rows
+ * Flags: --check             exit non-zero if SoA is slower than the
+ *                            reference on the cluster1000 rows
  *        --threads and the shared bench flags (bench/common.h)
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
  *              `kernel_micro` + `build` keys into (default
@@ -34,8 +35,8 @@
 #include <vector>
 
 #include "common.h"
+#include "reference/reference_fleet.h"
 #include "server/cluster.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/json_splice.h"
 
@@ -70,24 +71,21 @@ struct Row
     std::string kernel;
     double usPerStep;
     double stepsPerSec;
-    /** steps/s relative to the scalar row of the same point. */
+    /** steps/s relative to the reference row of the same point. */
     double speedup;
 };
 
-/** Build a cluster in the requested kernel and drive it into the
- *  scenario's starting regime. Deterministic: both kernels produce
+/** Build a fleet (Cluster or the reference) and drive it into the
+ *  scenario's starting regime. Deterministic: both fleets produce
  *  bitwise-identical state, so they time the same trajectory. */
-std::unique_ptr<Cluster>
-makeScenario(const Scenario &scenario, std::size_t servers,
-             Seconds dt, ThermalKernel kernel)
+template <typename Fleet>
+std::unique_ptr<Fleet>
+makeScenario(const Scenario &scenario, std::size_t servers, Seconds dt)
 {
     const SimConfig config = vmt::bench::studyConfig(servers);
-    const ThermalKernel before = globalThermalKernel();
-    setGlobalThermalKernel(kernel);
-    auto cluster = std::make_unique<Cluster>(
+    auto cluster = std::make_unique<Fleet>(
         servers, config.spec, config.thermal,
         PowerModel(config.spec, config.powerScale));
-    setGlobalThermalKernel(before);
 
     const auto loaded = static_cast<std::size_t>(
         scenario.loadedShare * static_cast<double>(servers));
@@ -111,8 +109,9 @@ makeScenario(const Scenario &scenario, std::size_t servers,
     return cluster;
 }
 
+template <typename Fleet>
 double
-timeSteps(Cluster &cluster, Seconds dt, std::size_t reps)
+timeSteps(Fleet &cluster, Seconds dt, std::size_t reps)
 {
     double sink = 0.0;
     const auto start = std::chrono::steady_clock::now();
@@ -206,30 +205,24 @@ main(int argc, char **argv)
     for (const Scenario &scenario : kScenarios) {
         for (const std::size_t servers : fleet_sizes) {
             for (const double dt : dts) {
-                // Fixed rep count per point so both kernels time the
+                // Fixed rep count per point so both fleets time the
                 // same number of identical steps.
                 const std::size_t reps = std::max<std::size_t>(
                     200, 2000000 / servers);
                 double scalar_rate = 0.0;
-                for (const ThermalKernel kernel :
-                     {ThermalKernel::Scalar, ThermalKernel::Soa}) {
-                    auto cluster = makeScenario(scenario, servers,
-                                                dt, kernel);
+                const auto measure = [&](auto &fleet, const char *kernel) {
                     // Best of three: the minimum is the least
                     // noise-contaminated estimate of the true cost.
-                    double seconds = timeSteps(*cluster, dt, reps);
+                    double seconds = timeSteps(fleet, dt, reps);
                     for (int rep = 0; rep < 2; ++rep)
-                        seconds = std::min(
-                            seconds,
-                            timeSteps(*cluster, dt, reps));
+                        seconds = std::min(seconds,
+                                           timeSteps(fleet, dt, reps));
                     const double rate =
                         static_cast<double>(reps) / seconds;
-                    if (kernel == ThermalKernel::Scalar)
+                    if (scalar_rate == 0.0)
                         scalar_rate = rate;
-                    const double speedup =
-                        scalar_rate > 0.0 ? rate / scalar_rate : 1.0;
-                    rows.push_back({scenario.name, servers, dt,
-                                    thermalKernelName(kernel),
+                    const double speedup = rate / scalar_rate;
+                    rows.push_back({scenario.name, servers, dt, kernel,
                                     1e6 * seconds /
                                         static_cast<double>(reps),
                                     rate, speedup});
@@ -237,15 +230,18 @@ main(int argc, char **argv)
                         "[kernel_micro] %-8s servers=%-5zu dt=%-4.0f "
                         "kernel=%-6s %8.2f us/step %10.0f steps/s  "
                         "speedup %.2fx\n",
-                        scenario.name, servers, dt,
-                        thermalKernelName(kernel),
+                        scenario.name, servers, dt, kernel,
                         rows.back().usPerStep, rate, speedup);
                     std::fflush(stdout);
-                    if (check && servers == 1000 &&
-                        kernel == ThermalKernel::Soa &&
-                        rate < scalar_rate)
-                        gate_ok = false;
-                }
+                    return rate;
+                };
+                measure(*makeScenario<reference::ReferenceFleet>(
+                            scenario, servers, dt),
+                        "scalar");
+                const double soa_rate = measure(
+                    *makeScenario<Cluster>(scenario, servers, dt), "soa");
+                if (check && servers == 1000 && soa_rate < scalar_rate)
+                    gate_ok = false;
             }
         }
     }
@@ -254,8 +250,8 @@ main(int argc, char **argv)
         spliceJson(json_path, rows);
     if (check) {
         std::printf("[kernel_micro] perf gate: %s\n",
-                    gate_ok ? "PASS (SoA >= scalar on cluster1000)"
-                            : "FAIL (SoA slower than scalar)");
+                    gate_ok ? "PASS (SoA >= reference on cluster1000)"
+                            : "FAIL (SoA slower than the reference)");
         return gate_ok ? 0 : 1;
     }
     return 0;

@@ -1,30 +1,19 @@
 /**
  * @file
  * Isolated scheduler hot-path throughput: beginInterval + a batch of
- * placeJobs decisions on a steady-state cluster, scalar versus
- * batched placement engine, across policies x fleet sizes x arrival
- * rates. This is the measurement behind the `placement_micro` rows in
- * BENCH_sim.json: the end-to-end runs (perf_simulator's `placement`
- * study) bundle placement with thermal stepping and driver
- * bookkeeping; this bench times the scheduler alone.
+ * placeJobs decisions on a steady-state cluster, across policies x
+ * fleet sizes x arrival rates. This is the measurement behind the
+ * `placement_micro` rows in BENCH_sim.json: the end-to-end runs
+ * bundle placement with thermal stepping and driver bookkeeping; this
+ * bench times the scheduler alone (perfbench's
+ * `sched.place_ns_per_job` is the end-to-end placement yardstick).
  *
- * Every point drives both engines through the identical trajectory:
- * the cluster starts in a warmed steady state with diverse inlet
- * temperatures and melt fractions, each reset-to-steady-state rep
+ * The cluster starts in a warmed steady state with diverse inlet
+ * temperatures and melt fractions; each reset-to-steady-state rep
  * times one interval refresh plus one arrival batch, and the jobs
- * placed are removed again (untimed) before the next rep. The
- * engines' decision sequences are asserted identical — a perf number
- * from a diverged run would be meaningless.
+ * placed are removed again (untimed) before the next rep.
  *
- * Flags: --check             exit non-zero unless the batched engine
- *                            is >= 2.5x scalar (geomean over the
- *                            cluster1000 rate-32 rows — the interval-
- *                            refresh-dominated regime the batched
- *                            engine targets; at high arrival rates
- *                            both engines converge on the identical
- *                            per-job decision loop, which would dilute
- *                            the gate without measuring the rebuild)
- *        --threads and the shared bench flags (bench/common.h)
+ * Flags: --threads (bench/common.h)
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
  *              `placement_micro` rows into (default ./BENCH_sim.json;
  *              inserted before the `kernel_micro`/`build` tail).
@@ -32,7 +21,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -47,9 +35,7 @@
 #include "core/vmt_ta.h"
 #include "core/vmt_wa.h"
 #include "sched/coolest_first.h"
-#include "sched/placement_engine.h"
 #include "server/cluster.h"
-#include "util/flags.h"
 #include "util/json_splice.h"
 
 using namespace vmt;
@@ -93,19 +79,16 @@ struct Row
     std::string policy;
     std::size_t servers;
     std::size_t rate;
-    std::string engine;
     double usPerInterval;
     double jobsPerSec;
-    /** intervals/s relative to the scalar row of the same point. */
-    double speedup;
 };
 
 /**
  * A steady-state cluster with placement-relevant diversity: a sawtooth
  * load profile (some servers full, some idle), an inlet gradient, and
  * enough warm-up that part of the fleet is melted and part frozen —
- * so WA/Preserve exercise every partition branch. Deterministic, and
- * independent of the placement engine (no scheduler involved).
+ * so WA/Preserve exercise every partition branch. Deterministic (no
+ * scheduler involved).
  */
 std::unique_ptr<Cluster>
 makeSteadyCluster(std::size_t servers)
@@ -143,20 +126,15 @@ makeArrivals(std::size_t rate)
 }
 
 /**
- * Time `reps` intervals of (beginInterval + placeJobs) under one
- * engine, un-placing the batch between reps so every rep — and both
- * engines — sees the identical steady state. Appends each rep's
- * placement decisions to `decisions` for cross-engine comparison.
+ * Time `reps` intervals of (beginInterval + placeJobs), un-placing
+ * the batch between reps so every rep sees the identical steady
+ * state.
  */
 double
-timeIntervals(PlacementEngine engine, const Policy &policy,
-              Cluster &cluster, const std::vector<Job> &jobs,
-              std::size_t reps, std::vector<std::size_t> &decisions)
+timeIntervals(const Policy &policy, Cluster &cluster,
+              const std::vector<Job> &jobs, std::size_t reps)
 {
-    const PlacementEngine before = globalPlacementEngine();
-    setGlobalPlacementEngine(engine);
     std::unique_ptr<Scheduler> sched = policy.make();
-    setGlobalPlacementEngine(before);
 
     std::vector<std::size_t> out;
     std::chrono::steady_clock::duration elapsed{};
@@ -170,7 +148,6 @@ timeIntervals(PlacementEngine engine, const Policy &policy,
             if (out[k] != kNoServer)
                 cluster.removeJob(out[k], jobs[k].type);
         }
-        decisions.insert(decisions.end(), out.begin(), out.end());
     }
     return std::chrono::duration<double>(elapsed).count();
 }
@@ -200,10 +177,8 @@ spliceJson(const std::string &path, const std::vector<Row> &rows)
         micro << "    {\"policy\": \"" << r.policy
               << "\", \"servers\": " << r.servers
               << ", \"rate\": " << r.rate
-              << ", \"engine\": \"" << r.engine
-              << "\", \"us_per_interval\": " << r.usPerInterval
-              << ", \"jobs_per_sec\": " << r.jobsPerSec
-              << ", \"speedup\": " << r.speedup << "}"
+              << ", \"us_per_interval\": " << r.usPerInterval
+              << ", \"jobs_per_sec\": " << r.jobsPerSec << "}"
               << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     micro << "  ]";
@@ -226,106 +201,41 @@ int
 main(int argc, char **argv)
 {
     vmt::bench::configureThreadsFromArgs(argc, argv);
-    const Flags flags(argc, argv);
-    const bool check = flags.getBool("check", false);
 
     std::string json_path = "BENCH_sim.json";
     if (const char *env = std::getenv("VMT_PERF_JSON"))
         json_path = env;
 
-    const std::vector<std::size_t> fleet_sizes =
-        check ? std::vector<std::size_t>{1000}
-              : std::vector<std::size_t>{250, 1000, 10000};
-    const std::vector<std::size_t> rates =
-        check ? std::vector<std::size_t>{32, 256}
-              : std::vector<std::size_t>{32, 256, 2048};
-
     std::vector<Row> rows;
-    double gate_log_sum = 0.0;
-    std::size_t gate_points = 0;
     for (const Policy &policy : policies()) {
-        for (const std::size_t servers : fleet_sizes) {
+        for (const std::size_t servers : {250, 1000, 10000}) {
             auto cluster = makeSteadyCluster(servers);
-            for (const std::size_t rate : rates) {
+            for (const std::size_t rate : {32, 256, 2048}) {
                 const std::vector<Job> jobs = makeArrivals(rate);
-                // Fixed rep count per point so both engines time the
-                // same number of identical intervals.
                 const std::size_t reps = std::max<std::size_t>(
                     20, 400000 / (servers + 4 * rate));
-                double scalar_rate = 0.0;
-                std::vector<std::size_t> scalar_decisions;
-                for (const PlacementEngine engine :
-                     {PlacementEngine::Scalar,
-                      PlacementEngine::Batched}) {
-                    std::vector<std::size_t> decisions;
-                    // Best of three: the minimum is the least
-                    // noise-contaminated estimate of the true cost.
-                    double seconds =
-                        timeIntervals(engine, policy, *cluster, jobs,
-                                      reps, decisions);
-                    for (int rep = 0; rep < 2; ++rep) {
-                        decisions.clear();
-                        seconds = std::min(
-                            seconds,
-                            timeIntervals(engine, policy, *cluster,
-                                          jobs, reps, decisions));
-                    }
-                    if (engine == PlacementEngine::Scalar) {
-                        scalar_decisions = std::move(decisions);
-                    } else if (decisions != scalar_decisions) {
-                        std::fprintf(
-                            stderr,
-                            "[placement_micro] ENGINES DIVERGED: "
-                            "%s servers=%zu rate=%zu\n",
-                            policy.name, servers, rate);
-                        return 1;
-                    }
-                    const double interval_rate =
-                        static_cast<double>(reps) / seconds;
-                    if (engine == PlacementEngine::Scalar)
-                        scalar_rate = interval_rate;
-                    const double speedup =
-                        scalar_rate > 0.0
-                            ? interval_rate / scalar_rate
-                            : 1.0;
-                    rows.push_back(
-                        {policy.name, servers, rate,
-                         placementEngineName(engine),
-                         1e6 * seconds / static_cast<double>(reps),
-                         static_cast<double>(rate) * interval_rate,
-                         speedup});
-                    std::printf(
-                        "[placement_micro] %-8s servers=%-5zu "
-                        "rate=%-4zu engine=%-7s %9.2f us/interval  "
-                        "speedup %.2fx\n",
-                        policy.name, servers, rate,
-                        placementEngineName(engine),
-                        rows.back().usPerInterval, speedup);
-                    std::fflush(stdout);
-                    if (servers == 1000 && rate == 32 &&
-                        engine == PlacementEngine::Batched) {
-                        gate_log_sum += std::log(speedup);
-                        ++gate_points;
-                    }
-                }
+                // Best of three: the minimum is the least
+                // noise-contaminated estimate of the true cost.
+                double seconds =
+                    timeIntervals(policy, *cluster, jobs, reps);
+                for (int rep = 0; rep < 2; ++rep)
+                    seconds = std::min(seconds,
+                                       timeIntervals(policy, *cluster,
+                                                     jobs, reps));
+                const double interval_rate =
+                    static_cast<double>(reps) / seconds;
+                rows.push_back(
+                    {policy.name, servers, rate,
+                     1e6 * seconds / static_cast<double>(reps),
+                     static_cast<double>(rate) * interval_rate});
+                std::printf("[placement_micro] %-8s servers=%-5zu "
+                            "rate=%-4zu %9.2f us/interval\n",
+                            policy.name, servers, rate,
+                            rows.back().usPerInterval);
+                std::fflush(stdout);
             }
         }
     }
-
-    if (!check)
-        spliceJson(json_path, rows);
-    if (check) {
-        const double geomean =
-            gate_points > 0
-                ? std::exp(gate_log_sum /
-                           static_cast<double>(gate_points))
-                : 0.0;
-        const bool gate_ok = geomean >= 2.5;
-        std::printf(
-            "[placement_micro] perf gate: %s (geomean %.2fx over "
-            "%zu cluster1000 rate-32 rows, need >= 2.50x)\n",
-            gate_ok ? "PASS" : "FAIL", geomean, gate_points);
-        return gate_ok ? 0 : 1;
-    }
+    spliceJson(json_path, rows);
     return 0;
 }

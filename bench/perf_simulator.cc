@@ -6,26 +6,18 @@
  *
  * Before the microbenchmarks run, a threads-scaling study times the
  * headline runs (the 1,000-server two-day cluster and the 8-cluster
- * datacenter) at 1/2/4/N threads, then a single-thread hot-path
- * study times the cluster run with each PCM integrator
- * (substep/closed) at threads=1 and records the closed-form
- * hotpath_speedup, a checkpoint study times the same run with a
- * snapshot every 1,000 intervals to pin the checkpointing overhead,
+ * datacenter) at 1/2/4/N threads, then a checkpoint study times the
+ * cluster run at threads=1 with a snapshot every 1,000 intervals to
+ * pin the checkpointing overhead,
  * a fault study times the same run with the fault engine enabled
  * on an empty plan vs disabled to pin the per-interval fault
  * bookkeeping overhead (budget: <= 3%), an observability study
  * times the same run with the obs layer detached vs attached
- * (metrics + profiler + telemetry all recording; budget: <= 3%),
- * a kernel study times the same run with the scalar vs the SoA
- * thermal kernel (end-to-end; the isolated stepThermal ratio lives
- * in perf_kernel's kernel_micro rows), and a placement study times
- * the same run with the scalar vs the batched placement engine
- * (end-to-end; the isolated interval ratio lives in
- * perf_placement's placement_micro rows).
+ * (metrics + profiler + telemetry all recording; budget: <= 3%).
  * All write into a machine-readable BENCH_sim.json so the perf
  * trajectory is tracked PR over PR.
  * Environment knobs:
- *   VMT_PERF_SCALING=0   skip the scaling + hot-path studies
+ *   VMT_PERF_SCALING=0   skip the scaling and overhead studies
  *   VMT_PERF_HOURS=H     trace length for the studies (default 48)
  *   VMT_PERF_JSON=PATH   output path (default ./BENCH_sim.json)
  */
@@ -45,12 +37,11 @@
 #include "core/vmt_ta.h"
 #include "core/vmt_wa.h"
 #include "obs/observability.h"
-#include "sched/placement_engine.h"
 #include "sched/round_robin.h"
 #include "sim/datacenter_sim.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
-#include "thermal/thermal_kernel.h"
+#include "thermal/server_thermal.h"
 #include "util/json_splice.h"
 #include "util/thread_pool.h"
 
@@ -196,56 +187,6 @@ scaleWorkload(const std::string &name, double sim_intervals,
                     rows.back().speedup);
         std::fflush(stdout);
     }
-    setGlobalThreadCount(0);
-}
-
-/** One single-thread timing of the headline run per PCM integrator. */
-struct HotpathRow
-{
-    std::string integrator;
-    double wallSeconds;
-    double intervalsPerSec;
-    /** intervals/s relative to the substep integrator's run. */
-    double hotpathSpeedup;
-};
-
-/**
- * Single-thread hot-path study: the 1,000-server headline run with
- * the substep and closed-form PCM integrators, both at threads=1, so
- * BENCH_sim.json tracks the single-core engine speedup separately
- * from thread scaling.
- */
-void
-runHotpathStudy(double hours, std::vector<HotpathRow> &rows)
-{
-    SimConfig config = bench::studyConfig(1000);
-    config.trace.duration = hours;
-    const PcmIntegrator before = globalPcmIntegrator();
-    setGlobalThreadCount(1);
-    double substep_seconds = 0.0;
-    for (const PcmIntegrator integ :
-         {PcmIntegrator::Substep, PcmIntegrator::Closed}) {
-        setGlobalPcmIntegrator(integ);
-        const double seconds = wallSeconds([&] {
-            VmtWaScheduler sched(bench::studyVmt(22.0),
-                                 hotMaskFromPaper());
-            benchmark::DoNotOptimize(runSimulation(config, sched));
-        });
-        if (integ == PcmIntegrator::Substep)
-            substep_seconds = seconds;
-        rows.push_back({pcmIntegratorName(integ), seconds,
-                        hours * 60.0 / seconds,
-                        substep_seconds > 0.0 ? substep_seconds / seconds
-                                              : 1.0});
-        std::printf("[hotpath] cluster1000 threads=1 "
-                    "integrator=%-7s  %7.2f s  %9.0f intervals/s  "
-                    "hotpath_speedup %.2fx\n",
-                    rows.back().integrator.c_str(), seconds,
-                    rows.back().intervalsPerSec,
-                    rows.back().hotpathSpeedup);
-        std::fflush(stdout);
-    }
-    setGlobalPcmIntegrator(before);
     setGlobalThreadCount(0);
 }
 
@@ -405,121 +346,12 @@ runObsStudy(double hours, std::vector<ObsRow> &rows)
     setGlobalThreadCount(0);
 }
 
-/** One single-thread timing of the headline run per thermal kernel. */
-struct KernelRow
-{
-    std::string kernel;
-    double wallSeconds;
-    double intervalsPerSec;
-    /** intervals/s relative to the scalar kernel's run. */
-    double kernelSpeedup;
-};
-
-/**
- * Thermal-kernel study: the 1,000-server headline run with the scalar
- * (per-object) and SoA (batched) kernels, both at threads=1. End to
- * end the thermal phase shares the wall clock with placement and
- * trace bookkeeping, so this ratio understates the kernel's own
- * speedup — perf_kernel measures the isolated stepThermal ratio and
- * splices it in as `kernel_micro`.
- */
-void
-runKernelStudy(double hours, std::vector<KernelRow> &rows)
-{
-    SimConfig config = bench::studyConfig(1000);
-    config.trace.duration = hours;
-    const ThermalKernel before = globalThermalKernel();
-    setGlobalThreadCount(1);
-    double scalar_seconds = 0.0;
-    for (const ThermalKernel kernel :
-         {ThermalKernel::Scalar, ThermalKernel::Soa}) {
-        setGlobalThermalKernel(kernel);
-        const double seconds = wallSeconds([&] {
-            VmtWaScheduler sched(bench::studyVmt(22.0),
-                                 hotMaskFromPaper());
-            benchmark::DoNotOptimize(runSimulation(config, sched));
-        });
-        if (kernel == ThermalKernel::Scalar)
-            scalar_seconds = seconds;
-        rows.push_back({thermalKernelName(kernel), seconds,
-                        hours * 60.0 / seconds,
-                        scalar_seconds > 0.0 ? scalar_seconds / seconds
-                                             : 1.0});
-        std::printf("[kernel] cluster1000 threads=1 kernel=%-6s  "
-                    "%7.2f s  %9.0f intervals/s  kernel_speedup "
-                    "%.2fx\n",
-                    rows.back().kernel.c_str(), seconds,
-                    rows.back().intervalsPerSec,
-                    rows.back().kernelSpeedup);
-        std::fflush(stdout);
-    }
-    setGlobalThermalKernel(before);
-    setGlobalThreadCount(0);
-}
-
-/** One single-thread timing of the headline run per placement
- *  engine. */
-struct PlacementRow
-{
-    std::string engine;
-    double wallSeconds;
-    double intervalsPerSec;
-    /** intervals/s relative to the scalar engine's run. */
-    double placementSpeedup;
-};
-
-/**
- * Placement-engine study: the 1,000-server headline run with the
- * scalar (heap rebuild) and batched (PlacementView + block-min)
- * engines, both at threads=1. End to end the placement phase shares
- * the wall clock with the thermal kernel and trace bookkeeping, so
- * this ratio understates the engine's own speedup — perf_placement
- * measures the isolated interval ratio and splices it in as
- * `placement_micro`.
- */
-void
-runPlacementStudy(double hours, std::vector<PlacementRow> &rows)
-{
-    SimConfig config = bench::studyConfig(1000);
-    config.trace.duration = hours;
-    const PlacementEngine before = globalPlacementEngine();
-    setGlobalThreadCount(1);
-    double scalar_seconds = 0.0;
-    for (const PlacementEngine engine :
-         {PlacementEngine::Scalar, PlacementEngine::Batched}) {
-        setGlobalPlacementEngine(engine);
-        const double seconds = wallSeconds([&] {
-            VmtWaScheduler sched(bench::studyVmt(22.0),
-                                 hotMaskFromPaper());
-            benchmark::DoNotOptimize(runSimulation(config, sched));
-        });
-        if (engine == PlacementEngine::Scalar)
-            scalar_seconds = seconds;
-        rows.push_back({placementEngineName(engine), seconds,
-                        hours * 60.0 / seconds,
-                        scalar_seconds > 0.0 ? scalar_seconds / seconds
-                                             : 1.0});
-        std::printf("[placement] cluster1000 threads=1 engine=%-7s "
-                    "%7.2f s  %9.0f intervals/s  placement_speedup "
-                    "%.2fx\n",
-                    rows.back().engine.c_str(), seconds,
-                    rows.back().intervalsPerSec,
-                    rows.back().placementSpeedup);
-        std::fflush(stdout);
-    }
-    setGlobalPlacementEngine(before);
-    setGlobalThreadCount(0);
-}
-
 void
 writeScalingJson(const std::string &path, double hours,
                  const std::vector<ScalingRow> &rows,
-                 const std::vector<HotpathRow> &hotpath,
                  const std::vector<CheckpointRow> &checkpoint,
                  const std::vector<FaultRow> &fault,
-                 const std::vector<ObsRow> &obs,
-                 const std::vector<KernelRow> &kernel,
-                 const std::vector<PlacementRow> &placement)
+                 const std::vector<ObsRow> &obs)
 {
     std::string doc;
     {
@@ -566,16 +398,6 @@ writeScalingJson(const std::string &path, double hours,
                         << r.intervalsPerSec
                         << ", \"speedup\": " << r.speedup << "}";
                 });
-    splice_rows("hotpath", hotpath,
-                [](std::ostream &out, const HotpathRow &r) {
-                    out << "{\"name\": \"cluster1000\", \"threads\": 1"
-                        << ", \"integrator\": \"" << r.integrator
-                        << "\", \"wall_seconds\": " << r.wallSeconds
-                        << ", \"intervals_per_sec\": "
-                        << r.intervalsPerSec
-                        << ", \"hotpath_speedup\": "
-                        << r.hotpathSpeedup << "}";
-                });
     splice_rows("checkpoint", checkpoint,
                 [](std::ostream &out, const CheckpointRow &r) {
                     out << "{\"name\": \"cluster1000\", \"threads\": 1"
@@ -608,27 +430,6 @@ writeScalingJson(const std::string &path, double hours,
                         << ", \"overhead_pct\": " << r.overheadPct
                         << "}";
                 });
-    splice_rows("kernel", kernel,
-                [](std::ostream &out, const KernelRow &r) {
-                    out << "{\"name\": \"cluster1000\", \"threads\": 1"
-                        << ", \"kernel\": \"" << r.kernel
-                        << "\", \"wall_seconds\": " << r.wallSeconds
-                        << ", \"intervals_per_sec\": "
-                        << r.intervalsPerSec
-                        << ", \"kernel_speedup\": " << r.kernelSpeedup
-                        << "}";
-                });
-    splice_rows("placement", placement,
-                [](std::ostream &out, const PlacementRow &r) {
-                    out << "{\"name\": \"cluster1000\", \"threads\": 1"
-                        << ", \"engine\": \"" << r.engine
-                        << "\", \"wall_seconds\": " << r.wallSeconds
-                        << ", \"intervals_per_sec\": "
-                        << r.intervalsPerSec
-                        << ", \"placement_speedup\": "
-                        << r.placementSpeedup << "}";
-                });
-
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "[scaling] cannot write %s\n",
@@ -687,9 +488,6 @@ runScalingStudy()
         },
         rows);
 
-    std::vector<HotpathRow> hotpath;
-    runHotpathStudy(hours, hotpath);
-
     std::vector<CheckpointRow> checkpoint;
     runCheckpointStudy(hours, checkpoint);
 
@@ -699,14 +497,8 @@ runScalingStudy()
     std::vector<ObsRow> obs_rows;
     runObsStudy(hours, obs_rows);
 
-    std::vector<KernelRow> kernel_rows;
-    runKernelStudy(hours, kernel_rows);
-
-    std::vector<PlacementRow> placement_rows;
-    runPlacementStudy(hours, placement_rows);
-
-    writeScalingJson(json_path, hours, rows, hotpath, checkpoint,
-                     fault, obs_rows, kernel_rows, placement_rows);
+    writeScalingJson(json_path, hours, rows, checkpoint, fault,
+                     obs_rows);
 }
 
 } // namespace

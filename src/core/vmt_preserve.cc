@@ -1,7 +1,5 @@
 #include "core/vmt_preserve.h"
 
-#include <utility>
-
 namespace vmt {
 
 VmtPreserveScheduler::VmtPreserveScheduler(const VmtConfig &config,
@@ -16,77 +14,33 @@ VmtPreserveScheduler::beginInterval(Cluster &cluster, Seconds)
     // Eq. 1 over the *alive* fleet (identical while nothing failed).
     hotSize_ = hotGroupSizeFor(config_, cluster.aliveServers());
 
-    if (engine_ == PlacementEngine::Batched) {
-        // Dense melt/key sweep; the per-heap live-key multisets match
-        // the scalar accessor walk below, so decisions are identical.
-        // The melted/packing split is two complementary masked fills
-        // (branchless selects) instead of a mispredicting partition.
-        view_.refreshProjectedMelt(cluster);
-        const double *est = view_.estMelt();
-        const Celsius *key = view_.projected();
-        melted_.assignKeysIf(key, 0, hotSize_, [&](std::size_t id) {
-            return est[id] >= config_.waxThreshold;
-        });
-        packing_.assignKeysIf(key, 0, hotSize_, [&](std::size_t id) {
-            return est[id] < config_.waxThreshold;
-        });
-        coldGroup_.assignKeys(key, hotSize_, n);
-        initialized_ = true;
-        return;
-    }
-
-    meltedPq_ = {};
-    packingPq_ = {};
-    coldGroup_.clear();
-    const KelvinPerWatt rise = cluster.thermalParams().airRisePerWatt;
-    for (std::size_t id = 0; id < n; ++id) {
-        if (id >= hotSize_) {
-            coldGroup_.add(cluster, id);
-            continue;
-        }
-        const Server &srv = std::as_const(cluster).server(id);
-        const Celsius projected =
-            srv.thermal().inletTemp() +
-            rise * srv.power(cluster.powerModel());
-        if (srv.estimatedMeltFraction() >= config_.waxThreshold)
-            meltedPq_.push(Entry{projected, id});
-        else
-            packingPq_.push(Entry{projected, id});
-    }
+    // Dense melt/key sweep. The melted/packing split is two
+    // complementary masked fills (branchless selects) instead of a
+    // mispredicting partition.
+    view_.refreshProjectedMelt(cluster);
+    const double *est = view_.estMelt();
+    const Celsius *key = view_.projected();
+    melted_.assignKeysIf(key, 0, hotSize_, [&](std::size_t id) {
+        return est[id] >= config_.waxThreshold;
+    });
+    packing_.assignKeysIf(key, 0, hotSize_, [&](std::size_t id) {
+        return est[id] < config_.waxThreshold;
+    });
+    coldGroup_.assignKeys(key, hotSize_, n);
     initialized_ = true;
-}
-
-std::size_t
-VmtPreserveScheduler::placePacked(std::priority_queue<Entry> &heap,
-                                  Cluster &cluster, Watts watts)
-{
-    const KelvinPerWatt rise = cluster.thermalParams().airRisePerWatt;
-    while (!heap.empty()) {
-        Entry entry = heap.top();
-        heap.pop();
-        if (!std::as_const(cluster).server(entry.id).hasCapacity())
-            continue; // Full until the next interval rebuild.
-        entry.temp += rise * watts;
-        heap.push(entry);
-        return entry.id;
-    }
-    return kNoServer;
 }
 
 std::size_t
 VmtPreserveScheduler::placeHot(Cluster &cluster, Watts watts)
 {
-    const bool batched = engine_ == PlacementEngine::Batched;
     // (1) Servers whose wax is already melted: adding heat there
     // costs no stored capacity.
-    std::size_t id = batched ? melted_.place(cluster, watts)
-                             : placePacked(meltedPq_, cluster, watts);
+    std::size_t id = melted_.place(cluster, watts);
     if (id != kNoServer)
         return id;
     // (2) Pack the projected-hottest unmelted hot-group server so as
     // few wax loads as possible are sacrificed.
-    id = batched ? packing_.place(cluster, watts)
-                 : placePacked(packingPq_, cluster, watts);
+    id = packing_.place(cluster, watts);
     if (id != kNoServer)
         return id;
     // (3) Overflow into the cold group.

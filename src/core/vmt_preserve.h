@@ -20,9 +20,6 @@
 #ifndef VMT_CORE_VMT_PRESERVE_H
 #define VMT_CORE_VMT_PRESERVE_H
 
-#include <queue>
-#include <vector>
-
 #include "core/vmt_ta.h"
 #include "sched/block_min_group.h"
 
@@ -44,44 +41,20 @@ class VmtPreserveScheduler : public Scheduler
     std::optional<std::size_t> hotGroupSize() const override;
 
   private:
-    /** (projected temperature, server id) max-heap entry (scalar). */
-    struct Entry
-    {
-        Celsius temp;
-        std::size_t id;
-        bool operator<(const Entry &o) const
-        {
-            if (temp != o.temp)
-                return temp < o.temp;
-            return id < o.id;
-        }
-    };
-
     std::size_t placeHot(Cluster &cluster, Watts watts);
-    std::size_t placePacked(std::priority_queue<Entry> &heap,
-                            Cluster &cluster, Watts watts);
 
     VmtConfig config_;
     HotMask hotMask_;
-    /** Captured at construction, like Cluster's thermal kernel. */
-    PlacementEngine engine_ = globalPlacementEngine();
     PlacementView view_;
     bool initialized_ = false;
     std::size_t hotSize_ = 0;
 
-    /** Batched engine: hot-group servers already melted (preferred
-     *  hot targets) and still-solid packing candidates, hottest
-     *  first. The scalar engine keeps the historical
-     *  std::priority_queue pair below; both use the same strict
-     *  (temp, id) total order, so the pop sequence — and every
-     *  decision — is identical across engines. */
+    /** Hot-group servers already melted (preferred hot targets) and
+     *  still-solid packing candidates, hottest first. */
     BlockMinGroup<HotterFirst> melted_;
     BlockMinGroup<HotterFirst> packing_;
-    /** Scalar-engine heaps (the historical implementation). */
-    std::priority_queue<Entry> meltedPq_;
-    std::priority_queue<Entry> packingPq_;
     /** Cold group, balanced as usual. */
-    EngineBalancedGroup coldGroup_;
+    BlockMinGroup<CoolerFirst> coldGroup_;
 };
 
 } // namespace vmt

@@ -35,25 +35,10 @@ VmtTaScheduler::beginInterval(Cluster &cluster, Seconds)
     // under the fault layer the alive set (and the group) shrinks.
     hotSize_ = hotGroupSizeFor(config_, cluster.aliveServers());
 
-    if (engine_ == PlacementEngine::Batched) {
-        // One contiguous key sweep + two bulk fills; same key
-        // multiset per group as the accessor walk below, so every
-        // placement decision is identical (DESIGN.md §14).
-        view_.refreshProjected(cluster);
-        hotGroup_.assignKeys(view_.projected(), 0, hotSize_);
-        coldGroup_.assignKeys(view_.projected(), hotSize_, n);
-        initialized_ = true;
-        return;
-    }
-
-    hotGroup_.clear();
-    coldGroup_.clear();
-    for (std::size_t id = 0; id < n; ++id) {
-        if (id < hotSize_)
-            hotGroup_.add(cluster, id);
-        else
-            coldGroup_.add(cluster, id);
-    }
+    // One contiguous key sweep + two bulk fills (DESIGN.md §14).
+    view_.refreshProjected(cluster);
+    hotGroup_.assignKeys(view_.projected(), 0, hotSize_);
+    coldGroup_.assignKeys(view_.projected(), hotSize_, n);
     initialized_ = true;
 }
 
@@ -66,8 +51,8 @@ VmtTaScheduler::placeJob(Cluster &cluster, const Job &job)
     const Watts watts = cluster.powerModel().corePower(job.type);
     const bool hot = hotMask_[workloadIndex(job.type)];
 
-    EngineBalancedGroup &primary = hot ? hotGroup_ : coldGroup_;
-    EngineBalancedGroup &fallback = hot ? coldGroup_ : hotGroup_;
+    BlockMinGroup<CoolerFirst> &primary = hot ? hotGroup_ : coldGroup_;
+    BlockMinGroup<CoolerFirst> &fallback = hot ? coldGroup_ : hotGroup_;
 
     const std::size_t id = primary.place(cluster, watts);
     if (id != kNoServer)

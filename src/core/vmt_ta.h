@@ -5,9 +5,10 @@
  * The cluster is split into a hot group (ids [0, hotGroupSize)) and a
  * cold group (the rest); sizes follow Eq. 1/2. Hot-classified jobs go
  * to the hot group and cold jobs to the cold group, each distributed
- * evenly within its group (power-balanced, see BalancedGroup); if a
- * group is full the job overflows to the other group, so placement
- * only fails when the whole cluster is out of cores.
+ * evenly within its group (temperature-balanced, see
+ * sched/block_min_group.h); if a group is full the job overflows to
+ * the other group, so placement only fails when the whole cluster is
+ * out of cores.
  */
 
 #ifndef VMT_CORE_VMT_TA_H
@@ -18,7 +19,6 @@
 #include "core/classification.h"
 #include "core/vmt_config.h"
 #include "sched/block_min_group.h"
-#include "sched/placement_engine.h"
 #include "sched/placement_view.h"
 #include "sched/scheduler.h"
 
@@ -54,13 +54,11 @@ class VmtTaScheduler : public Scheduler
   private:
     VmtConfig config_;
     HotMask hotMask_;
-    /** Captured at construction, like Cluster's thermal kernel. */
-    PlacementEngine engine_ = globalPlacementEngine();
     PlacementView view_;
     bool initialized_ = false;
     std::size_t hotSize_ = 0;
-    EngineBalancedGroup hotGroup_;
-    EngineBalancedGroup coldGroup_;
+    BlockMinGroup<CoolerFirst> hotGroup_;
+    BlockMinGroup<CoolerFirst> coldGroup_;
 };
 
 } // namespace vmt

@@ -28,31 +28,17 @@ VmtWaScheduler::beginInterval(Cluster &cluster, Seconds)
     baseHotSize_ = hotGroupSizeFor(config_, cluster.aliveServers());
 
     // Scan the fleet's estimated wax state (the per-server model
-    // reports once per minute, Section IV-A). The batched engine
-    // refreshes the contiguous view once and scans its melt array;
-    // the values are bitwise what the accessors return (DESIGN.md
-    // §14), so the count — and every decision below — is identical.
-    const bool batched = engine_ == PlacementEngine::Batched;
-    if (batched)
-        view_.refresh(cluster);
-    meltedCount_ = 0;
-    if (batched) {
-        // Branchless count: the comparison result is summed directly
-        // so the scan never mispredicts on the melt pattern.
-        const double *est = view_.estMelt();
-        std::size_t count = 0;
-        for (std::size_t id = 0; id < n; ++id)
-            count += static_cast<std::size_t>(
-                est[id] >= config_.waxThreshold);
-        meltedCount_ = count;
-    } else {
-        for (std::size_t id = 0; id < n; ++id) {
-            if (std::as_const(cluster)
-                    .server(id)
-                    .estimatedMeltFraction() >= config_.waxThreshold)
-                ++meltedCount_;
-        }
-    }
+    // reports once per minute, Section IV-A) from the contiguous view
+    // (DESIGN.md §14). Branchless count: the comparison result is
+    // summed directly so the scan never mispredicts on the melt
+    // pattern.
+    view_.refresh(cluster);
+    const double *est = view_.estMelt();
+    std::size_t count = 0;
+    for (std::size_t id = 0; id < n; ++id)
+        count +=
+            static_cast<std::size_t>(est[id] >= config_.waxThreshold);
+    meltedCount_ = count;
 
     // The server power that holds the air at the melting point; a
     // melted server below it sheds stored heat back into the room.
@@ -100,50 +86,29 @@ VmtWaScheduler::beginInterval(Cluster &cluster, Seconds)
     const bool keep_warm_active =
         utilization >= config_.keepWarmUtilization;
 
-    keepWarm_.clear();
-    hotPlaceable_.clear();
-    coldGroup_.clear();
-    hotMelted_.clear();
-    if (batched) {
-        // Masked bulk fills over the dense view arrays + one bulk
-        // cold fill; per-group live-key multisets match the accessor
-        // walk, and the data-dependent membership tests become
-        // branchless selects instead of mispredicting appends.
-        const double *est = view_.estMelt();
-        const Celsius *air = view_.air();
-        const Celsius *key = view_.projected();
-        if (keep_warm_active) {
-            keepWarm_.assignKeysIf(
-                key, 0, hotSize_, [&](std::size_t id) {
-                    return est[id] >= config_.waxThreshold;
-                });
-        }
-        hotPlaceable_.assignKeysIf(
-            key, 0, hotSize_, [&](std::size_t id) {
-                return est[id] < config_.waxThreshold ||
-                       air[id] < config_.physicalMeltTemp;
-            });
-        for (std::size_t id = 0; id < hotSize_; ++id) {
-            if (est[id] >= config_.waxThreshold &&
-                air[id] >= config_.physicalMeltTemp)
-                hotMelted_.push_back(id);
-        }
-        coldGroup_.assignKeys(key, hotSize_, n);
+    // Masked bulk fills over the dense view arrays + one bulk cold
+    // fill: the data-dependent membership tests become branchless
+    // selects instead of mispredicting appends.
+    const Celsius *air = view_.air();
+    const Celsius *key = view_.projected();
+    if (keep_warm_active) {
+        keepWarm_.assignKeysIf(key, 0, hotSize_, [&](std::size_t id) {
+            return est[id] >= config_.waxThreshold;
+        });
     } else {
-        for (std::size_t id = 0; id < hotSize_; ++id) {
-            const Server &srv = std::as_const(cluster).server(id);
-            const bool melted =
-                srv.estimatedMeltFraction() >= config_.waxThreshold;
-            if (melted && keep_warm_active)
-                keepWarm_.add(cluster, id);
-            if (placeable(srv))
-                hotPlaceable_.add(cluster, id);
-            else
-                hotMelted_.push_back(id);
-        }
-        for (std::size_t id = hotSize_; id < n; ++id)
-            coldGroup_.add(cluster, id);
+        keepWarm_.clear();
     }
+    hotPlaceable_.assignKeysIf(key, 0, hotSize_, [&](std::size_t id) {
+        return est[id] < config_.waxThreshold ||
+               air[id] < config_.physicalMeltTemp;
+    });
+    hotMelted_.clear();
+    for (std::size_t id = 0; id < hotSize_; ++id) {
+        if (est[id] >= config_.waxThreshold &&
+            air[id] >= config_.physicalMeltTemp)
+            hotMelted_.push_back(id);
+    }
+    coldGroup_.assignKeys(key, hotSize_, n);
 
     meltedCursor_ = 0;
     initialized_ = true;
@@ -255,7 +220,7 @@ VmtWaScheduler::proposeMigrations(Cluster &cluster, Seconds)
         return requests; // Off-peak rebalancing has no thermal value.
 
     // Unmelted hot-group members with spare cores, coolest first.
-    BalancedGroup targets;
+    BlockMinGroup<CoolerFirst> targets;
     std::size_t target_slots = 0;
     for (std::size_t id = 0; id < hotSize_; ++id) {
         const Server &srv = std::as_const(cluster).server(id);
@@ -265,8 +230,8 @@ VmtWaScheduler::proposeMigrations(Cluster &cluster, Seconds)
             target_slots += srv.freeCores();
         }
     }
-    if (targets.empty())
-        return requests;
+    if (target_slots == 0)
+        return requests; // No target: every member added has a core.
 
     // Melted servers holding more than their keep-warm load shed the
     // excess, hottest jobs first.

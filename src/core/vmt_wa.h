@@ -78,7 +78,7 @@ class VmtWaScheduler : public Scheduler
      * Checkpoint the scalar state that crosses intervals: the learned
      * grouping value, the group-size/melt scan results (read by the
      * adaptive controller *before* the next beginInterval refreshes
-     * them) and the placement cursors. The BalancedGroup heaps are
+     * them) and the placement cursors. The placement groups are
      * deliberately not saved — beginInterval rebuilds them from the
      * cluster, and every input to that rebuild is itself restored.
      */
@@ -95,8 +95,6 @@ class VmtWaScheduler : public Scheduler
 
     VmtConfig config_;
     HotMask hotMask_;
-    /** Captured at construction, like Cluster's thermal kernel. */
-    PlacementEngine engine_ = globalPlacementEngine();
     PlacementView view_;
     bool initialized_ = false;
     std::size_t baseHotSize_ = 0;
@@ -111,11 +109,11 @@ class VmtWaScheduler : public Scheduler
 
     /** Melted servers currently below the keep-warm power,
      *  least-loaded first. */
-    EngineBalancedGroup keepWarm_;
+    BlockMinGroup<CoolerFirst> keepWarm_;
     /** Hot-group servers eligible for new hot jobs. */
-    EngineBalancedGroup hotPlaceable_;
+    BlockMinGroup<CoolerFirst> hotPlaceable_;
     /** Cold group. */
-    EngineBalancedGroup coldGroup_;
+    BlockMinGroup<CoolerFirst> coldGroup_;
     /** Hot-group servers above threshold and melting temperature
      *  (cold-job overflow targets). */
     std::vector<std::size_t> hotMelted_;

@@ -1,30 +1,40 @@
 /**
  * @file
- * Batched-engine placement groups: block-min selection over dense
- * double keys (DESIGN.md §14).
+ * Temperature-ordered placement groups: block-min selection over
+ * dense double keys (DESIGN.md §14).
  *
- * The heap in balanced_group.h pays an O(n) Floyd heapify at every
- * interval rebuild even when the interval then places only a handful
- * of jobs — on cluster1000 the heapify alone costs more than the
- * whole PlacementView refresh. BlockMinGroup replaces the heap with a
- * flat key array cut into fixed blocks plus a per-block best-key
- * cache ("front"): the rebuild is one memcpy-shaped fill plus one
- * fold pass (~n/4 of the heapify's cost), and each placement scans
- * the front for the best block, then the block for the best entry —
+ * Section III-A: "Within each group, jobs are distributed evenly
+ * among the servers." Even distribution must hold for the resulting
+ * *temperatures*, not just arrival counts — departures are random and
+ * inlet temperatures vary between slots (Section V-D), so a rotating
+ * cursor lets per-server thermal state drift by several kelvin. A
+ * group therefore keys each member by its *projected steady-state air
+ * temperature* (inlet plus rise-per-watt times current power,
+ * refreshed once per scheduling interval and bumped by every
+ * placement), so each new job lands on the member that will run
+ * coolest — or, in the hottest-first order, the melt-preservation
+ * policy packs hot jobs onto the hottest member instead.
+ *
+ * BlockMinGroup keeps a flat key array cut into fixed blocks plus a
+ * per-block best-key cache ("front"): the interval rebuild is one
+ * memcpy-shaped fill plus one fold pass, and each placement scans the
+ * front for the best block, then the block for the best entry —
  * O(n/B + B) ≈ O(sqrt n) folds, all on plain doubles. The fold loops
  * run four independent accumulators, so they pipeline on the FP
  * min/max units at plain -O2 instead of serializing on one
  * accumulator's latency chain (min/max are exact regardless of
  * association, unlike FP sums — that is what makes the unroll free).
  *
- * Decision contract: the pop order must bitwise-match the scalar
- * engine's strict (temp, id) total order. Keys are the identical
- * doubles the scalar engine uses, and ties are broken by *position*:
- * every fill path appends servers in ascending id order (asserted),
- * so "first position among equal keys" IS "smallest id" (and last
- * position is largest id, for the hottest-first packing order). The
- * dropped-entry sentinel is +-infinity, which no finite temperature
- * reaches, so it orders strictly after every live entry.
+ * Decision contract: members pop in the strict (temp, id) total order
+ * — coolest first with ties to the smallest id, or hottest first with
+ * ties to the largest id — the order of the binary-heap reference in
+ * tests/reference/temp_ordered_group.h, which `ctest -L sched`
+ * compares against. Ties are broken by *position*: every fill path
+ * appends servers in ascending id order (asserted), so "first
+ * position among equal keys" IS "smallest id" (and last position is
+ * largest id). The dropped-entry sentinel is +-infinity, which no
+ * finite temperature reaches, so it orders strictly after every live
+ * entry.
  */
 
 #ifndef VMT_SCHED_BLOCK_MIN_GROUP_H
@@ -39,20 +49,14 @@
 #include <utility>
 #include <vector>
 
-#include "sched/balanced_group.h"
-#include "sched/placement_engine.h"
 #include "sched/scheduler.h"
 #include "server/cluster.h"
 #include "util/units.h"
 
 namespace vmt {
 
-/** Block-scan order traits, keyed by the heap comparator they must
- *  agree with. `pick` resolves key ties to the id the comparator
- *  would pop first (positions hold ascending ids). */
-template <typename Before> struct BlockOrder;
-
-template <> struct BlockOrder<CoolerFirst>
+/** Coolest-first order: ascending key, ties to the smallest id. */
+struct CoolerFirst
 {
     /** Dropped-entry sentinel: orders after every live key. */
     static constexpr double kDrop =
@@ -68,7 +72,8 @@ template <> struct BlockOrder<CoolerFirst>
     }
 };
 
-template <> struct BlockOrder<HotterFirst>
+/** Hottest-first order: descending key, ties to the largest id. */
+struct HotterFirst
 {
     static constexpr double kDrop =
         -std::numeric_limits<double>::infinity();
@@ -107,19 +112,15 @@ foldRun(const double *x, std::size_t n)
 }
 
 /**
- * Selection group for the batched placement engine. Same placement
- * semantics as TempOrderedGroup<Before> — identical decisions, pinned
- * by the `ctest -L sched` lockstep suite — with an O(n) fold rebuild
- * and O(sqrt n) placements instead of heap maintenance.
+ * Placement group in `Order` (CoolerFirst or HotterFirst), with an
+ * O(n) fold rebuild and O(sqrt n) placements.
  *
  * Precondition: servers are added in ascending id order (every
  * interval rebuild iterates ids forward; asserted in debug builds).
  */
-template <typename Before>
+template <typename Order>
 class BlockMinGroup
 {
-    using Order = BlockOrder<Before>;
-
   public:
     /** Entries per block; the front holds one key per block. */
     static constexpr std::size_t kBlock = 32;
@@ -134,21 +135,20 @@ class BlockMinGroup
     }
 
     /** Add one server keyed by its projected steady-state air
-     *  temperature (identical expression to the scalar heap's). */
+     *  temperature (inlet + rise-per-watt x current power). */
     void add(const Cluster &cluster, std::size_t id)
     {
         const Server &srv = cluster.server(id);
         const Celsius projected =
-            srv.thermal().inletTemp() +
-            cluster.thermalParams().airRisePerWatt *
-                srv.power(cluster.powerModel());
+            srv.inletTemp() + cluster.thermalParams().airRisePerWatt *
+                                  srv.power(cluster.powerModel());
         addKeyed(projected, id);
     }
 
     /** Add one server with a caller-computed key. Ids must arrive
      *  ascending (the position tie-break depends on it). The front is
-     *  rebuilt lazily on the next placement (like the scalar heap's
-     *  deferred heapify), so a fill is just appends. */
+     *  rebuilt lazily on the next placement, so a fill is just
+     *  appends. */
     void addKeyed(Celsius temp, std::size_t id)
     {
         assert(fill_ == 0 || id > idAt(fill_ - 1));
@@ -173,8 +173,8 @@ class BlockMinGroup
 
     /**
      * Replace the contents with servers [begin, end) keyed by
-     * keys[id] — the batched interval rebuild: one dense copy, one
-     * fold pass, and ids stay implicit (id = begin + position).
+     * keys[id] — the interval rebuild: one dense copy, one fold pass,
+     * and ids stay implicit (id = begin + position).
      */
     void assignKeys(const Celsius *keys, std::size_t begin,
                     std::size_t end)
@@ -261,7 +261,7 @@ class BlockMinGroup
     std::size_t placeIfBelow(Cluster &cluster, Watts added_watts,
                              Watts limit)
     {
-        static_assert(std::is_same_v<Before, CoolerFirst>,
+        static_assert(std::is_same_v<Order, CoolerFirst>,
                       "keep-warm fill is a coolest-first operation");
         const ServerThermalParams &thermal = cluster.thermalParams();
         const KelvinPerWatt rise = thermal.airRisePerWatt;
@@ -305,7 +305,7 @@ class BlockMinGroup
     std::pair<std::size_t, std::size_t> locate(double m) const
     {
         std::size_t b, off;
-        if constexpr (std::is_same_v<Before, CoolerFirst>) {
+        if constexpr (std::is_same_v<Order, CoolerFirst>) {
             b = Order::pick(front_.data(), m);
             off = Order::pick(keys_.data() + b * kBlock, m);
         } else {
@@ -327,8 +327,7 @@ class BlockMinGroup
         refold(idx / kBlock);
     }
 
-    /** Rebuild every block's front after deferred appends (the
-     *  batched analogue of the scalar heap's deferred heapify). */
+    /** Rebuild every block's front after deferred appends. */
     void ensureFront()
     {
         if (!frontDirty_)
@@ -356,94 +355,6 @@ class BlockMinGroup
     /** id of position 0 when ids are implicit; kNoServer otherwise. */
     std::size_t implicitBase_ = kNoServer;
 };
-
-/**
- * Engine-routing facade: one member per scheduler group, holding both
- * the scalar reference heap and the batched block-min group, with
- * every operation forwarded to whichever the placement engine — read
- * once at construction, like the schedulers' own engine capture —
- * selected. Keeps the scheduler logic single-path while the two
- * engines keep their own data structures.
- */
-template <typename Before>
-class EngineGroup
-{
-  public:
-    void clear()
-    {
-        if (batched_)
-            blocks_.clear();
-        else
-            heap_.clear();
-    }
-
-    void add(const Cluster &cluster, std::size_t id)
-    {
-        if (batched_)
-            blocks_.add(cluster, id);
-        else
-            heap_.add(cluster, id);
-    }
-
-    void addKeyed(Celsius temp, std::size_t id)
-    {
-        if (batched_)
-            blocks_.addKeyed(temp, id);
-        else
-            heap_.addKeyed(temp, id);
-    }
-
-    void assignKeys(const Celsius *keys, std::size_t begin,
-                    std::size_t end)
-    {
-        if (batched_)
-            blocks_.assignKeys(keys, begin, end);
-        else
-            heap_.assignKeys(keys, begin, end);
-    }
-
-    template <typename Keep>
-    void assignKeysIf(const Celsius *keys, std::size_t begin,
-                      std::size_t end, Keep &&keep)
-    {
-        if (batched_) {
-            blocks_.assignKeysIf(keys, begin, end,
-                                 std::forward<Keep>(keep));
-            return;
-        }
-        heap_.clear();
-        for (std::size_t id = begin; id < end; ++id) {
-            if (keep(id))
-                heap_.addKeyed(keys[id], id);
-        }
-    }
-
-    std::size_t place(Cluster &cluster, Watts added_watts)
-    {
-        return batched_ ? blocks_.place(cluster, added_watts)
-                        : heap_.place(cluster, added_watts);
-    }
-
-    std::size_t placeIfBelow(Cluster &cluster, Watts added_watts,
-                             Watts limit)
-    {
-        return batched_
-                   ? blocks_.placeIfBelow(cluster, added_watts, limit)
-                   : heap_.placeIfBelow(cluster, added_watts, limit);
-    }
-
-  private:
-    bool batched_ =
-        globalPlacementEngine() == PlacementEngine::Batched;
-    TempOrderedGroup<Before> heap_;
-    BlockMinGroup<Before> blocks_;
-};
-
-/** Coolest-first group with engine routing. */
-using EngineBalancedGroup = EngineGroup<CoolerFirst>;
-
-/** Hottest-first group with engine routing. */
-using EnginePackingGroup = EngineGroup<HotterFirst>;
 
 } // namespace vmt
 

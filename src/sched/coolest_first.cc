@@ -1,48 +1,24 @@
 #include "sched/coolest_first.h"
 
-#include <utility>
-
 namespace vmt {
 
 void
 CoolestFirstScheduler::beginInterval(Cluster &cluster, Seconds)
 {
-    const std::size_t n = cluster.numServers();
-    if (engine_ == PlacementEngine::Batched) {
-        // One air-array gather, one dense fill + fold pass.
-        view_.refreshAir(cluster);
-        heap_.assignKeys(view_.air(), 0, n);
-        return;
-    }
-    pq_ = {};
-    for (std::size_t id = 0; id < n; ++id)
-        pq_.push({std::as_const(cluster).server(id).airTemp(), id});
+    // One air-array gather, one dense fill + fold pass.
+    view_.refreshAir(cluster);
+    group_.assignKeys(view_.air(), 0, cluster.numServers());
 }
 
 std::size_t
 CoolestFirstScheduler::placeJob(Cluster &cluster, const Job &job)
 {
-    const Watts core_power = cluster.powerModel().corePower(job.type);
-    if (engine_ == PlacementEngine::Batched) {
-        // Pop until a server with a free core surfaces (full members
-        // are dropped for the rest of the interval), then bump the
-        // winner's virtual temperature in place by the rise of the
-        // core we are adding so same-interval placements spread over
-        // the coolest set.
-        return heap_.place(cluster, core_power);
-    }
-    while (!pq_.empty()) {
-        Entry entry = pq_.top();
-        pq_.pop();
-        const Server &srv = std::as_const(cluster).server(entry.id);
-        if (!srv.hasCapacity())
-            continue;
-        entry.temp +=
-            cluster.thermalParams().airRisePerWatt * core_power;
-        pq_.push(entry);
-        return srv.id();
-    }
-    return kNoServer;
+    // Select the coolest server with a free core (full members are
+    // dropped for the rest of the interval), then bump the winner's
+    // virtual temperature in place by the rise of the core we are
+    // adding so same-interval placements spread over the coolest set.
+    return group_.place(cluster,
+                        cluster.powerModel().corePower(job.type));
 }
 
 } // namespace vmt

@@ -9,11 +9,7 @@
 #ifndef VMT_SCHED_COOLEST_FIRST_H
 #define VMT_SCHED_COOLEST_FIRST_H
 
-#include <queue>
-#include <vector>
-
 #include "sched/block_min_group.h"
-#include "sched/placement_engine.h"
 #include "sched/placement_view.h"
 #include "sched/scheduler.h"
 
@@ -30,14 +26,9 @@ namespace vmt {
  * set — which is what produces the paper's tight temperature band
  * (Fig. 10) versus round robin (Fig. 9).
  *
- * Two engines (DESIGN.md §14): the scalar reference keeps the
- * historical shape — a per-interval `priority_queue` rebuild of n
- * sift-ups over the per-object accessors, pop + push per placement —
- * while the batched engine bulk-fills a BlockMinGroup (dense copy +
- * fold pass, block-scan selection, in-place key bump) from a
- * PlacementView's contiguous air-temperature array. Both orders are
- * the strict (temp, id) total order, so every decision is identical;
- * the `ctest -L sched` lockstep suite pins that.
+ * Each interval bulk-fills a BlockMinGroup (dense copy + fold pass,
+ * block-scan selection, in-place key bump) from a PlacementView's
+ * contiguous air-temperature array (DESIGN.md §14).
  */
 class CoolestFirstScheduler : public Scheduler
 {
@@ -49,26 +40,9 @@ class CoolestFirstScheduler : public Scheduler
     std::size_t placeJob(Cluster &cluster, const Job &job) override;
 
   private:
-    /** (virtual temperature, server id) min-heap entry (scalar). */
-    struct Entry
-    {
-        Celsius temp;
-        std::size_t id;
-        bool operator>(const Entry &o) const
-        {
-            if (temp != o.temp)
-                return temp > o.temp;
-            return id > o.id;
-        }
-    };
-
-    PlacementEngine engine_ = globalPlacementEngine();
     PlacementView view_;
-    /** Batched-engine selection group. */
-    BlockMinGroup<CoolerFirst> heap_;
-    /** Scalar-engine heap (the historical implementation). */
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
-        pq_;
+    /** Every server, keyed by virtual air temperature. */
+    BlockMinGroup<CoolerFirst> group_;
 };
 
 } // namespace vmt

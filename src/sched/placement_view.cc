@@ -1,7 +1,5 @@
 #include "sched/placement_view.h"
 
-#include <utility>
-
 #include "thermal/thermal_soa.h"
 
 namespace vmt {
@@ -21,46 +19,26 @@ PlacementView::refreshImpl(Cluster &cluster, unsigned parts)
         estMelt_.resize(n);
     const KelvinPerWatt rise = cluster.thermalParams().airRisePerWatt;
 
-    if (const ThermalSoA *soa = cluster.thermalSoa()) {
-        // Dirty-bitmap power gather (only needed for the projected
-        // keys), then one tight sweep per requested array over the
-        // contiguous SoA columns. Expression shapes mirror the
-        // accessor chain exactly (see the header's bitwise contract):
-        // inletTemp() is params.inletTemp + inletOffset, and the SoA
-        // mirrors both addends per server.
-        if (want_proj) {
-            cluster.refreshGatheredPower();
-            for (std::size_t i = 0; i < n; ++i)
-                projected_[i] =
-                    (soa->baseInlet(i) + soa->inletOffset(i)) +
-                    rise * soa->power(i);
-        }
-        if (want_air) {
-            for (std::size_t i = 0; i < n; ++i)
-                air_[i] = soa->airTemp(i);
-        }
-        if (want_est) {
-            const Joules latent = soa->derived().latentCap;
-            for (std::size_t i = 0; i < n; ++i)
-                estMelt_[i] = soa->estimatedEnthalpy(i) / latent;
-        }
-        return;
+    // Dirty-bitmap power gather (only needed for the projected keys),
+    // then one tight sweep per requested array over the contiguous SoA
+    // columns. Expression shapes mirror the Server accessors exactly
+    // (see the header's bitwise contract): inletTemp() is baseInlet +
+    // inletOffset.
+    const ThermalSoA &soa = cluster.thermalSoa();
+    if (want_proj) {
+        cluster.refreshGatheredPower();
+        for (std::size_t i = 0; i < n; ++i)
+            projected_[i] = (soa.baseInlet(i) + soa.inletOffset(i)) +
+                            rise * soa.power(i);
     }
-
-    // Scalar thermal kernel: no SoA arrays to sweep; read the same
-    // quantities through the per-object accessors (const access, so
-    // the power caches are consulted without invalidation).
-    const Cluster &cc = std::as_const(cluster);
-    const PowerModel &model = cluster.powerModel();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Server &srv = cc.server(i);
-        if (want_proj)
-            projected_[i] =
-                srv.thermal().inletTemp() + rise * srv.power(model);
-        if (want_air)
-            air_[i] = srv.airTemp();
-        if (want_est)
-            estMelt_[i] = srv.estimatedMeltFraction();
+    if (want_air) {
+        for (std::size_t i = 0; i < n; ++i)
+            air_[i] = soa.airTemp(i);
+    }
+    if (want_est) {
+        const Joules latent = soa.derived().latentCap;
+        for (std::size_t i = 0; i < n; ++i)
+            estMelt_[i] = soa.estimatedEnthalpy(i) / latent;
     }
 }
 

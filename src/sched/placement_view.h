@@ -3,34 +3,29 @@
  * Contiguous per-interval snapshot of the placement-relevant server
  * state (DESIGN.md §14).
  *
- * The scalar interval rebuild walks one Server object at a time:
- * every BalancedGroup::add pays a power-cache probe plus scattered
- * accessor reads ~half a kilobyte apart per server. PlacementView
- * gathers the three quantities placement actually reads — projected
- * steady-state air temperature, current air temperature, estimated
- * melt fraction — into dense arrays with one fused sweep over the
- * ThermalSoA arrays (reusing the PR 6 power dirty bitmap, so only
- * servers whose draw changed since the last gather are recomputed).
- * Under the scalar thermal kernel the sweep falls back to the
- * per-object accessors and is merely tidier, not faster.
+ * Walking one Server object at a time costs a power-cache probe plus
+ * scattered accessor reads per server. PlacementView gathers the three
+ * quantities placement actually reads — projected steady-state air
+ * temperature, current air temperature, estimated melt fraction —
+ * into dense arrays with one sweep over the cluster's ThermalSoA
+ * columns (reusing the cluster's power dirty bitmap, so only servers
+ * whose draw changed since the last gather are recomputed).
  *
- * Bitwise contract: every array element equals what the per-object
+ * Bitwise contract: every array element equals what the per-server
  * accessor chain produces, expression shape included —
  *   projected[i] = (baseInlet + inletOffset) + rise * power
- *                = Server::thermal().inletTemp() + rise * power(model)
+ *                = Server::inletTemp() + rise * power(model)
  *   air[i]       = Server::airTemp()
  *   estMelt[i]   = Server::estimatedMeltFraction()
- * so heaps filled from the view hold the same key multiset as heaps
- * filled through the accessors, and — because the (temp, id)
- * comparator is a strict total order — produce identical placement
- * decisions. The `ctest -L sched` lockstep suite pins this.
+ * so groups filled from the view hold the same keys as groups filled
+ * through BlockMinGroup::add. tests/sched/test_placement_view.cc pins
+ * this under job churn, health flips and inlet shifts.
  *
  * Validity: the arrays snapshot thermal state, which only changes at
  * Cluster::stepThermal — never during placement. One refresh() per
  * scheduling interval therefore stays exact for every placement
  * decision in that interval (placements change *power*, which the
- * groups track by bumping their own keys, exactly as the scalar
- * engine does).
+ * groups track by bumping their own keys).
  */
 
 #ifndef VMT_SCHED_PLACEMENT_VIEW_H
@@ -50,7 +45,7 @@ class PlacementView
   public:
     /**
      * Re-gather all arrays from the cluster (one sweep). Non-const
-     * cluster because the SoA path first refreshes the gathered
+     * cluster because the projected keys first refresh the gathered
      * power array from its dirty bitmap.
      */
     void refresh(Cluster &cluster) { refreshImpl(cluster, 7); }
@@ -71,7 +66,7 @@ class PlacementView
     std::size_t size() const { return projected_.size(); }
 
     /** Projected steady-state air temperature per server (the
-     *  BalancedGroup key): inlet + rise-per-watt x current power. */
+     *  placement-group key): inlet + rise-per-watt x current power. */
     const Celsius *projected() const { return projected_.data(); }
     Celsius projected(std::size_t id) const { return projected_[id]; }
 

@@ -1059,9 +1059,7 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     conf.putString(shards_.front().scheduler->name());
     conf.putDouble(config_.gv);
     conf.putDouble(config_.waxThreshold);
-    const Cluster &first = shards_.front().cluster;
-    conf.putU8(static_cast<std::uint8_t>(
-        first.server(0).thermal().pcm().integrator()));
+    conf.putU8(kClosedFormIntegratorTag);
     conf.putString(feed.name());
 
     feed.saveState(writer.section("FEED"));
@@ -1203,14 +1201,11 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     checkDouble("grouping value", conf.getDouble(), config_.gv);
     checkDouble("wax threshold", conf.getDouble(),
                 config_.waxThreshold);
-    const auto integrator = static_cast<PcmIntegrator>(conf.getU8());
-    const Cluster &first = shards_.front().cluster;
-    const PcmIntegrator current =
-        first.server(0).thermal().pcm().integrator();
-    if (integrator != current)
+    const std::uint8_t integrator = conf.getU8();
+    if (integrator != kClosedFormIntegratorTag)
         mismatch(std::string("PCM integrator: snapshot ") +
-                 pcmIntegratorName(integrator) + ", run " +
-                 pcmIntegratorName(current));
+                 integratorTagName(integrator) + ", run " +
+                 integratorTagName(kClosedFormIntegratorTag));
     const std::string feed_name = conf.getString();
     if (feed_name != feed.name())
         mismatch("feed: snapshot '" + feed_name + "', run '" +

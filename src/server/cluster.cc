@@ -15,11 +15,19 @@ namespace {
  */
 constexpr std::size_t kThermalGrain = 64;
 
+/**
+ * Fleet size from which stepThermal fans the batched chunks out on the
+ * global pool. The 100-server sweep configurations stay on the serial
+ * loop, which is faster at that scale; the 1,000-server headline runs
+ * fan out. Scheduling only: values never depend on it.
+ */
+constexpr std::size_t kThermalParallelThreshold = 256;
+
 /** Parallelize per-server work for this many servers? */
 bool
 useParallelPath(std::size_t num_servers)
 {
-    return num_servers >= thermalParallelThreshold() &&
+    return num_servers >= kThermalParallelThreshold &&
            globalPool().size() > 1;
 }
 
@@ -31,61 +39,28 @@ Cluster::Cluster(std::size_t num_servers, const ServerSpec &spec,
                  const std::vector<Kelvin> &inlet_offsets)
     : spec_(spec),
       thermal_(thermal),
-      power_(power),
-      kernel_(globalThermalKernel())
+      power_(power)
 {
     if (num_servers == 0)
         fatal("Cluster requires at least one server");
     if (!inlet_offsets.empty() && inlet_offsets.size() != num_servers)
         fatal("Cluster inlet_offsets must be empty or one per server");
 
+    soa_ = std::make_unique<ThermalSoA>(thermal, num_servers,
+                                        inlet_offsets);
     servers_.reserve(num_servers);
-    for (std::size_t i = 0; i < num_servers; ++i) {
-        const Kelvin offset =
-            inlet_offsets.empty() ? 0.0 : inlet_offsets[i];
-        servers_.emplace_back(i, spec, thermal, offset);
-    }
+    for (std::size_t i = 0; i < num_servers; ++i)
+        servers_.emplace_back(i, spec, *soa_);
     totalCores_ = num_servers * spec.cores();
     aliveServers_ = num_servers;
-
-    if (kernel_ == ThermalKernel::Soa) {
-        soa_ = std::make_unique<ThermalSoA>(
-            thermal, servers_[0].thermal().pcm().integrator(),
-            num_servers);
-        for (std::size_t i = 0; i < num_servers; ++i)
-            servers_[i].bindSoa(soa_.get(), i);
-        powerDirty_.assign((num_servers + 63) / 64, 0);
-        markAllPowerDirty();
-    }
-}
-
-void
-Cluster::setThermalKernel(ThermalKernel kernel)
-{
-    if (kernel == kernel_)
-        return;
-    if (kernel == ThermalKernel::Scalar) {
-        for (Server &srv : servers_)
-            srv.unbindSoa();
-        soa_.reset();
-        powerDirty_.clear();
-    } else {
-        soa_ = std::make_unique<ThermalSoA>(
-            thermal_, servers_[0].thermal().pcm().integrator(),
-            servers_.size());
-        for (std::size_t i = 0; i < servers_.size(); ++i)
-            servers_[i].bindSoa(soa_.get(), i);
-        powerDirty_.assign((servers_.size() + 63) / 64, 0);
-        markAllPowerDirty();
-    }
-    kernel_ = kernel;
+    powerDirty_.assign((num_servers + 63) / 64, 0);
+    markAllPowerDirty();
 }
 
 void
 Cluster::markPowerDirty(std::size_t id)
 {
-    if (soa_ != nullptr)
-        powerDirty_[id >> 6] |= std::uint64_t{1} << (id & 63);
+    powerDirty_[id >> 6] |= std::uint64_t{1} << (id & 63);
 }
 
 void
@@ -207,69 +182,13 @@ Cluster::totalPower() const
 ClusterSample
 Cluster::stepThermal(Seconds dt, Celsius hot_threshold)
 {
-    return kernel_ == ThermalKernel::Soa
-               ? stepThermalSoa(dt, hot_threshold)
-               : stepThermalScalar(dt, hot_threshold);
-}
-
-ClusterSample
-Cluster::stepThermalScalar(Seconds dt, Celsius hot_threshold)
-{
     // Stepping can flip per-server throttle states, which changes
     // power draws.
     totalPowerCache_.reset();
-    ClusterSample agg;
-    bool first = true;
-    const auto accumulate = [&](const ThermalSample &s,
-                                const Server &srv) {
-        agg.totalPower += s.rejectedPower + s.waxHeatFlow;
-        agg.coolingLoad += s.rejectedPower;
-        agg.waxHeatFlow += s.waxHeatFlow;
-        agg.meanAirTemp += s.airTemp;
-        agg.meanMeltFraction += srv.waxMeltFraction();
-        if (first || s.airTemp > agg.maxAirTemp)
-            agg.maxAirTemp = s.airTemp;
-        first = false;
-        if (s.airTemp >= hot_threshold)
-            ++agg.serversAboveThreshold;
-        if (srv.throttled())
-            ++agg.throttledServers;
-    };
-
-    if (useParallelPath(servers_.size())) {
-        // Servers are thermally independent within a step, so the
-        // expensive part (RC/PCM integration) fans out; the
-        // floating-point reduction stays serial and in server-index
-        // order so the sample is bitwise identical to the serial
-        // path.
-        stepScratch_.resize(servers_.size());
-        parallelFor(globalPool(), 0, servers_.size(), kThermalGrain,
-                    [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i)
-                            stepScratch_[i] =
-                                servers_[i].stepThermal(power_, dt);
-                    });
-        for (std::size_t i = 0; i < servers_.size(); ++i)
-            accumulate(stepScratch_[i], servers_[i]);
-    } else {
-        for (Server &srv : servers_)
-            accumulate(srv.stepThermal(power_, dt), srv);
-    }
-    const auto n = static_cast<double>(servers_.size());
-    agg.meanAirTemp /= n;
-    agg.meanMeltFraction /= n;
-    return agg;
-}
-
-ClusterSample
-Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
-{
-    totalPowerCache_.reset();
     const std::size_t n = servers_.size();
 
-    // Gather stale power entries, then batch-step. The chunk
-    // boundaries use the same fixed grain as the scalar parallel
-    // path; per-server values are independent of them either way.
+    // Gather stale power entries, then batch-step. Per-server values
+    // are independent of the chunk boundaries.
     refreshPowerArray();
     soa_->beginStep(dt);
     if (useParallelPath(n)) {
@@ -281,11 +200,9 @@ Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
         soa_->stepChunk(0, n);
     }
 
-    // Serial index-order throttle sync + reduction: the identical
-    // expression shapes (and order) as the scalar accumulate lambda,
-    // so the sample is bitwise the same. The hysteresis test reads the
-    // SoA throttle mirror so the scan stays on contiguous memory;
-    // only actual flips (rare) touch the scattered Server objects.
+    // Serial index-order reduction: the expression shapes (and order)
+    // of the per-object reference step (tests/reference/), so the
+    // sample is bitwise the same.
     ClusterSample agg;
     const ThermalSoA &soa = *soa_;
     // Pure reduction first, throttle scan second: the reduction body
@@ -293,8 +210,8 @@ Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
     // in registers for the whole sweep (applyThrottle in the same
     // loop would clobber memory every iteration as far as the
     // compiler knows). n >= 1 (ThermalSoA enforces it), so seeding
-    // the running max with server 0 matches the scalar path's
-    // first-iteration behaviour exactly.
+    // the running max with server 0 matches a first-iteration seed
+    // exactly.
     agg.maxAirTemp = soa.airTemp(0);
     for (std::size_t i = 0; i < n; ++i) {
         const Watts wax_flow = soa.waxFlow(i);
@@ -312,7 +229,7 @@ Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
     }
 
     // Hysteresis scan over the contiguous CPU-temperature and
-    // throttle-mirror arrays; only actual flips (rare) touch the
+    // throttle-latch arrays; only actual flips (rare) touch the
     // scattered Server objects. Skipped outright when no flip is
     // possible: nobody is throttled (so no releases) and either
     // throttling is disabled or no CPU reached the limit (so no
@@ -332,7 +249,6 @@ Cluster::stepThermalSoa(Seconds dt, Celsius hot_threshold)
             bool now_throttled = was_throttled;
             if (may_flip && servers_[i].applyThrottle(cpu)) {
                 now_throttled = !was_throttled;
-                soa_->setThrottled(i, now_throttled);
                 markPowerDirty(i);
             }
             if (now_throttled)
@@ -349,8 +265,8 @@ void
 Cluster::setBaseInlet(Celsius inlet)
 {
     thermal_.inletTemp = inlet;
-    for (Server &srv : servers_)
-        srv.setBaseInlet(inlet);
+    for (std::size_t i = 0; i < servers_.size(); ++i)
+        soa_->setBaseInlet(i, inlet);
 }
 
 void
@@ -358,12 +274,10 @@ Cluster::setBaseInlet(std::size_t server_id, Celsius inlet)
 {
     if (server_id >= servers_.size())
         panic("Cluster::setBaseInlet out of range");
-    // Direct access, not server(): an inlet change affects thermal
-    // state only, so neither the total-power cache nor the gathered
-    // power entry needs invalidating (previously this went through
-    // the mutable accessor and dropped the power cache every call —
-    // once per server per interval under recirculation modelling).
-    servers_[server_id].setBaseInlet(inlet);
+    // An inlet change affects thermal state only, so neither the
+    // total-power cache nor the gathered power entry needs
+    // invalidating.
+    soa_->setBaseInlet(server_id, inlet);
 }
 
 void

@@ -17,7 +17,6 @@
 #include "server/power_model.h"
 #include "server/server.h"
 #include "server/server_spec.h"
-#include "thermal/thermal_kernel.h"
 #include "thermal/thermal_params.h"
 #include "thermal/thermal_soa.h"
 #include "util/units.h"
@@ -59,6 +58,8 @@ class Cluster
      * @param inlet_offsets Per-server inlet deviations; empty means
      *        zero for every server, otherwise must have one entry per
      *        server.
+     * @throws FatalError on an empty cluster, mismatched offsets or
+     *         invalid thermal constants (see ThermalSoA).
      */
     Cluster(std::size_t num_servers, const ServerSpec &spec,
             const ServerThermalParams &thermal, const PowerModel &power,
@@ -126,13 +127,15 @@ class Cluster
     Watts totalPower() const;
 
     /**
-     * Advance every server's thermal state by dt and aggregate.
+     * Advance every server's thermal state by dt and aggregate: gather
+     * stale powers, step the ThermalSoA, then apply the throttle rule
+     * and reduce serially in server-index order.
      *
-     * Above kThermalParallelThreshold servers the per-server steps
-     * (independent of each other) run on the global thread pool; the
-     * ClusterSample reduction always happens serially in server-index
-     * order, so the result is bitwise identical to the serial path at
-     * any thread count.
+     * From 256 servers up the batched chunks (independent of each
+     * other) run on the global thread pool when it has more than one
+     * thread; chunk boundaries are fixed and the reduction stays
+     * serial, so the result is bitwise identical at any thread
+     * count.
      *
      * @param dt Step length (seconds).
      * @param hot_threshold Air temperature counted as overheating in
@@ -149,40 +152,19 @@ class Cluster
     void setBaseInlet(std::size_t server_id, Celsius inlet);
 
     /**
-     * Kernel stepThermal executes with (Soa by default, from
-     * globalThermalKernel() at construction). Both kernels are
-     * bitwise identical; see DESIGN.md §13.
+     * The batched thermal state: a read-only window for the placement
+     * fast path (sched/placement_view.h). Its per-server arrays are
+     * what the Server accessors read.
      */
-    ThermalKernel thermalKernel() const { return kernel_; }
+    const ThermalSoA &thermalSoa() const { return *soa_; }
 
     /**
-     * Switch kernels mid-run (tests / A-B studies). State carries
-     * over exactly: switching to Scalar writes the SoA arrays back
-     * into the per-object models; switching to Soa seeds the arrays
-     * from them.
+     * Re-gather stale entries of the SoA power array. After this call
+     * ThermalSoA::power(i) equals server(i).power(powerModel())
+     * bitwise for every server; the placement fast path calls it once
+     * per interval before reading the gathered powers.
      */
-    void setThermalKernel(ThermalKernel kernel);
-
-    /**
-     * The batched thermal state, or null when the scalar kernel is
-     * active. Read-only window for the placement fast path
-     * (sched/placement_view.h): its per-server arrays mirror the
-     * Server accessors bitwise while bound.
-     */
-    const ThermalSoA *thermalSoa() const { return soa_.get(); }
-
-    /**
-     * Re-gather stale entries of the SoA power array (no-op under the
-     * scalar kernel). After this call ThermalSoA::power(i) equals
-     * server(i).power(powerModel()) bitwise for every server; the
-     * placement fast path calls it once per interval before reading
-     * the gathered powers.
-     */
-    void refreshGatheredPower()
-    {
-        if (soa_)
-            refreshPowerArray();
-    }
+    void refreshGatheredPower() { refreshPowerArray(); }
 
     /** Power model shared by the servers. */
     const PowerModel &powerModel() const { return power_; }
@@ -204,12 +186,7 @@ class Cluster
     void loadState(Deserializer &in);
 
   private:
-    /** Scalar-kernel stepThermal (the historical per-object loop). */
-    ClusterSample stepThermalScalar(Seconds dt, Celsius hot_threshold);
-    /** SoA-kernel stepThermal (power gather, batched chunks, serial
-     *  throttle sync + reduction). */
-    ClusterSample stepThermalSoa(Seconds dt, Celsius hot_threshold);
-    /** Mark one server's gathered power stale (SoA kernel only). */
+    /** Mark one server's gathered power stale. */
     void markPowerDirty(std::size_t id);
     void markAllPowerDirty();
     /** Re-gather stale entries of the SoA power array. */
@@ -218,6 +195,9 @@ class Cluster
     ServerSpec spec_;
     ServerThermalParams thermal_;
     PowerModel power_;
+    /** Every server's thermal state. Heap-held so the servers'
+     *  pointers into it survive Cluster moves. */
+    std::unique_ptr<ThermalSoA> soa_;
     std::vector<Server> servers_;
     std::size_t totalCores_ = 0;
     std::size_t busyCores_ = 0;
@@ -225,17 +205,10 @@ class Cluster
      *  serialized here — health lives in the snapshot FALT section. */
     std::size_t aliveServers_ = 0;
     CoreCounts active_{};
-    ThermalKernel kernel_;
-    /** Batched thermal state; non-null iff kernel_ == Soa. Heap-held
-     *  so bound Server pointers survive Cluster moves. */
-    std::unique_ptr<ThermalSoA> soa_;
     /** Dirty bits for the SoA power gather: set on any event that can
      *  change a server's draw (job churn, health flips, throttle
      *  flips, mutable access), cleared by refreshPowerArray. */
     std::vector<std::uint64_t> powerDirty_;
-    /** Per-server samples from the parallel stepThermal path (kept
-     *  across steps to avoid a per-interval allocation). */
-    std::vector<ThermalSample> stepScratch_;
     /** Cached totalPower() reduction; nullopt when stale. */
     mutable std::optional<Watts> totalPowerCache_;
 };

@@ -5,13 +5,8 @@
 
 namespace vmt {
 
-Server::Server(std::size_t id, const ServerSpec &spec,
-               const ServerThermalParams &thermal_params,
-               Kelvin inlet_offset)
-    : id_(id),
-      spec_(spec),
-      thermal_(thermal_params, inlet_offset),
-      estimator_(thermal_params.pcm)
+Server::Server(std::size_t id, const ServerSpec &spec, ThermalSoA &soa)
+    : id_(id), spec_(spec), soa_(&soa)
 {}
 
 void
@@ -54,13 +49,13 @@ Server::refreshPowerCache(const PowerModel &model) const
         return;
     }
     const Watts nominal = model.serverPower(counts_);
-    if (!throttled_) {
+    if (!throttled()) {
         powerCache_ = nominal;
     } else {
         // DVFS trims the dynamic part only; idle power is unaffected.
         const Watts idle = model.spec().idlePower;
         powerCache_ =
-            idle + (nominal - idle) * thermal_.params().throttleFactor;
+            idle + (nominal - idle) * soa_->params().throttleFactor;
     }
     powerCacheModel_ = &model;
 }
@@ -68,72 +63,27 @@ Server::refreshPowerCache(const PowerModel &model) const
 Celsius
 Server::cpuTemp(const PowerModel &model) const
 {
-    if (soa_ != nullptr) {
-        // Same expression as ServerThermal::cpuTemp against the SoA
-        // air temperature.
-        return soa_->airTemp(soaIndex_) +
-               thermal_.params().cpuRisePerWatt * power(model);
-    }
-    return thermal_.cpuTemp(power(model));
-}
-
-ThermalSample
-Server::stepThermal(const PowerModel &model, Seconds dt)
-{
-    if (soa_ != nullptr)
-        panic("Server::stepThermal on a SoA-bound server; the "
-              "cluster drives the batched kernel");
-    const ThermalSample sample = thermal_.step(power(model), dt);
-    // The on-board model reads the container-exterior sensor once per
-    // update (Section III-B, "Tracking Wax State").
-    estimator_.update(sample.containerTemp, dt);
-    applyThrottle(sample.cpuTemp);
-    return sample;
+    return airTemp() + soa_->params().cpuRisePerWatt * power(model);
 }
 
 bool
 Server::applyThrottle(Celsius cpu_temp)
 {
-    const ServerThermalParams &tp = thermal_.params();
-    if (!throttled_ && cpu_temp >= tp.cpuLimit &&
+    const ServerThermalParams &tp = soa_->params();
+    const bool throttled_now = throttled();
+    if (!throttled_now && cpu_temp >= tp.cpuLimit &&
         tp.throttleFactor < 1.0) {
-        throttled_ = true;
+        soa_->setThrottled(id_, true);
         powerCacheModel_ = nullptr;
         return true;
     }
-    if (throttled_ &&
+    if (throttled_now &&
         cpu_temp < tp.cpuLimit - tp.throttleHysteresis) {
-        throttled_ = false;
+        soa_->setThrottled(id_, false);
         powerCacheModel_ = nullptr;
         return true;
     }
     return false;
-}
-
-void
-Server::bindSoa(ThermalSoA *soa, std::size_t index)
-{
-    soa_ = soa;
-    soaIndex_ = index;
-    soa->setAirTemp(index, thermal_.airTemp());
-    soa->setEnthalpy(index, thermal_.pcm().enthalpy());
-    soa->setEstimatedEnthalpy(index, estimator_.estimatedEnthalpy());
-    soa->setBaseInlet(index, thermal_.params().inletTemp);
-    soa->setInletOffset(index, thermal_.inletOffset());
-    soa->setFailed(index, health_ == ServerHealth::Failed);
-    soa->setThrottled(index, throttled_);
-}
-
-void
-Server::unbindSoa()
-{
-    if (soa_ == nullptr)
-        return;
-    thermal_.restoreState(soa_->airTemp(soaIndex_),
-                          soa_->enthalpy(soaIndex_));
-    estimator_.restoreEnthalpy(soa_->estimatedEnthalpy(soaIndex_));
-    soa_ = nullptr;
-    soaIndex_ = 0;
 }
 
 void
@@ -142,10 +92,8 @@ Server::saveState(Serializer &out) const
     for (std::size_t count : counts_)
         out.putSize(count);
     out.putSize(busyCores_);
-    out.putBool(throttled_);
-    out.putDouble(thermal_.params().inletTemp);
-    // Accessors, not members: while SoA-bound they read the SoA
-    // arrays, so either kernel snapshots the same bytes.
+    out.putBool(throttled());
+    out.putDouble(soa_->baseInlet(id_));
     out.putDouble(airTemp());
     out.putDouble(waxEnthalpy());
     out.putDouble(estimatedWaxEnthalpy());
@@ -157,21 +105,11 @@ Server::loadState(Deserializer &in)
     for (std::size_t &count : counts_)
         count = in.getSize();
     busyCores_ = in.getSize();
-    throttled_ = in.getBool();
-    setBaseInlet(in.getDouble());
-    const Celsius air_temp = in.getDouble();
-    const Joules wax_enthalpy = in.getDouble();
-    const Joules estimated = in.getDouble();
-    // Restore both representations: the per-object models (always)
-    // and, while bound, the authoritative SoA slot.
-    thermal_.restoreState(air_temp, wax_enthalpy);
-    estimator_.restoreEnthalpy(estimated);
-    if (soa_ != nullptr) {
-        soa_->setAirTemp(soaIndex_, air_temp);
-        soa_->setEnthalpy(soaIndex_, wax_enthalpy);
-        soa_->setEstimatedEnthalpy(soaIndex_, estimated);
-        soa_->setThrottled(soaIndex_, throttled_);
-    }
+    soa_->setThrottled(id_, in.getBool());
+    soa_->setBaseInlet(id_, in.getDouble());
+    soa_->setAirTemp(id_, in.getDouble());
+    soa_->setEnthalpy(id_, in.getDouble());
+    soa_->setEstimatedEnthalpy(id_, in.getDouble());
     powerCacheModel_ = nullptr;
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * One PCM-enabled server: core slots, running-job mix, thermal state
- * and the on-board wax-state estimator the cluster scheduler reads
- * (Section III-B, "Tracking Wax State").
+ * One PCM-enabled server: core slots, running-job mix, power draw and
+ * read access to its thermal state and on-board wax-state estimate
+ * (Section III-B, "Tracking Wax State"). The thermal state itself
+ * lives in the owning Cluster's ThermalSoA, which steps the whole
+ * fleet at once.
  */
 
 #ifndef VMT_SERVER_SERVER_H
@@ -14,9 +16,7 @@
 #include "server/power_model.h"
 #include "server/server_spec.h"
 #include "thermal/pcm_kernel.h"
-#include "thermal/server_thermal.h"
 #include "thermal/thermal_soa.h"
-#include "thermal/wax_state_estimator.h"
 #include "util/units.h"
 #include "workload/workload.h"
 
@@ -40,19 +40,18 @@ enum class ServerHealth : std::uint8_t {
     Quarantined = 2,
 };
 
-/** A single simulated server. */
+/** A single simulated server (constructed by Cluster). */
 class Server
 {
   public:
     /**
-     * @param id Server index within the cluster.
+     * @param id Server index within the cluster, and its slot in soa.
      * @param spec Hardware configuration.
-     * @param thermal_params Thermal constants.
-     * @param inlet_offset Per-server inlet temperature deviation.
+     * @param soa The cluster's thermal state, which holds this
+     *        server's air, wax and estimator state and its throttle
+     *        latch; must outlive the server.
      */
-    Server(std::size_t id, const ServerSpec &spec,
-           const ServerThermalParams &thermal_params,
-           Kelvin inlet_offset = 0.0);
+    Server(std::size_t id, const ServerSpec &spec, ThermalSoA &soa);
 
     /** Cluster-wide index. */
     std::size_t id() const { return id_; }
@@ -92,9 +91,7 @@ class Server
     {
         health_ = health;
         powerCacheModel_ = nullptr;
-        if (soa_ != nullptr)
-            soa_->setFailed(soaIndex_,
-                            health_ == ServerHealth::Failed);
+        soa_->setFailed(id_, health_ == ServerHealth::Failed);
     }
 
     /** Running jobs per workload type. */
@@ -122,106 +119,56 @@ class Server
 
     /** True while the server is thermally throttled (DVFS
      *  downclocked because the CPU junction hit its limit). */
-    bool throttled() const { return throttled_; }
+    bool throttled() const { return soa_->throttled(id_); }
 
     /** Estimated CPU junction temperature right now. */
     Celsius cpuTemp(const PowerModel &model) const;
 
     /**
-     * Advance thermal state by dt at the server's current power.
-     * Also feeds the wax-state estimator with the container sensor.
-     * Panics while SoA-bound — the Cluster drives the batched kernel
-     * instead (use --thermal-kernel=scalar for this path).
-     */
-    ThermalSample stepThermal(const PowerModel &model, Seconds dt);
-
-    /**
      * Apply the thermal-limit hysteresis for a step that produced the
      * given CPU temperature: downclock when the junction hits the
-     * limit, recover once it cools off. Called by stepThermal and by
-     * the SoA reduction (the single source of the throttle logic).
+     * limit, recover once it cools off. Called by the cluster's
+     * post-step scan (the single source of the throttle rule).
      * @return True when the throttle latch flipped (power changed).
      */
     bool applyThrottle(Celsius cpu_temp);
 
     /** Air temperature at the wax (the heatmap quantity). */
-    Celsius airTemp() const
+    Celsius airTemp() const { return soa_->airTemp(id_); }
+
+    /** Effective inlet temperature: the cold-aisle base inlet plus
+     *  this server's fixed offset. */
+    Celsius inletTemp() const
     {
-        return soa_ != nullptr ? soa_->airTemp(soaIndex_)
-                               : thermal_.airTemp();
+        return soa_->baseInlet(id_) + soa_->inletOffset(id_);
     }
 
     /** Ground-truth melt fraction (the simulator's knowledge). */
     double waxMeltFraction() const
     {
-        return soa_ != nullptr
-                   ? pcmMeltFraction(soa_->derived(),
-                                     soa_->enthalpy(soaIndex_))
-                   : thermal_.pcm().meltFraction();
+        return pcmMeltFraction(soa_->derived(), soa_->enthalpy(id_));
     }
 
     /** The melt-fraction estimate the scheduler is allowed to see. */
     double estimatedMeltFraction() const
     {
-        return soa_ != nullptr
-                   ? soa_->estimatedEnthalpy(soaIndex_) /
-                         soa_->derived().latentCap
-                   : estimator_.estimate();
+        return soa_->estimatedEnthalpy(id_) / soa_->derived().latentCap;
     }
 
     /** Ground-truth latent energy stored in the wax. */
     Joules waxEnergyStored() const
     {
-        return soa_ != nullptr
-                   ? waxMeltFraction() * soa_->derived().latentCap
-                   : thermal_.pcm().latentEnergyStored();
+        return waxMeltFraction() * soa_->derived().latentCap;
     }
 
     /** Ground-truth wax enthalpy (checkpoint quantity). */
-    Joules waxEnthalpy() const
-    {
-        return soa_ != nullptr ? soa_->enthalpy(soaIndex_)
-                               : thermal_.pcm().enthalpy();
-    }
+    Joules waxEnthalpy() const { return soa_->enthalpy(id_); }
 
     /** The estimator's integrated enthalpy (checkpoint quantity). */
     Joules estimatedWaxEnthalpy() const
     {
-        return soa_ != nullptr ? soa_->estimatedEnthalpy(soaIndex_)
-                               : estimator_.estimatedEnthalpy();
+        return soa_->estimatedEnthalpy(id_);
     }
-
-    /**
-     * Thermal model (read-only). While SoA-bound, the air node, wax
-     * enthalpy and estimator inside lag the SoA arrays — read dynamic
-     * state through the Server accessors above; static configuration
-     * (params(), inletTemp(), pcm().integrator()) stays authoritative
-     * here.
-     */
-    const ServerThermal &thermal() const { return thermal_; }
-
-    /** Propagate a cold-aisle inlet change (cooling feedback). */
-    void setBaseInlet(Celsius inlet)
-    {
-        thermal_.setBaseInlet(inlet);
-        if (soa_ != nullptr)
-            soa_->setBaseInlet(soaIndex_, inlet);
-    }
-
-    /**
-     * Attach this server to slot `index` of a ThermalSoA, seeding the
-     * slot from the per-object state. While bound, the SoA arrays are
-     * authoritative for air temperature, wax enthalpy and the
-     * estimator state; the accessors above redirect.
-     */
-    void bindSoa(ThermalSoA *soa, std::size_t index);
-
-    /** Detach, writing the SoA state back into the per-object
-     *  models (kernel switch / teardown). */
-    void unbindSoa();
-
-    /** True while attached to a ThermalSoA. */
-    bool soaBound() const { return soa_ != nullptr; }
 
     /**
      * Checkpoint the server's dynamic state: job mix, throttle latch,
@@ -238,25 +185,19 @@ class Server
 
     std::size_t id_;
     ServerSpec spec_;
-    ServerThermal thermal_;
-    WaxStateEstimator estimator_;
-    /** Non-null while the cluster's SoA kernel owns the dynamic
-     *  thermal state (see bindSoa). */
-    ThermalSoA *soa_ = nullptr;
-    std::size_t soaIndex_ = 0;
+    /** The cluster's thermal arrays; this server is slot id_. */
+    ThermalSoA *soa_;
     CoreCounts counts_{};
     std::size_t busyCores_ = 0;
-    bool throttled_ = false;
     // Not serialized in saveState (that layout is pinned by snapshot
     // v1 compatibility); the fault engine persists health in the FALT
     // section instead.
     ServerHealth health_ = ServerHealth::Up;
 
     // Power cache (see power()). nullptr means stale. Mutable so the
-    // logically-const power() can fill it; safe under the chunked
-    // parallel thermal path because each server is touched by exactly
-    // one thread per fan-out (verified by the TSan'd ctest -L
-    // parallel suite).
+    // logically-const power() can fill it; the cluster's parallel
+    // thermal chunks never read it (they read the gathered SoA power
+    // array), so one thread at a time touches a server's cache.
     mutable const PowerModel *powerCacheModel_ = nullptr;
     /** Power including any active throttling (what power() returns). */
     mutable Watts powerCache_ = 0.0;

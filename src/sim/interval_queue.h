@@ -1,7 +1,8 @@
 /**
  * @file
- * Interval-bucketed calendar queue: the hot-path replacement for
- * EventQueue in the simulation driver.
+ * Interval-bucketed calendar queue for the simulation driver's
+ * departures (it replaced a binary-heap event queue, which survives as
+ * the test reference in tests/reference/event_queue.h).
  *
  * The driver only ever drains events at fixed interval boundaries
  * (now = i * dt), so a binary heap's O(log N) per push/pop is wasted
@@ -43,8 +44,8 @@ namespace vmt {
 
 /**
  * Time-ordered queue with FIFO tie-breaking, specialized for drains
- * at multiples of a fixed interval. Pop order is identical to
- * EventQueue's for any schedule/pop sequence.
+ * at multiples of a fixed interval. Pop order is identical to the
+ * binary heap's for any schedule/pop sequence.
  *
  * @tparam Payload Copyable event payload.
  */

@@ -121,8 +121,7 @@ saveSnapshot(const SimState &state, std::size_t completed,
     conf.putBool(config.modelRecirculation);
     conf.putBool(config.recordHeatmaps);
     const Cluster &cluster = state.cluster;
-    conf.putU8(static_cast<std::uint8_t>(
-        cluster.server(0).thermal().pcm().integrator()));
+    conf.putU8(kClosedFormIntegratorTag);
     conf.putString(state.scheduler.name());
 
     state.generator.saveState(writer.section("GENR"));
@@ -250,13 +249,11 @@ loadSnapshot(SimState &state, const std::string &path)
         mismatch("recirculation modelling on/off differs");
     if (conf.getBool() != config.recordHeatmaps)
         mismatch("heatmap recording on/off differs");
-    const auto integrator = static_cast<PcmIntegrator>(conf.getU8());
-    const PcmIntegrator current =
-        state.cluster.server(0).thermal().pcm().integrator();
-    if (integrator != current)
+    const std::uint8_t integrator = conf.getU8();
+    if (integrator != kClosedFormIntegratorTag)
         mismatch(std::string("PCM integrator: snapshot ") +
-                 pcmIntegratorName(integrator) + ", run " +
-                 pcmIntegratorName(current));
+                 integratorTagName(integrator) + ", run " +
+                 integratorTagName(kClosedFormIntegratorTag));
     const std::string scheduler_name = conf.getString();
     if (scheduler_name != state.scheduler.name())
         mismatch("scheduler: snapshot '" + scheduler_name +

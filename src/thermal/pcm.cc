@@ -1,61 +1,20 @@
 #include "thermal/pcm.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <optional>
-
 #include "util/logging.h"
 
 namespace vmt {
 
-namespace {
-
-/** --pcm-integrator override; unset falls back to the environment. */
-std::optional<PcmIntegrator> g_integrator_override;
-
-/** VMT_PCM_INTEGRATOR, parsed lazily once (like VMT_THREADS). */
-PcmIntegrator
-envIntegrator()
-{
-    static const PcmIntegrator parsed = [] {
-        if (const char *env = std::getenv("VMT_PCM_INTEGRATOR"))
-            return pcmIntegratorFromString(env);
-        return PcmIntegrator::Closed;
-    }();
-    return parsed;
-}
-
-} // namespace
-
-PcmIntegrator
-globalPcmIntegrator()
-{
-    return g_integrator_override ? *g_integrator_override
-                                 : envIntegrator();
-}
-
-void
-setGlobalPcmIntegrator(PcmIntegrator integrator)
-{
-    g_integrator_override = integrator;
-}
-
-PcmIntegrator
-pcmIntegratorFromString(const std::string &name)
-{
-    if (name == "closed")
-        return PcmIntegrator::Closed;
-    if (name == "substep")
-        return PcmIntegrator::Substep;
-    fatal("pcm-integrator must be 'closed' or 'substep', got '" +
-          name + "'");
-}
-
 const char *
-pcmIntegratorName(PcmIntegrator integrator)
+integratorTagName(std::uint8_t tag)
 {
-    return integrator == PcmIntegrator::Closed ? "closed" : "substep";
+    switch (tag) {
+    case kClosedFormIntegratorTag:
+        return "closed";
+    case 1:
+        return "substep";
+    default:
+        return "unknown";
+    }
 }
 
 PcmDerived
@@ -75,21 +34,14 @@ derivePcm(const PcmParams &params)
     d.heatCapLiquid = d.mass * params.specificHeatLiquid;
     d.tauSolid = d.heatCapSolid / params.conductance;
     d.tauLiquid = d.heatCapLiquid / params.conductance;
-    d.sensibleTau = d.mass *
-                    std::min(params.specificHeatSolid,
-                             params.specificHeatLiquid) /
-                    params.conductance;
     return d;
 }
 
 Pcm::Pcm(const PcmParams &params, Celsius initial_temp)
     : params_(params),
-      integrator_(globalPcmIntegrator()),
-      derived_(derivePcm(params))
-{
-    const Celsius t = std::min(initial_temp, params.meltTemp);
-    enthalpy_ = derived_.heatCapSolid * (t - params.meltTemp);
-}
+      derived_(derivePcm(params)),
+      enthalpy_(pcmInitialEnthalpy(params, derived_, initial_temp))
+{}
 
 Joules
 Pcm::step(Celsius air_temp, Seconds dt)
@@ -98,23 +50,7 @@ Pcm::step(Celsius air_temp, Seconds dt)
         fatal("Pcm::step requires dt > 0");
     // The analytic walk lives in pcm_kernel.h (pcmClosedStep) so the
     // batched SoA kernel's scalar-fixup path runs the *same code*.
-    return integrator_ == PcmIntegrator::Closed
-               ? pcmClosedStep(params_, derived_, enthalpy_, air_temp,
-                               dt)
-               : stepSubstep(air_temp, dt);
-}
-
-Joules
-Pcm::stepSubstep(Celsius air_temp, Seconds dt)
-{
-    // dt is constant for a whole run, so the substep layout is cached
-    // keyed on it (same values as recomputing every call).
-    if (dt != substepForDt_) {
-        substepForDt_ = dt;
-        substepLayout_ = pcmSubstepLayout(derived_, dt);
-    }
-    return pcmSubstepStep(params_, derived_, enthalpy_, air_temp,
-                          substepLayout_);
+    return pcmClosedStep(params_, derived_, enthalpy_, air_temp, dt);
 }
 
 Celsius

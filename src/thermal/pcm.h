@@ -15,24 +15,22 @@
  * freezing the wax temperature is pinned at the melting point and all
  * exchanged heat moves the melt fraction.
  *
- * Two integrators advance the model against a constant air temperature
- * (see DESIGN.md, "Single-core hot-path engine"):
- *
- *  - Closed (default): the piecewise-linear enthalpy ODE is solved
- *    analytically per regime — exponential relaxation toward the
- *    regime equilibrium in the sensible (solid/liquid) regimes, linear
- *    enthalpy accumulation on the latent plateau — walking regime
- *    crossings (at most solid->melting->liquid or the reverse) in
- *    closed form. Exact for any dt; a handful of multiply-adds plus at
- *    most two exp/log calls per step.
- *  - Substep: the original explicit sub-stepped integrator, kept
- *    bit-for-bit as the reference (--pcm-integrator=substep).
+ * The model advances against a constant air temperature in closed
+ * form (see DESIGN.md, "Single-core hot-path engine"): the
+ * piecewise-linear enthalpy ODE is solved analytically per regime —
+ * exponential relaxation toward the regime equilibrium in the sensible
+ * (solid/liquid) regimes, linear enthalpy accumulation on the latent
+ * plateau — walking regime crossings (at most solid->melting->liquid
+ * or the reverse) in closed form. Exact for any dt; a handful of
+ * multiply-adds plus at most two exp/log calls per step. Its
+ * convergence reference, an explicit sub-stepped integrator, is in
+ * tests/reference/substep_pcm.h.
  */
 
 #ifndef VMT_THERMAL_PCM_H
 #define VMT_THERMAL_PCM_H
 
-#include <string>
+#include <cstdint>
 
 #include "thermal/pcm_kernel.h"
 #include "thermal/thermal_params.h"
@@ -40,34 +38,17 @@
 
 namespace vmt {
 
-/** How Pcm::step integrates the enthalpy ODE. */
-enum class PcmIntegrator
-{
-    /** Analytic per-regime solution (exact, the default). */
-    Closed,
-    /** Explicit sub-stepped integration (the legacy reference). */
-    Substep,
-};
-
 /**
- * Integrator newly-constructed Pcm instances use. Resolved, in
- * priority order, from setGlobalPcmIntegrator() (the --pcm-integrator
- * flag), the VMT_PCM_INTEGRATOR environment variable ("closed" or
- * "substep"), then PcmIntegrator::Closed.
+ * The integrator byte snapshots carry (CONF and SCON sections). The
+ * closed form is the only integrator, so every snapshot is written
+ * with this tag; 1 marks a snapshot from the retired sub-stepped
+ * integrator, which a resume refuses.
  */
-PcmIntegrator globalPcmIntegrator();
+inline constexpr std::uint8_t kClosedFormIntegratorTag = 0;
 
-/** Override the process-wide default (the --pcm-integrator knob). */
-void setGlobalPcmIntegrator(PcmIntegrator integrator);
-
-/**
- * Parse "closed" / "substep".
- * @throws FatalError on anything else.
- */
-PcmIntegrator pcmIntegratorFromString(const std::string &name);
-
-/** Canonical flag spelling of an integrator. */
-const char *pcmIntegratorName(PcmIntegrator integrator);
+/** Name of a snapshot integrator tag ("closed", "substep" or
+ *  "unknown"), for the resume-mismatch message. */
+const char *integratorTagName(std::uint8_t tag);
 
 /** Lumped phase-change thermal store (one server's wax load). */
 class Pcm
@@ -117,35 +98,18 @@ class Pcm
     /** Material properties in use. */
     const PcmParams &params() const { return params_; }
 
-    /** Integrator this instance advances with (snapshotted from the
-     *  global default at construction). */
-    PcmIntegrator integrator() const { return integrator_; }
-
-    /** Switch this instance's integrator (tests / A-B studies). */
-    void setIntegrator(PcmIntegrator integrator)
-    {
-        integrator_ = integrator;
-    }
-
     /** The derived constants (derivePcm of params()); shared with the
      *  batched SoA kernel so both paths step identically. */
     const PcmDerived &derived() const { return derived_; }
 
   private:
-    Joules stepSubstep(Celsius air_temp, Seconds dt);
-
     PcmParams params_;
-    Joules enthalpy_;
-    PcmIntegrator integrator_;
 
     /** Constants derived from params_ once at construction (see
      *  pcm_kernel.h) so the hot paths are pure multiply-adds. */
     PcmDerived derived_;
 
-    // Substep layout cache: dt is constant across a run, so the
-    // substep count and length are computed once per distinct dt.
-    Seconds substepForDt_ = -1.0;
-    PcmSubstepLayout substepLayout_;
+    Joules enthalpy_;
 };
 
 } // namespace vmt

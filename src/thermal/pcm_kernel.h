@@ -1,16 +1,17 @@
 /**
  * @file
  * Shared PCM step kernels: the constant-derivation and per-step
- * arithmetic used by both the per-object Pcm class (the scalar
- * reference path) and the batched ThermalSoA kernel.
+ * arithmetic used by both the per-object Pcm class and the batched
+ * ThermalSoA kernel.
  *
  * Bitwise-identity contract: every helper here is the *single source*
  * of the expression it computes. Pcm delegates to these functions, and
  * ThermalSoA evaluates the same functions (or loop bodies with
- * identical statement shapes), so both thermal kernels produce
- * bit-for-bit equal doubles from equal inputs. Any change to a formula
- * below changes both paths together; the `ctest -L kernel` equivalence
- * suite pins the invariant.
+ * identical statement shapes), so the per-object model (and the
+ * per-object reference fleet built on it in tests/reference/) and the
+ * batched kernel produce bit-for-bit equal doubles from equal inputs.
+ * Any change to a formula below changes both paths together; the
+ * `ctest -L kernel` lockstep suite pins the invariant.
  */
 
 #ifndef VMT_THERMAL_PCM_KERNEL_H
@@ -38,7 +39,6 @@ struct PcmDerived
     double heatCapLiquid = 0.0; // m c_l, J/K
     Seconds tauSolid = 0.0;     // m c_s / G
     Seconds tauLiquid = 0.0;    // m c_l / G
-    Seconds sensibleTau = 0.0;  // m min(c_s, c_l) / G (substep pacing)
 };
 
 /**
@@ -46,6 +46,16 @@ struct PcmDerived
  * @throws FatalError unless every parameter is positive.
  */
 PcmDerived derivePcm(const PcmParams &params);
+
+/** Enthalpy of wax starting solid at `initial_temp`, clamped to the
+ *  melting point from above. */
+inline double
+pcmInitialEnthalpy(const PcmParams &p, const PcmDerived &d,
+                   Celsius initial_temp)
+{
+    const Celsius t = std::min(initial_temp, p.meltTemp);
+    return d.heatCapSolid * (t - p.meltTemp);
+}
 
 /** Solid-regime predicate (upper boundary H = 0); the exact
  *  classification the closed-form walk branches on. Bitwise, not
@@ -151,50 +161,6 @@ inline double
 pcmMeltFraction(const PcmDerived &d, double h)
 {
     return std::clamp(h / d.latentCap, 0.0, 1.0);
-}
-
-/** Substep count/length for the explicit reference integrator; a
- *  pure function of (params, dt) so callers may cache it keyed on
- *  dt. */
-struct PcmSubstepLayout
-{
-    int count = 0;
-    Seconds len = 0.0;
-};
-
-inline PcmSubstepLayout
-pcmSubstepLayout(const PcmDerived &d, Seconds dt)
-{
-    // Sub-step so explicit integration stays well inside the sensible
-    // regime's time constant (m c / G, ~4-5 minutes with defaults).
-    PcmSubstepLayout layout;
-    layout.count = static_cast<int>(
-        std::ceil(dt / std::max(1.0, d.sensibleTau / 5.0)));
-    layout.len = dt / layout.count;
-    return layout;
-}
-
-/**
- * Explicit sub-stepped step (the legacy reference integrator).
- *
- * @param h Enthalpy state, advanced in place.
- * @return Heat absorbed, accumulated substep by substep — the
- *         historical convention, which is NOT always bitwise equal to
- *         the net enthalpy change; callers must keep it.
- */
-inline Joules
-pcmSubstepStep(const PcmParams &p, const PcmDerived &d, double &h,
-               Celsius air_temp, const PcmSubstepLayout &layout)
-{
-    Joules absorbed = 0.0;
-    for (int i = 0; i < layout.count; ++i) {
-        const Watts flow =
-            p.conductance * (air_temp - pcmTemperature(p, d, h));
-        const Joules dq = flow * layout.len;
-        h += dq;
-        absorbed += dq;
-    }
-    return absorbed;
 }
 
 } // namespace vmt

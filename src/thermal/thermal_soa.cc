@@ -162,26 +162,6 @@ liquidSweep(std::size_t n, double *__restrict hp,
     }
 }
 
-/**
- * pcmTemperature + pcmMeltFraction over n servers as branch-free
- * selects, for the substep integrator's tail (the closed integrator
- * produces both inside its regime runs, where the regime is already
- * known and the off-regime divides fold away).
- */
-void
-selectSweep(std::size_t n, const double *__restrict hp,
-            double *__restrict wt, double *__restrict mf,
-            Celsius melt, double hcs, double hcl, Joules cap)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const double h = hp[i];
-        wt[i] = h < 0.0      ? melt + h / hcs
-                : h <= cap   ? melt
-                             : melt + (h - cap) / hcl;
-        mf[i] = std::clamp(h / cap, 0.0, 1.0);
-    }
-}
-
 /** Length of the prefix of regime[0..n) equal to regime[0], eight
  *  bytes per probe (the fleet melts and freezes together, so runs are
  *  long and the byte-at-a-time scan was a measurable serial cost). */
@@ -206,11 +186,10 @@ runLength(const std::uint8_t *regime, std::size_t n)
 } // namespace
 
 ThermalSoA::ThermalSoA(const ServerThermalParams &params,
-                       PcmIntegrator integrator,
-                       std::size_t num_servers)
+                       std::size_t num_servers,
+                       const std::vector<Kelvin> &inlet_offsets)
     : params_(params),
       derived_(derivePcm(params.pcm)),
-      integrator_(integrator),
       sharedEstimator_(params.pcm),
       air_(num_servers, 0.0),
       enthalpy_(num_servers, 0.0),
@@ -231,6 +210,24 @@ ThermalSoA::ThermalSoA(const ServerThermalParams &params,
 {
     if (num_servers == 0)
         fatal("ThermalSoA requires at least one server");
+    if (!inlet_offsets.empty() && inlet_offsets.size() != num_servers)
+        fatal("ThermalSoA inlet_offsets must be empty or one per server");
+    // The checks the per-object ServerThermal (and its RcNode) make.
+    if (params.airRisePerWatt <= 0.0 || params.exhaustRisePerWatt <= 0.0)
+        fatal("ServerThermalParams rise-per-watt must be positive");
+    if (params.timeConstant <= 0.0)
+        fatal("ServerThermalParams time constant must be positive");
+
+    for (std::size_t i = 0; i < num_servers; ++i) {
+        const Kelvin offset = inlet_offsets.empty() ? 0.0 : inlet_offsets[i];
+        baseInlet_[i] = params.inletTemp;
+        inletOffset_[i] = offset;
+        // ServerThermal's initial state: the air node and the wax
+        // both start at the server's inlet temperature.
+        air_[i] = params.inletTemp + offset;
+        enthalpy_[i] = pcmInitialEnthalpy(params.pcm, derived_,
+                                          params.inletTemp + offset);
+    }
 }
 
 bool
@@ -280,9 +277,9 @@ ThermalSoA::beginStep(Seconds dt)
         return;
     consts_.dt = dt;
     // The same doubles the per-object caches hold: RcNode caches
-    // rcStepGain(tau, dt); the scalar closed-form walk evaluates
-    // exp(-remaining/tau) with remaining == dt on its no-cross
-    // branches.
+    // rcStepGain(tau, dt); the closed-form walk (pcmClosedStep)
+    // evaluates exp(-remaining/tau) with remaining == dt on its
+    // no-cross branches.
     consts_.airGain = rcStepGain(params_.timeConstant, dt);
     consts_.eSolid = std::exp(-dt / derived_.tauSolid);
     consts_.eLiquid = std::exp(-dt / derived_.tauLiquid);
@@ -290,21 +287,17 @@ ThermalSoA::beginStep(Seconds dt)
         std::exp(dt / derived_.tauSolid) * (1.0 + 1e-12);
     consts_.eLiquidMargin =
         std::exp(dt / derived_.tauLiquid) * (1.0 + 1e-12);
-    consts_.substep = pcmSubstepLayout(derived_, dt);
 }
 
 void
 ThermalSoA::stepChunk(std::size_t begin, std::size_t end)
 {
-    if (integrator_ == PcmIntegrator::Closed)
-        stepChunkClosed(begin, end);
-    else
-        stepChunkSubstep(begin, end);
+    stepChunkClosed(begin, end);
     stepChunkFused(begin, end);
 }
 
 /**
- * Pass 1 (closed integrator): classify, run-partition, update.
+ * Pass 1: classify, run-partition, update.
  *
  * The regime is the exact predicate chain pcmClosedStep branches on,
  * so every server lands in the regime the scalar walk would enter
@@ -411,51 +404,11 @@ ThermalSoA::liquidRun(std::size_t begin, std::size_t end)
 }
 
 /**
- * Pass 1 (substep integrator): the explicit reference integrator,
- * substep-outer / server-inner so the inner loop vectorizes. The
- * absorbed heat accumulates substep by substep per server — the same
- * summation order as pcmSubstepStep, hence the same doubles.
- */
-void
-ThermalSoA::stepChunkSubstep(std::size_t begin, std::size_t end)
-{
-    double *__restrict hp = enthalpy_.data();
-    const double *__restrict air = air_.data();
-    double *__restrict ab = absorbed_.data();
-    const Celsius melt = params_.pcm.meltTemp;
-    const double G = params_.pcm.conductance;
-    const double hcs = derived_.heatCapSolid;
-    const double hcl = derived_.heatCapLiquid;
-    const Joules cap = derived_.latentCap;
-    const PcmSubstepLayout layout = consts_.substep;
-
-    for (std::size_t i = begin; i < end; ++i)
-        ab[i] = 0.0;
-    for (int k = 0; k < layout.count; ++k) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const double h = hp[i];
-            // pcmTemperature, written as a select chain.
-            const Celsius t =
-                h < 0.0      ? melt + h / hcs
-                : h <= cap   ? melt
-                             : melt + (h - cap) / hcl;
-            const Watts flow = G * (air[i] - t);
-            const Joules dq = flow * layout.len;
-            hp[i] = h + dq;
-            ab[i] += dq;
-        }
-    }
-
-    selectSweep(end - begin, hp + begin, waxT_.data() + begin,
-                meltFrac_.data() + begin, melt, hcs, hcl, cap);
-}
-
-/**
  * Pass 2: air-node relaxation, container temperature, estimator
  * bucket quantization and CPU temperature in one pure-FP sweep
  * (vectorizes), then the estimator table gather over the quantized
  * index array. Statement shapes mirror ServerThermal::step +
- * Server::stepThermal exactly.
+ * WaxStateEstimator::update exactly.
  */
 void
 ThermalSoA::stepChunkFused(std::size_t begin, std::size_t end)

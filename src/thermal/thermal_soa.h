@@ -3,14 +3,12 @@
  * Structure-of-arrays thermal state for a homogeneous cluster plus
  * the batched interval kernel (DESIGN.md §13).
  *
- * The per-object path walks one Server at a time: air node, wax
- * enthalpy, estimator table and power cache live ~half a kilobyte
- * apart per server, and every server drags its own copy of the
- * estimator lookup table through the cache. ThermalSoA keeps the
- * dynamic state in contiguous arrays (air temperature, wax enthalpy,
- * estimator enthalpy, base inlet + offset, gathered power), shares
- * one estimator table and one set of derived PCM constants across the
- * homogeneous fleet, and steps a whole index range per call:
+ * The fleet's dynamic thermal state lives in contiguous arrays (air
+ * temperature, wax enthalpy, estimator enthalpy, base inlet + offset,
+ * gathered power) with one estimator table and one set of derived PCM
+ * constants shared across the homogeneous fleet; Server objects read
+ * their thermal state from here. A step covers a whole index range per
+ * call:
  *
  *   pass 1  classify each server's PCM regime (pure function of
  *           enthalpy + air temperature), split the range into
@@ -23,14 +21,16 @@
  *           integration and CPU temperature, one sweep.
  *
  * Bitwise contract: every arithmetic statement matches the per-object
- * path's expression shape (same operations, same order, same cached
- * constants), so both kernels produce identical doubles; the
- * `ctest -L kernel` suite pins this. The no-cross fast paths only
- * claim a server when it is provably on the no-cross side of the
- * boundary (a 1e-12 relative guard band around the exact crossing
- * test, orders of magnitude wider than the ~1e-15 rounding
- * disagreement between the vector and scalar tests); everything
- * ambiguous goes to the scalar fixup, which is exact by construction.
+ * model's expression shape (ServerThermal, Pcm, RcNode and
+ * WaxStateEstimator: same operations, same order, same cached
+ * constants), so the batched kernel and the per-object reference fleet
+ * in tests/reference/ produce identical doubles; the `ctest -L kernel`
+ * lockstep suite pins this. The no-cross fast paths only claim a
+ * server when it is provably on the no-cross side of the boundary (a
+ * 1e-12 relative guard band around the exact crossing test, orders of
+ * magnitude wider than the ~1e-15 rounding disagreement between the
+ * vector and scalar tests); everything ambiguous goes to the scalar
+ * fixup, which is exact by construction.
  *
  * Threading: stepChunk touches only indices in [begin, end) and
  * per-server values never depend on run or chunk boundaries, so
@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "thermal/pcm.h"
 #include "thermal/pcm_kernel.h"
 #include "thermal/rc_node.h"
 #include "thermal/thermal_params.h"
@@ -59,21 +58,28 @@ class ThermalSoA
 {
   public:
     /**
+     * Every server starts at its inlet temperature with the wax solid
+     * at that temperature (clamped to the melting point) and an
+     * empty melt estimate — the per-object ServerThermal's initial
+     * state, bitwise.
+     *
      * @param params Thermal constants shared by every server.
-     * @param integrator PCM integrator to batch (must match the
-     *        per-object Pcm instances the SoA shadows).
      * @param num_servers Fleet size (> 0).
+     * @param inlet_offsets Per-server inlet deviations; empty means
+     *        zero for every server, otherwise one entry per server.
+     * @throws FatalError on an empty fleet, a non-positive air time
+     *         constant or rise-per-watt, or invalid PCM parameters.
      */
-    ThermalSoA(const ServerThermalParams &params,
-               PcmIntegrator integrator, std::size_t num_servers);
+    ThermalSoA(const ServerThermalParams &params, std::size_t num_servers,
+               const std::vector<Kelvin> &inlet_offsets = {});
 
     std::size_t size() const { return air_.size(); }
 
     /**
      * Refresh the per-dt constant cache (air gain, regime
-     * exponentials, substep layout). Must be called before stepChunk
-     * for a given dt; separate so the parallel path pays the
-     * transcendentals once, outside the fan-out.
+     * exponentials). Must be called before stepChunk for a given dt;
+     * separate so the parallel path pays the transcendentals once,
+     * outside the fan-out.
      */
     void beginStep(Seconds dt);
 
@@ -83,7 +89,7 @@ class ThermalSoA
      */
     void stepChunk(std::size_t begin, std::size_t end);
 
-    // ---- per-server state (Server redirects here while bound) ----
+    // ---- per-server state (read through the Server accessors) ----
 
     Celsius airTemp(std::size_t i) const { return air_[i]; }
     void setAirTemp(std::size_t i, Celsius t) { air_[i] = t; }
@@ -112,9 +118,8 @@ class ThermalSoA
     void setPower(std::size_t i, Watts w) { power_[i] = w; }
     Watts power(std::size_t i) const { return power_[i]; }
 
-    /** Mirror of Server::throttled() so the post-step hysteresis scan
-     *  reads contiguous memory; flips (rare) write through to the
-     *  Server and back here. */
+    /** Thermal-throttle latch (Server::throttled() reads it), kept
+     *  here so the post-step hysteresis scan reads contiguous memory. */
     void setThrottled(std::size_t i, bool throttled)
     {
         throttled_[i] = throttled ? 1 : 0;
@@ -123,8 +128,8 @@ class ThermalSoA
 
     /** Alive/failed bitmap: the power gather skips Failed servers and
      *  writes 0 W directly (bitwise what the Server cache returns);
-     *  Failed servers still step thermally, exactly like the scalar
-     *  path (air decays toward inlet, wax refreezes). */
+     *  Failed servers still step thermally (air decays toward inlet,
+     *  wax refreezes). */
     void setFailed(std::size_t i, bool failed);
     bool failed(std::size_t i) const
     {
@@ -161,11 +166,9 @@ class ThermalSoA
 
     const PcmDerived &derived() const { return derived_; }
     const ServerThermalParams &params() const { return params_; }
-    PcmIntegrator integrator() const { return integrator_; }
 
   private:
     void stepChunkClosed(std::size_t begin, std::size_t end);
-    void stepChunkSubstep(std::size_t begin, std::size_t end);
     void stepChunkFused(std::size_t begin, std::size_t end);
     void solidRun(std::size_t begin, std::size_t end);
     void meltingRun(std::size_t begin, std::size_t end);
@@ -185,12 +188,10 @@ class ThermalSoA
          *  (see header comment). */
         double eSolidMargin = 0.0;
         double eLiquidMargin = 0.0;
-        PcmSubstepLayout substep;
     };
 
     ServerThermalParams params_;
     PcmDerived derived_;
-    PcmIntegrator integrator_;
     /** One estimator shared fleet-wide: the lookup table is a pure
      *  function of the (homogeneous) wax parameters, so per-server
      *  copies only differ in their integrated state, which lives in

@@ -8,9 +8,9 @@
 
 #include <map>
 
-#include "sched/balanced_group.h"
+#include "reference/event_queue.h"
+#include "sched/block_min_group.h"
 #include "sched/scheduler.h"
-#include "sim/event_queue.h"
 #include "thermal/pcm.h"
 #include "thermal/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
@@ -25,7 +25,7 @@ class RandomizedSeeds : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(RandomizedSeeds, EventQueueMatchesMultimapOracle)
 {
     Rng rng(GetParam());
-    EventQueue<int> queue;
+    reference::EventQueue<int> queue;
     std::multimap<double, int> oracle; // Stable for equal keys.
     int next_payload = 0;
 
@@ -58,7 +58,7 @@ TEST_P(RandomizedSeeds, BalancedGroupMatchesLinearOracle)
             cluster.addJob(id, WorkloadType::Clustering);
     }
 
-    BalancedGroup group;
+    BlockMinGroup<CoolerFirst> group;
     // Oracle: projected temperature per member, updated in lockstep.
     std::map<std::size_t, double> oracle;
     const KelvinPerWatt rise =
@@ -66,7 +66,7 @@ TEST_P(RandomizedSeeds, BalancedGroupMatchesLinearOracle)
     for (std::size_t id = 0; id < 8; ++id) {
         group.add(cluster, id);
         oracle[id] =
-            cluster.server(id).thermal().inletTemp() +
+            cluster.server(id).inletTemp() +
             rise * cluster.server(id).power(cluster.powerModel());
     }
 

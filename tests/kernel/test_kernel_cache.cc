@@ -7,41 +7,25 @@
  * else (inlet changes never touch electrical power). The historical
  * bug class here is a stale cache surviving a mutation and feeding
  * the next thermal step old wattage — so each test compares against
- * a freshly computed serial sum, or against a scalar-kernel twin
- * that has no gather array to go stale.
+ * a freshly computed serial sum, or against the per-object reference
+ * fleet (tests/reference/), which has no gather array to go stale.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
+#include "reference/reference_fleet.h"
 #include "server/cluster.h"
-#include "thermal/thermal_kernel.h"
-#include "util/thread_pool.h"
 
 namespace vmt {
 namespace {
 
-class KnobGuard
-{
-  public:
-    KnobGuard() : kernel_(globalThermalKernel()) {}
-    ~KnobGuard()
-    {
-        setGlobalThermalKernel(kernel_);
-        setGlobalThreadCount(0);
-    }
-
-  private:
-    ThermalKernel kernel_;
-};
-
 constexpr std::size_t kServers = 12;
 
 Cluster
-makeCluster(ThermalKernel kernel)
+makeCluster()
 {
-    setGlobalThermalKernel(kernel);
     return Cluster(kServers, ServerSpec{}, ServerThermalParams{},
                    PowerModel({}, 1.0));
 }
@@ -59,8 +43,7 @@ manualSum(const Cluster &c)
 
 TEST(KernelCache, TotalPowerTracksJobChurn)
 {
-    KnobGuard guard;
-    Cluster c = makeCluster(ThermalKernel::Soa);
+    Cluster c = makeCluster();
     EXPECT_EQ(c.totalPower(), manualSum(c));
     c.addJob(3, WorkloadType::VideoEncoding);
     c.addJob(3, WorkloadType::WebSearch);
@@ -72,8 +55,7 @@ TEST(KernelCache, TotalPowerTracksJobChurn)
 
 TEST(KernelCache, TotalPowerTracksHealthFlips)
 {
-    KnobGuard guard;
-    Cluster c = makeCluster(ThermalKernel::Soa);
+    Cluster c = makeCluster();
     c.addJob(5, WorkloadType::DataCaching);
     const Watts before = c.totalPower();
 
@@ -94,8 +76,7 @@ TEST(KernelCache, TotalPowerTracksHealthFlips)
 
 TEST(KernelCache, InletChangesLeaveTotalPowerUntouched)
 {
-    KnobGuard guard;
-    Cluster c = makeCluster(ThermalKernel::Soa);
+    Cluster c = makeCluster();
     c.addJob(0, WorkloadType::WebSearch);
     const Watts before = c.totalPower();
     c.setBaseInlet(4, 31.0);
@@ -107,8 +88,7 @@ TEST(KernelCache, InletChangesLeaveTotalPowerUntouched)
 
 TEST(KernelCache, MutableServerAccessInvalidates)
 {
-    KnobGuard guard;
-    Cluster c = makeCluster(ThermalKernel::Soa);
+    Cluster c = makeCluster();
     const Watts before = c.totalPower();
     // A mutable reference may change the draw behind the cluster's
     // back; the cache must be dropped pessimistically. Here nothing
@@ -124,10 +104,10 @@ TEST(KernelCache, MutableServerAccessInvalidates)
  *  would diverge from the scalar twin on every aggregate. */
 TEST(KernelCache, StepAfterMutationsMatchesScalarTwin)
 {
-    KnobGuard guard;
-    setGlobalThreadCount(1);
-    Cluster scalar = makeCluster(ThermalKernel::Scalar);
-    Cluster soa = makeCluster(ThermalKernel::Soa);
+    reference::ReferenceFleet scalar(kServers, ServerSpec{},
+                                     ServerThermalParams{},
+                                     PowerModel({}, 1.0));
+    Cluster soa = makeCluster();
 
     auto both = [&](auto &&fn) {
         fn(scalar);
@@ -144,16 +124,16 @@ TEST(KernelCache, StepAfterMutationsMatchesScalarTwin)
         ASSERT_EQ(a.throttledServers, b.throttledServers);
     };
 
-    both([](Cluster &c) {
+    both([](auto &c) {
         for (std::size_t i = 0; i < 16; ++i)
             c.addJob(1, WorkloadType::Clustering);
     });
     stepAndCompare(60.0);
 
-    both([](Cluster &c) { c.setHealth(1, ServerHealth::Failed); });
+    both([](auto &c) { c.setHealth(1, ServerHealth::Failed); });
     stepAndCompare(60.0);
 
-    both([](Cluster &c) {
+    both([](auto &c) {
         c.setHealth(1, ServerHealth::Up);
         c.setBaseInlet(6, 33.0);
         c.addJob(6, WorkloadType::VirusScan);
@@ -161,7 +141,7 @@ TEST(KernelCache, StepAfterMutationsMatchesScalarTwin)
     });
     stepAndCompare(300.0);
 
-    both([](Cluster &c) { c.setBaseInlet(24.0); });
+    both([](auto &c) { c.setBaseInlet(24.0); });
     stepAndCompare(60.0);
 }
 

@@ -1,13 +1,18 @@
 /**
  * @file
- * Scalar/SoA thermal-kernel equivalence at the simulation level: the
- * batched SoA kernel must produce SimResult series bitwise identical
- * to the per-object scalar reference — across both PCM integrators,
- * serial and parallel stepping, scripted fault plans, and a
- * checkpoint written under one kernel and resumed under the other.
- * Double comparisons are deliberately exact (EXPECT_EQ, never
- * EXPECT_NEAR): the SoA kernel is a reorganization of the same
- * arithmetic, not an approximation of it.
+ * Thermal-kernel equivalence at the simulation level: the batched SoA
+ * kernel must reproduce, bitwise, the SimResult series the per-object
+ * scalar kernel produced — serially and on the chunked parallel path,
+ * and under a scripted fault plan.
+ *
+ * The expected values are FNV-1a digests (tests/reference/digest.h)
+ * of SimResults recorded by running the retired runtime-selectable
+ * scalar thermal kernel (closed-form PCM integrator, per-object
+ * placement engine, threads 1) on the configs below, before that
+ * kernel was removed from src/. A digest match is a bitwise match of
+ * every series and aggregate. The per-object stepping itself lives on
+ * in tests/reference/ and is pinned step by step by
+ * test_kernel_property.cc and test_kernel_cache.cc.
  *
  * The binary carries the ctest label "kernel" (run alone with
  * `ctest -L kernel`; CI also runs the label under ASan/UBSan and
@@ -16,69 +21,23 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common.h"
 #include "fault/fault_plan.h"
-#include "state/sim_snapshot.h"
-#include "thermal/pcm.h"
-#include "thermal/thermal_kernel.h"
+#include "reference/digest.h"
 #include "util/thread_pool.h"
 
 namespace vmt {
 namespace {
 
-/** Restores every process-wide knob the suite touches. */
-class KnobGuard
+/** Restores the auto thread count when a test exits. */
+class ThreadCountGuard
 {
   public:
-    KnobGuard()
-        : kernel_(globalThermalKernel()),
-          integrator_(globalPcmIntegrator())
-    {}
-    ~KnobGuard()
-    {
-        setGlobalThermalKernel(kernel_);
-        setGlobalPcmIntegrator(integrator_);
-        setThermalParallelThreshold(kThermalParallelThreshold);
-        setGlobalThreadCount(0);
-    }
-
-  private:
-    ThermalKernel kernel_;
-    PcmIntegrator integrator_;
+    ~ThreadCountGuard() { setGlobalThreadCount(0); }
 };
-
-void
-expectSeriesIdentical(const TimeSeries &a, const TimeSeries &b,
-                      const char *what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(a.at(i), b.at(i)) << what << " interval " << i;
-}
-
-void
-expectResultsIdentical(const SimResult &a, const SimResult &b)
-{
-    expectSeriesIdentical(a.coolingLoad, b.coolingLoad,
-                          "coolingLoad");
-    expectSeriesIdentical(a.totalPower, b.totalPower, "totalPower");
-    expectSeriesIdentical(a.waxHeatFlow, b.waxHeatFlow,
-                          "waxHeatFlow");
-    expectSeriesIdentical(a.meanAirTemp, b.meanAirTemp,
-                          "meanAirTemp");
-    expectSeriesIdentical(a.meanMeltFraction, b.meanMeltFraction,
-                          "meanMeltFraction");
-    expectSeriesIdentical(a.utilization, b.utilization,
-                          "utilization");
-    expectSeriesIdentical(a.inletTemp, b.inletTemp, "inletTemp");
-    expectSeriesIdentical(a.aliveServers, b.aliveServers,
-                          "aliveServers");
-    EXPECT_EQ(a.peakCoolingLoad, b.peakCoolingLoad);
-}
 
 SimConfig
 studyRun(std::size_t servers, double hours)
@@ -88,42 +47,33 @@ studyRun(std::size_t servers, double hours)
     return config;
 }
 
-SimResult
-runWithKernel(const SimConfig &config, ThermalKernel kernel,
-              std::size_t threads)
+/** VMT-WA at GV 22 must reproduce `expected` at threads 1 and 4. */
+void
+expectDigestAtBothThreadCounts(const SimConfig &config,
+                               std::uint64_t expected)
 {
-    setGlobalThermalKernel(kernel);
-    setGlobalThreadCount(threads);
-    // Threshold 1: even the small test fleets take the chunked
-    // parallel path when more than one thread is configured.
-    setThermalParallelThreshold(1);
-    return bench::runVmtWa(config, 22.0);
+    ThreadCountGuard guard;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setGlobalThreadCount(threads);
+        EXPECT_EQ(reference::digestResult(bench::runVmtWa(config, 22.0)),
+                  expected);
+    }
 }
 
-TEST(KernelEquivalence, MatchesScalarAcrossIntegratorsAndThreads)
+TEST(KernelEquivalence, MatchesScalarDigestsAtBothThreadCounts)
 {
-    KnobGuard guard;
-    const SimConfig config = studyRun(80, 4.0);
-    for (const PcmIntegrator integ :
-         {PcmIntegrator::Closed, PcmIntegrator::Substep}) {
-        setGlobalPcmIntegrator(integ);
-        const SimResult scalar =
-            runWithKernel(config, ThermalKernel::Scalar, 1);
-        for (const std::size_t threads : {std::size_t{1},
-                                          std::size_t{4}}) {
-            const SimResult soa =
-                runWithKernel(config, ThermalKernel::Soa, threads);
-            SCOPED_TRACE(std::string("integrator=") +
-                         pcmIntegratorName(integ) + " threads=" +
-                         std::to_string(threads));
-            expectResultsIdentical(scalar, soa);
-        }
-    }
+    // 80 servers stay on the serial loop at any thread count; 300
+    // servers take the chunked parallel path at 4 threads (from 256,
+    // with a partial last chunk).
+    expectDigestAtBothThreadCounts(studyRun(80, 4.0),
+                                   0x55f8568e789d143bull);
+    expectDigestAtBothThreadCounts(studyRun(300, 3.0),
+                                   0xce5d63363dd07ffeull);
 }
 
 TEST(KernelEquivalence, MatchesScalarUnderFaultPlan)
 {
-    KnobGuard guard;
     SimConfig config = studyRun(60, 4.0);
     config.faults.enable = true;
     // Outages mid-melt, a repair, and a cooling derate: health
@@ -136,60 +86,7 @@ TEST(KernelEquivalence, MatchesScalarUnderFaultPlan)
         {7200.0, FaultEventType::ServerUp, 3, 0.0},
         {9000.0, FaultEventType::CoolingRestore, 0, 0.0},
     });
-    const SimResult scalar =
-        runWithKernel(config, ThermalKernel::Scalar, 1);
-    const SimResult soa =
-        runWithKernel(config, ThermalKernel::Soa, 1);
-    expectResultsIdentical(scalar, soa);
-}
-
-TEST(KernelEquivalence, CheckpointResumesAcrossKernels)
-{
-    KnobGuard guard;
-    const std::string path =
-        testing::TempDir() + "kernel_xresume.snap";
-    const SimConfig config = studyRun(60, 4.0);
-
-    // Uninterrupted reference under the scalar kernel.
-    const SimResult base =
-        runWithKernel(config, ThermalKernel::Scalar, 1);
-
-    // Same run under SoA, checkpointing mid-melt (2 h of 4 h).
-    SimConfig writing = config;
-    CheckpointOptions save;
-    save.every = 120;
-    save.path = path;
-    attachCheckpointing(writing, save);
-    runWithKernel(writing, ThermalKernel::Soa, 1);
-
-    // Resume the SoA-written snapshot under the scalar kernel: the
-    // snapshot layout is kernel-independent (saveState reads through
-    // the accessors), so the spliced run must reproduce the
-    // uninterrupted series bitwise.
-    SimConfig resuming = config;
-    CheckpointOptions load;
-    load.resumeFrom = path;
-    attachCheckpointing(resuming, load);
-    const SimResult resumed =
-        runWithKernel(resuming, ThermalKernel::Scalar, 1);
-    expectResultsIdentical(base, resumed);
-
-    // And the mirror: resume the same snapshot under SoA.
-    const SimResult resumedSoa =
-        runWithKernel(resuming, ThermalKernel::Soa, 1);
-    expectResultsIdentical(base, resumedSoa);
-
-    std::remove(path.c_str());
-}
-
-TEST(KernelEquivalence, KernelKnobParsesAndNames)
-{
-    EXPECT_EQ(thermalKernelFromString("soa"), ThermalKernel::Soa);
-    EXPECT_EQ(thermalKernelFromString("scalar"),
-              ThermalKernel::Scalar);
-    EXPECT_STREQ(thermalKernelName(ThermalKernel::Soa), "soa");
-    EXPECT_STREQ(thermalKernelName(ThermalKernel::Scalar), "scalar");
-    EXPECT_THROW(thermalKernelFromString("avx512"), FatalError);
+    expectDigestAtBothThreadCounts(config, 0xa16f81d9d138164full);
 }
 
 } // namespace

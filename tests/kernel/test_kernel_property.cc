@@ -1,16 +1,15 @@
 /**
  * @file
- * Randomized lockstep property test for the scalar/SoA kernel pair:
- * two clusters — one per kernel — receive an identical seeded stream
- * of mutations (job churn, health transitions, per-server and global
- * inlet shifts spanning freeze, melt and throttle regimes, varying
- * step lengths) and must agree bitwise on every ClusterSample, on
- * per-server state at periodic deep checks, and on the serialized
- * snapshot at the end. This is the adversarial counterpart to the
- * scripted scenarios in test_kernel_equivalence.cc: the mutation
- * stream is designed to keep servers crossing PCM regime boundaries
- * so the SoA kernel's scalar-fixup path and its no-cross guard bands
- * are exercised continuously, not just at scenario edges.
+ * Randomized lockstep property test for the thermal kernel: a Cluster
+ * (batched SoA kernel) and the per-object reference fleet from
+ * tests/reference/ receive an identical seeded stream of mutations
+ * (job churn, health transitions, per-server and global inlet shifts
+ * spanning freeze, melt and throttle regimes, varying step lengths)
+ * and must agree bitwise on every ClusterSample, on per-server state
+ * at periodic deep checks, and on the serialized snapshot at the end.
+ * The mutation stream is designed to keep servers crossing PCM regime
+ * boundaries so the SoA kernel's scalar-fixup path and its no-cross
+ * guard bands are exercised continuously, not just at scenario edges.
  */
 
 #include <gtest/gtest.h>
@@ -18,58 +17,30 @@
 #include <cstddef>
 #include <string>
 
+#include "reference/reference_fleet.h"
 #include "server/cluster.h"
 #include "state/serializer.h"
-#include "thermal/pcm.h"
-#include "thermal/thermal_kernel.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace vmt {
 namespace {
 
-/** Restores every process-wide knob the suite touches. */
-class KnobGuard
-{
-  public:
-    KnobGuard()
-        : kernel_(globalThermalKernel()),
-          integrator_(globalPcmIntegrator())
-    {}
-    ~KnobGuard()
-    {
-        setGlobalThermalKernel(kernel_);
-        setGlobalPcmIntegrator(integrator_);
-        setThermalParallelThreshold(kThermalParallelThreshold);
-        setGlobalThreadCount(0);
-    }
-
-  private:
-    ThermalKernel kernel_;
-    PcmIntegrator integrator_;
-};
+using reference::ReferenceFleet;
 
 constexpr std::size_t kServers = 48;
 constexpr std::size_t kSteps = 5000;
 constexpr std::size_t kDeepCheckEvery = 250;
 
-Cluster
-makeTwin(ThermalKernel kernel)
-{
-    setGlobalThermalKernel(kernel);
-    return Cluster(kServers, ServerSpec{}, ServerThermalParams{},
-                   PowerModel({}, 1.0));
-}
-
-/** Drain every job off a server through the cluster bookkeeping (what
+/** Drain every job off a server through the fleet bookkeeping (what
  *  the fault driver does before marking it Failed). */
+template <typename Fleet>
 void
-drainServer(Cluster &c, std::size_t id)
+drainServer(Fleet &fleet, std::size_t id)
 {
     for (const WorkloadType type : kAllWorkloads) {
         const std::size_t idx = workloadIndex(type);
-        while (c.server(id).coreCounts()[idx] > 0)
-            c.removeJob(id, type);
+        while (std::as_const(fleet).server(id).coreCounts()[idx] > 0)
+            fleet.removeJob(id, type);
     }
 }
 
@@ -91,35 +62,36 @@ expectSamplesIdentical(const ClusterSample &a, const ClusterSample &b,
 }
 
 void
-expectServersIdentical(const Cluster &a, const Cluster &b,
+expectServersIdentical(const ReferenceFleet &ref, const Cluster &c,
                        std::size_t step)
 {
-    ASSERT_EQ(a.totalPower(), b.totalPower()) << "step " << step;
-    for (std::size_t i = 0; i < a.numServers(); ++i) {
+    ASSERT_EQ(ref.totalPower(), c.totalPower()) << "step " << step;
+    for (std::size_t i = 0; i < ref.numServers(); ++i) {
         SCOPED_TRACE("step " + std::to_string(step) + " server " +
                      std::to_string(i));
-        const Server &sa = a.server(i);
-        const Server &sb = b.server(i);
+        const auto &sa = ref.server(i);
+        const Server &sb = c.server(i);
         ASSERT_EQ(sa.airTemp(), sb.airTemp());
         ASSERT_EQ(sa.waxEnthalpy(), sb.waxEnthalpy());
         ASSERT_EQ(sa.waxMeltFraction(), sb.waxMeltFraction());
+        ASSERT_EQ(sa.estimatedMeltFraction(),
+                  sb.estimatedMeltFraction());
         ASSERT_EQ(sa.estimatedWaxEnthalpy(),
                   sb.estimatedWaxEnthalpy());
         ASSERT_EQ(sa.throttled(), sb.throttled());
         ASSERT_EQ(sa.health(), sb.health());
-        ASSERT_EQ(sa.power(a.powerModel()), sb.power(b.powerModel()));
+        ASSERT_EQ(sa.power(ref.powerModel()), sb.power(c.powerModel()));
     }
 }
 
 /**
- * One randomized mutation applied identically to both twins. All
- * decisions are drawn from the shared Rng plus const reads of the
- * scalar twin (whose state the deep checks pin to the SoA twin's).
+ * One randomized mutation applied identically to both fleets. All
+ * decisions are drawn from the shared Rng plus reads of the reference
+ * (whose state the deep checks pin to the cluster's).
  */
 void
-mutate(Rng &rng, Cluster &scalar, Cluster &soa)
+mutate(Rng &rng, ReferenceFleet &ref, Cluster &c)
 {
-    const Cluster &ref = scalar;
     const std::uint64_t roll = rng.below(100);
     const std::size_t id = rng.below(kServers);
     if (roll < 40) {
@@ -130,34 +102,34 @@ mutate(Rng &rng, Cluster &scalar, Cluster &soa)
         for (std::size_t k = 0; k < burst; ++k) {
             if (!ref.server(id).hasCapacity())
                 break;
-            scalar.addJob(id, type);
-            soa.addJob(id, type);
+            ref.addJob(id, type);
+            c.addJob(id, type);
         }
     } else if (roll < 62) {
         // Job churn toward cold: release cores so loaded wax refreezes.
         for (const WorkloadType type : kAllWorkloads) {
             const std::size_t idx = workloadIndex(type);
             if (ref.server(id).coreCounts()[idx] > 0) {
-                scalar.removeJob(id, type);
-                soa.removeJob(id, type);
+                ref.removeJob(id, type);
+                c.removeJob(id, type);
                 break;
             }
         }
     } else if (roll < 74) {
         // Per-server inlet shift (recirculation modelling).
         const Celsius t = rng.uniform(16.0, 40.0);
-        scalar.setBaseInlet(id, t);
-        soa.setBaseInlet(id, t);
+        ref.setBaseInlet(id, t);
+        c.setBaseInlet(id, t);
     } else if (roll < 86) {
         // Global inlet swing. Mostly spans freeze<->melt around the
         // 35.7 C melting point; occasionally spikes hot enough to
         // drive CPU junctions past the 85 C limit so the throttle
-        // latch (and its SoA mirror) flips both ways.
+        // latch flips both ways.
         const Celsius t = rng.uniform() < 0.2
                               ? rng.uniform(50.0, 62.0)
                               : rng.uniform(14.0, 40.0);
-        scalar.setBaseInlet(t);
-        soa.setBaseInlet(t);
+        ref.setBaseInlet(t);
+        c.setBaseInlet(t);
     } else {
         // Health transition: Up -> Failed (drained first, like the
         // fault driver) or Up -> Quarantined, and back Up.
@@ -167,57 +139,45 @@ mutate(Rng &rng, Cluster &scalar, Cluster &soa)
             next = rng.uniform() < 0.5 ? ServerHealth::Failed
                                        : ServerHealth::Quarantined;
         if (next == ServerHealth::Failed) {
-            drainServer(scalar, id);
-            drainServer(soa, id);
+            drainServer(ref, id);
+            drainServer(c, id);
         }
-        scalar.setHealth(id, next);
-        soa.setHealth(id, next);
+        ref.setHealth(id, next);
+        c.setHealth(id, next);
     }
-}
-
-void
-runLockstep(PcmIntegrator integrator, std::uint64_t seed)
-{
-    KnobGuard guard;
-    setGlobalPcmIntegrator(integrator);
-    setGlobalThreadCount(1);
-    Cluster scalar = makeTwin(ThermalKernel::Scalar);
-    Cluster soa = makeTwin(ThermalKernel::Soa);
-
-    Rng rng(seed);
-    const Seconds dts[3] = {30.0, 60.0, 300.0};
-    for (std::size_t step = 0; step < kSteps; ++step) {
-        mutate(rng, scalar, soa);
-        const Seconds dt = dts[rng.below(3)];
-        const ClusterSample a = scalar.stepThermal(dt, 38.0);
-        const ClusterSample b = soa.stepThermal(dt, 38.0);
-        expectSamplesIdentical(a, b, step);
-        if (::testing::Test::HasFatalFailure())
-            return;
-        if ((step + 1) % kDeepCheckEvery == 0) {
-            expectServersIdentical(scalar, soa, step);
-            if (::testing::Test::HasFatalFailure())
-                return;
-        }
-    }
-
-    // The serialized snapshots must be byte-identical: checkpoints
-    // written under either kernel are interchangeable.
-    Serializer sa;
-    Serializer sb;
-    scalar.saveState(sa);
-    soa.saveState(sb);
-    EXPECT_EQ(sa.bytes(), sb.bytes());
 }
 
 TEST(KernelProperty, LockstepClosedIntegrator)
 {
-    runLockstep(PcmIntegrator::Closed, 0xA5F00D5EEDull);
-}
+    const ServerThermalParams thermal;
+    const PowerModel power({}, 1.0);
+    ReferenceFleet ref(kServers, ServerSpec{}, thermal, power);
+    Cluster cluster(kServers, ServerSpec{}, thermal, power);
 
-TEST(KernelProperty, LockstepSubstepIntegrator)
-{
-    runLockstep(PcmIntegrator::Substep, 0xB16B00B5EEDull);
+    Rng rng(0xA5F00D5EEDull);
+    const Seconds dts[3] = {30.0, 60.0, 300.0};
+    for (std::size_t step = 0; step < kSteps; ++step) {
+        mutate(rng, ref, cluster);
+        const Seconds dt = dts[rng.below(3)];
+        const ClusterSample a = ref.stepThermal(dt, 38.0);
+        const ClusterSample b = cluster.stepThermal(dt, 38.0);
+        expectSamplesIdentical(a, b, step);
+        if (::testing::Test::HasFatalFailure())
+            break;
+        if ((step + 1) % kDeepCheckEvery == 0) {
+            expectServersIdentical(ref, cluster, step);
+            if (::testing::Test::HasFatalFailure())
+                break;
+        }
+    }
+
+    // The serialized snapshots must be byte-identical: a checkpoint
+    // carries the same bytes the per-object layout wrote.
+    Serializer sa;
+    Serializer sb;
+    ref.saveState(sa);
+    cluster.saveState(sb);
+    EXPECT_EQ(sa.bytes(), sb.bytes());
 }
 
 } // namespace

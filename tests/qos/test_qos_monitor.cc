@@ -55,18 +55,16 @@ TEST(QosMonitor, ColocationWorsensSearchLatency)
     const QosMonitor monitor;
     const ServerSpec spec;
 
-    Server alone(0, spec, ServerThermalParams{});
-    for (int i = 0; i < 16; ++i)
-        alone.addJob(WorkloadType::WebSearch);
+    // Server 0 runs search alone; server 1 adds caching beside it.
+    Cluster c(2, spec, ServerThermalParams{}, PowerModel(spec, 1.0));
+    for (int i = 0; i < 16; ++i) {
+        c.addJob(0, WorkloadType::WebSearch);
+        c.addJob(1, WorkloadType::WebSearch);
+        c.addJob(1, WorkloadType::DataCaching);
+    }
 
-    Server mixed(1, spec, ServerThermalParams{});
-    for (int i = 0; i < 16; ++i)
-        mixed.addJob(WorkloadType::WebSearch);
-    for (int i = 0; i < 16; ++i)
-        mixed.addJob(WorkloadType::DataCaching);
-
-    const QosSample a = monitor.sampleServer(alone, spec);
-    const QosSample b = monitor.sampleServer(mixed, spec);
+    const QosSample a = monitor.sampleServer(c.server(0), spec);
+    const QosSample b = monitor.sampleServer(c.server(1), spec);
     EXPECT_GT(b.searchMean, a.searchMean);
 }
 

@@ -95,8 +95,27 @@ TEST(Cluster, InletOffsetsReachServers)
 {
     const Cluster c(2, ServerSpec{}, ServerThermalParams{},
                     PowerModel({}, 1.0), {0.0, 3.0});
-    EXPECT_DOUBLE_EQ(c.server(0).thermal().inletTemp(), 22.0);
-    EXPECT_DOUBLE_EQ(c.server(1).thermal().inletTemp(), 25.0);
+    EXPECT_DOUBLE_EQ(c.server(0).inletTemp(), 22.0);
+    EXPECT_DOUBLE_EQ(c.server(1).inletTemp(), 25.0);
+    // The thermal state starts at each server's own inlet.
+    EXPECT_DOUBLE_EQ(c.server(1).airTemp(), 25.0);
+}
+
+TEST(Cluster, RejectsNonPositiveRisePerWatt)
+{
+    // The checks the per-object ServerThermal makes, now made once
+    // for the whole fleet.
+    for (const double bad : {0.0, -0.01}) {
+        ServerThermalParams air;
+        air.airRisePerWatt = bad;
+        EXPECT_THROW(Cluster(2, ServerSpec{}, air, PowerModel({}, 1.0)),
+                     FatalError);
+        ServerThermalParams exhaust;
+        exhaust.exhaustRisePerWatt = bad;
+        EXPECT_THROW(
+            Cluster(2, ServerSpec{}, exhaust, PowerModel({}, 1.0)),
+            FatalError);
+    }
 }
 
 } // namespace

@@ -1,24 +1,27 @@
 /**
  * @file
- * Unit tests for the Server object.
+ * Unit tests for the Server object. Servers read their thermal state
+ * from the owning Cluster, so each test builds one.
  */
 
 #include <gtest/gtest.h>
 
-#include "server/server.h"
+#include "server/cluster.h"
 
 namespace vmt {
 namespace {
 
-Server
-makeServer()
+Cluster
+makeCluster(double power_scale = 1.0, std::size_t servers = 4)
 {
-    return Server(3, ServerSpec{}, ServerThermalParams{});
+    return Cluster(servers, ServerSpec{}, ServerThermalParams{},
+                   PowerModel({}, power_scale));
 }
 
 TEST(Server, InitialState)
 {
-    const Server srv = makeServer();
+    const Cluster c = makeCluster();
+    const Server &srv = c.server(3);
     EXPECT_EQ(srv.id(), 3u);
     EXPECT_EQ(srv.cores(), 32u);
     EXPECT_EQ(srv.freeCores(), 32u);
@@ -30,7 +33,8 @@ TEST(Server, InitialState)
 
 TEST(Server, AddRemoveJobsTracksCounts)
 {
-    Server srv = makeServer();
+    Cluster c = makeCluster();
+    Server &srv = c.server(3);
     srv.addJob(WorkloadType::WebSearch);
     srv.addJob(WorkloadType::WebSearch);
     srv.addJob(WorkloadType::VirusScan);
@@ -45,7 +49,8 @@ TEST(Server, AddRemoveJobsTracksCounts)
 
 TEST(Server, FillsToCapacity)
 {
-    Server srv = makeServer();
+    Cluster c = makeCluster();
+    Server &srv = c.server(3);
     for (std::size_t i = 0; i < srv.cores(); ++i)
         srv.addJob(WorkloadType::DataCaching);
     EXPECT_FALSE(srv.hasCapacity());
@@ -54,7 +59,8 @@ TEST(Server, FillsToCapacity)
 
 TEST(Server, AddBeyondCapacityPanics)
 {
-    Server srv = makeServer();
+    Cluster c = makeCluster();
+    Server &srv = c.server(3);
     for (std::size_t i = 0; i < srv.cores(); ++i)
         srv.addJob(WorkloadType::DataCaching);
     EXPECT_DEATH(srv.addJob(WorkloadType::DataCaching), "full");
@@ -62,14 +68,15 @@ TEST(Server, AddBeyondCapacityPanics)
 
 TEST(Server, RemoveMissingJobPanics)
 {
-    Server srv = makeServer();
-    EXPECT_DEATH(srv.removeJob(WorkloadType::Clustering),
+    Cluster c = makeCluster();
+    EXPECT_DEATH(c.server(3).removeJob(WorkloadType::Clustering),
                  "no such job");
 }
 
 TEST(Server, PowerReflectsJobMix)
 {
-    Server srv = makeServer();
+    Cluster c = makeCluster();
+    Server &srv = c.server(3);
     const PowerModel model({}, 1.0);
     EXPECT_DOUBLE_EQ(srv.power(model), 100.0);
     srv.addJob(WorkloadType::VideoEncoding);
@@ -78,24 +85,23 @@ TEST(Server, PowerReflectsJobMix)
 
 TEST(Server, ThermalStepHeatsBusyServer)
 {
-    Server srv = makeServer();
-    const PowerModel model({}, 1.77);
-    for (std::size_t i = 0; i < srv.cores(); ++i)
-        srv.addJob(WorkloadType::Clustering);
-    const Celsius before = srv.airTemp();
+    Cluster c = makeCluster(1.77, 1);
+    for (std::size_t i = 0; i < c.server(0).cores(); ++i)
+        c.addJob(0, WorkloadType::Clustering);
+    const Celsius before = c.server(0).airTemp();
     for (int i = 0; i < 30; ++i)
-        srv.stepThermal(model, 60.0);
-    EXPECT_GT(srv.airTemp(), before + 5.0);
+        c.stepThermal(60.0);
+    EXPECT_GT(c.server(0).airTemp(), before + 5.0);
 }
 
 TEST(Server, EstimatorFollowsMeltUnderLoad)
 {
-    Server srv = makeServer();
-    const PowerModel model({}, 1.77);
-    for (std::size_t i = 0; i < srv.cores(); ++i)
-        srv.addJob(WorkloadType::VideoEncoding);
+    Cluster c = makeCluster(1.77, 1);
+    for (std::size_t i = 0; i < c.server(0).cores(); ++i)
+        c.addJob(0, WorkloadType::VideoEncoding);
     for (int i = 0; i < 400; ++i)
-        srv.stepThermal(model, 60.0);
+        c.stepThermal(60.0);
+    const Server &srv = c.server(0);
     EXPECT_GT(srv.waxMeltFraction(), 0.3);
     EXPECT_NEAR(srv.estimatedMeltFraction(), srv.waxMeltFraction(),
                 0.15);

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/round_robin.h"
-#include "server/server.h"
+#include "server/cluster.h"
 #include "sim/simulation.h"
 
 namespace vmt {
@@ -22,67 +22,65 @@ touchyParams()
     return p;
 }
 
-void
-fill(Server &srv, WorkloadType type = WorkloadType::VideoEncoding)
+/** A one-server cluster at the study power scale, fully loaded. */
+Cluster
+loadedServer(const ServerThermalParams &params,
+             WorkloadType type = WorkloadType::VideoEncoding)
 {
-    for (std::size_t i = 0; i < srv.cores(); ++i)
-        srv.addJob(type);
+    Cluster c(1, ServerSpec{}, params, PowerModel({}, 1.77));
+    for (std::size_t i = 0; i < c.server(0).cores(); ++i)
+        c.addJob(0, type);
+    return c;
 }
 
 TEST(Throttling, NeverTripsAtStudyOperatingPoints)
 {
-    Server srv(0, ServerSpec{}, ServerThermalParams{});
-    const PowerModel model({}, 1.77);
-    fill(srv);
+    Cluster c = loadedServer(ServerThermalParams{});
     for (int i = 0; i < 300; ++i)
-        srv.stepThermal(model, 60.0);
-    EXPECT_FALSE(srv.throttled());
-    EXPECT_LT(srv.cpuTemp(model), ServerThermalParams{}.cpuLimit);
+        c.stepThermal(60.0);
+    EXPECT_FALSE(c.server(0).throttled());
+    EXPECT_LT(c.server(0).cpuTemp(c.powerModel()),
+              ServerThermalParams{}.cpuLimit);
 }
 
 TEST(Throttling, TripsWhenJunctionHitsLimit)
 {
-    Server srv(0, ServerSpec{}, touchyParams());
-    const PowerModel model({}, 1.77);
-    fill(srv);
-    const Watts before = srv.power(model);
+    Cluster c = loadedServer(touchyParams());
+    const PowerModel &model = c.powerModel();
+    const Watts before = c.server(0).power(model);
     bool tripped = false;
     for (int i = 0; i < 300 && !tripped; ++i) {
-        srv.stepThermal(model, 60.0);
-        tripped = srv.throttled();
+        c.stepThermal(60.0);
+        tripped = c.server(0).throttled();
     }
     ASSERT_TRUE(tripped);
     // Throttled power is lower; idle floor preserved.
-    EXPECT_LT(srv.power(model), before);
-    EXPECT_GT(srv.power(model), ServerSpec{}.idlePower);
+    EXPECT_LT(c.server(0).power(model), before);
+    EXPECT_GT(c.server(0).power(model), ServerSpec{}.idlePower);
 }
 
 TEST(Throttling, HysteresisRecoversAfterLoadDrop)
 {
-    Server srv(0, ServerSpec{}, touchyParams());
-    const PowerModel model({}, 1.77);
-    fill(srv);
+    Cluster c = loadedServer(touchyParams());
     for (int i = 0; i < 300; ++i)
-        srv.stepThermal(model, 60.0);
-    ASSERT_TRUE(srv.throttled());
+        c.stepThermal(60.0);
+    ASSERT_TRUE(c.server(0).throttled());
     // Drop all load: the junction cools past the hysteresis band.
-    for (std::size_t i = 0; i < srv.cores(); ++i)
-        srv.removeJob(WorkloadType::VideoEncoding);
+    for (std::size_t i = 0; i < c.server(0).cores(); ++i)
+        c.removeJob(0, WorkloadType::VideoEncoding);
     for (int i = 0; i < 120; ++i)
-        srv.stepThermal(model, 60.0);
-    EXPECT_FALSE(srv.throttled());
+        c.stepThermal(60.0);
+    EXPECT_FALSE(c.server(0).throttled());
 }
 
 TEST(Throttling, DisabledWhenFactorIsOne)
 {
     ServerThermalParams p = touchyParams();
     p.throttleFactor = 1.0;
-    Server srv(0, ServerSpec{}, p);
-    const PowerModel model({}, 1.77);
-    fill(srv);
+    Cluster c = loadedServer(p);
     for (int i = 0; i < 300; ++i)
-        srv.stepThermal(model, 60.0);
-    EXPECT_FALSE(srv.throttled());
+        c.stepThermal(60.0);
+    EXPECT_FALSE(c.server(0).throttled());
 }
 
 TEST(Throttling, SimulationCountsThrottledIntervals)

@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for the event-driven kernel's queue.
+ * Unit tests for the binary-heap event queue, the reference
+ * IntervalQueue's pop order is checked against.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "sim/event_queue.h"
+#include "reference/event_queue.h"
 
 namespace vmt {
 namespace {
+
+using reference::EventQueue;
 
 TEST(EventQueue, EmptyOnConstruction)
 {

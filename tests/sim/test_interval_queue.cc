@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the interval-bucketed calendar queue. The contract
- * under test is exact equivalence with EventQueue: for any
+ * under test is exact equivalence with the binary-heap reference
+ * EventQueue (tests/reference/event_queue.h): for any
  * schedule/pop sequence whose drains happen at interval boundaries,
  * both queues pop the same payloads in the same order.
  */
@@ -11,12 +12,14 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/event_queue.h"
+#include "reference/event_queue.h"
 #include "sim/interval_queue.h"
 #include "util/rng.h"
 
 namespace vmt {
 namespace {
+
+using reference::EventQueue;
 
 constexpr Seconds kDt = 60.0;
 

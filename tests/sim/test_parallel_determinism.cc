@@ -20,7 +20,6 @@
 #include "sched/round_robin.h"
 #include "server/cluster.h"
 #include "sim/datacenter_sim.h"
-#include "thermal/pcm.h"
 #include "thermal/rc_node.h"
 #include "util/thread_pool.h"
 
@@ -34,19 +33,9 @@ class ThreadCountGuard
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
 };
 
-/** Restores the process-wide PCM integrator when a test exits. */
-class IntegratorGuard
-{
-  public:
-    IntegratorGuard() : saved_(globalPcmIntegrator()) {}
-    ~IntegratorGuard() { setGlobalPcmIntegrator(saved_); }
-
-  private:
-    PcmIntegrator saved_;
-};
-
-constexpr PcmIntegrator kBothIntegrators[] = {PcmIntegrator::Closed,
-                                              PcmIntegrator::Substep};
+/** Cluster size from which stepThermal fans out on the pool (the
+ *  constant in server/cluster.cc). */
+constexpr std::size_t kParallelFrom = 256;
 
 DatacenterSimConfig
 smallDc(std::size_t clusters = 4)
@@ -139,7 +128,7 @@ bigCluster()
 TEST(ParallelDeterminism, StepThermalParallelMatchesSerialBitwise)
 {
     ThreadCountGuard guard;
-    ASSERT_GE(1000u, kThermalParallelThreshold)
+    ASSERT_GE(1000u, kParallelFrom)
         << "test cluster must take the parallel path";
 
     setGlobalThreadCount(1); // Reference: the serial fused loop.
@@ -179,64 +168,6 @@ TEST(ParallelDeterminism, StepThermalParallelMatchesSerialBitwise)
         ASSERT_EQ(serial_cluster.server(id).waxMeltFraction(),
                   parallel_cluster.server(id).waxMeltFraction())
             << "server " << id;
-    }
-}
-
-TEST(ParallelDeterminism, DatacenterThreadInvariantBothIntegrators)
-{
-    ThreadCountGuard guard;
-    IntegratorGuard integ_guard;
-    DatacenterSimConfig config = smallDc(2);
-    config.cluster.numServers = 10;
-    for (const PcmIntegrator integrator : kBothIntegrators) {
-        SCOPED_TRACE(pcmIntegratorName(integrator));
-        setGlobalPcmIntegrator(integrator);
-        const DatacenterSimResult serial = runWithThreads(1, config);
-        const DatacenterSimResult parallel = runWithThreads(4, config);
-        EXPECT_EQ(serial.peakCoolingLoad, parallel.peakCoolingLoad);
-        EXPECT_EQ(serial.sumOfClusterPeaks,
-                  parallel.sumOfClusterPeaks);
-        expectSeriesIdentical(serial.coolingLoad,
-                              parallel.coolingLoad);
-        expectSeriesIdentical(serial.totalPower, parallel.totalPower);
-    }
-}
-
-TEST(ParallelDeterminism, StepThermalThreadInvariantBothIntegrators)
-{
-    ThreadCountGuard guard;
-    IntegratorGuard integ_guard;
-    for (const PcmIntegrator integrator : kBothIntegrators) {
-        SCOPED_TRACE(pcmIntegratorName(integrator));
-        setGlobalPcmIntegrator(integrator);
-
-        setGlobalThreadCount(1);
-        Cluster serial_cluster = bigCluster();
-        std::vector<ClusterSample> serial_samples;
-        for (int step = 0; step < 10; ++step)
-            serial_samples.push_back(
-                serial_cluster.stepThermal(60.0, 35.0));
-
-        setGlobalThreadCount(4);
-        Cluster parallel_cluster = bigCluster();
-        for (int step = 0; step < 10; ++step) {
-            const ClusterSample s =
-                parallel_cluster.stepThermal(60.0, 35.0);
-            const ClusterSample &ref =
-                serial_samples[static_cast<std::size_t>(step)];
-            ASSERT_EQ(ref.waxHeatFlow, s.waxHeatFlow)
-                << "step " << step;
-            ASSERT_EQ(ref.meanAirTemp, s.meanAirTemp)
-                << "step " << step;
-            ASSERT_EQ(ref.meanMeltFraction, s.meanMeltFraction)
-                << "step " << step;
-        }
-        for (std::size_t id = 0; id < serial_cluster.numServers();
-             ++id) {
-            ASSERT_EQ(serial_cluster.server(id).waxMeltFraction(),
-                      parallel_cluster.server(id).waxMeltFraction())
-                << "server " << id;
-        }
     }
 }
 
@@ -352,7 +283,7 @@ TEST(ParallelDeterminism, SmallClusterStaysOnSerialPath)
     // multi-thread pool; this documents the cutover contract.
     Cluster small(100, ServerSpec{}, ServerThermalParams{},
                   PowerModel({}, 1.77));
-    EXPECT_LT(small.numServers(), kThermalParallelThreshold);
+    EXPECT_LT(small.numServers(), kParallelFrom);
     const ClusterSample s = small.stepThermal(60.0);
     EXPECT_GT(s.coolingLoad, 0.0);
 }

@@ -3,13 +3,14 @@
  * The checkpoint/restore correctness bar: interrupting a run at any
  * interval and resuming from the snapshot must reproduce the
  * uninterrupted SimResult bitwise — every series sample and every
- * aggregate, under either PCM integrator and any thread count, and
- * regardless of which thread count wrote the checkpoint. Double
+ * aggregate, at any thread count, and regardless of which thread
+ * count wrote the checkpoint. Double
  * comparisons are deliberately exact (ASSERT_EQ, not ASSERT_NEAR).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -20,8 +21,8 @@
 #include "core/vmt_wa.h"
 #include "sched/round_robin.h"
 #include "sim/simulation.h"
+#include "state/serializer.h"
 #include "state/sim_snapshot.h"
-#include "thermal/pcm.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -34,20 +35,6 @@ class ThreadCountGuard
   public:
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
 };
-
-/** Restores the process-wide PCM integrator when a test exits. */
-class IntegratorGuard
-{
-  public:
-    IntegratorGuard() : saved_(globalPcmIntegrator()) {}
-    ~IntegratorGuard() { setGlobalPcmIntegrator(saved_); }
-
-  private:
-    PcmIntegrator saved_;
-};
-
-constexpr PcmIntegrator kBothIntegrators[] = {PcmIntegrator::Closed,
-                                              PcmIntegrator::Substep};
 
 std::string
 tempSnapshotPath(const char *name)
@@ -174,43 +161,31 @@ expectResumeReproduces(const SimConfig &base, std::size_t at,
     std::remove(path.c_str());
 }
 
-TEST(ResumeEquivalence, Cluster100BothIntegratorsBothThreadCounts)
+TEST(ResumeEquivalence, Cluster100BothThreadCounts)
 {
     ThreadCountGuard guard;
-    IntegratorGuard integ_guard;
     const std::string path =
         tempSnapshotPath("vmt_resume_100.snap");
     const SimConfig config = shortRun(100, 2.0);
-    for (const PcmIntegrator integrator : kBothIntegrators) {
-        setGlobalPcmIntegrator(integrator);
-        for (const std::size_t threads : {std::size_t{1},
-                                          std::size_t{4}}) {
-            SCOPED_TRACE(std::string(pcmIntegratorName(integrator)) +
-                         " threads=" + std::to_string(threads));
-            setGlobalThreadCount(threads);
-            expectResumeReproduces(config, 45, path);
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setGlobalThreadCount(threads);
+        expectResumeReproduces(config, 45, path);
     }
 }
 
-TEST(ResumeEquivalence, Cluster1000BothIntegratorsBothThreadCounts)
+TEST(ResumeEquivalence, Cluster1000BothThreadCounts)
 {
     ThreadCountGuard guard;
-    IntegratorGuard integ_guard;
     const std::string path =
         tempSnapshotPath("vmt_resume_1000.snap");
     // 1,000 servers takes the chunked-parallel thermal path at
     // threads=4, so this covers checkpointing both execution paths.
     const SimConfig config = shortRun(1000, 1.0);
-    for (const PcmIntegrator integrator : kBothIntegrators) {
-        setGlobalPcmIntegrator(integrator);
-        for (const std::size_t threads : {std::size_t{1},
-                                          std::size_t{4}}) {
-            SCOPED_TRACE(std::string(pcmIntegratorName(integrator)) +
-                         " threads=" + std::to_string(threads));
-            setGlobalThreadCount(threads);
-            expectResumeReproduces(config, 20, path);
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setGlobalThreadCount(threads);
+        expectResumeReproduces(config, 20, path);
     }
 }
 
@@ -433,16 +408,75 @@ TEST(ResumeMismatch, DifferentSchedulerIsFatal)
     std::remove(path.c_str());
 }
 
+/**
+ * Rewrite the CONF section's PCM-integrator byte of a snapshot file
+ * and re-seal the section CRC, leaving a container that still passes
+ * every framing check.
+ */
+void
+setIntegratorTag(const std::string &path, std::uint8_t tag)
+{
+    std::vector<std::uint8_t> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        image.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // Container: magic(8) version(4) count(4), then per section
+    // tag(4) length(8) crc(4) payload.
+    Deserializer header(image.data() + 12, 4);
+    const std::uint32_t sections = header.getU32();
+    std::size_t pos = 16;
+    for (std::uint32_t s = 0; s < sections; ++s) {
+        const std::string name(image.begin() + pos,
+                               image.begin() + pos + 4);
+        Deserializer frame(image.data() + pos + 4, 8);
+        const std::size_t length = frame.getSize();
+        const std::size_t payload = pos + 16;
+        if (name == "CONF") {
+            // Skip the fields saveSnapshot writes before the tag.
+            Deserializer conf(image.data() + payload, length);
+            for (int i = 0; i < 3; ++i)
+                conf.getSize(); // completed, run length, servers
+            conf.getU64();      // seed
+            for (int i = 0; i < 6; ++i)
+                conf.getDouble(); // interval ... overheat temp
+            conf.getSize();       // migration budget
+            conf.getSize();       // peak window
+            conf.getBool();       // recirculation
+            conf.getBool();       // heatmaps
+            image[payload + length - conf.remaining()] = tag;
+            Serializer crc;
+            crc.putU32(crc32(image.data() + payload, length));
+            std::copy(crc.bytes().begin(), crc.bytes().end(),
+                      image.begin() + pos + 12);
+        }
+        pos = payload + length;
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+}
+
 TEST(ResumeMismatch, DifferentIntegratorIsFatal)
 {
-    IntegratorGuard integ_guard;
-    setGlobalPcmIntegrator(PcmIntegrator::Closed);
+    // Tag 1 marks a snapshot written by the retired sub-stepped PCM
+    // integrator; the closed-form run must refuse it by name.
     const std::string path =
         writeReferenceSnapshot("vmt_mismatch_integ.snap");
-    setGlobalPcmIntegrator(PcmIntegrator::Substep);
+    setIntegratorTag(path, 1);
     const SimConfig config = shortRun(20, 0.2);
     VmtWaScheduler sched = waScheduler();
-    EXPECT_THROW(tryResume(config, sched, path), FatalError);
+    try {
+        tryResume(config, sched, path);
+        ADD_FAILURE() << "resume accepted a substep snapshot";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what())
+                      .find("PCM integrator: snapshot substep, run "
+                            "closed"),
+                  std::string::npos)
+            << err.what();
+    }
     std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/substep_pcm.h"
 #include "thermal/pcm.h"
 #include "util/logging.h"
 
@@ -167,31 +168,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(-10.0, 10.0, 35.7, 36.0, 80.0),
                        ::testing::Values(1.0, 60.0, 600.0)));
 
-// ---- Closed-form integrator (single-core hot-path engine) ----
-
-TEST(PcmIntegratorKnob, GlobalOverrideAndParsing)
-{
-    const PcmIntegrator before = globalPcmIntegrator();
-    EXPECT_EQ(pcmIntegratorFromString("closed"),
-              PcmIntegrator::Closed);
-    EXPECT_EQ(pcmIntegratorFromString("substep"),
-              PcmIntegrator::Substep);
-    EXPECT_THROW(pcmIntegratorFromString("euler"), FatalError);
-    EXPECT_STREQ(pcmIntegratorName(PcmIntegrator::Closed), "closed");
-    EXPECT_STREQ(pcmIntegratorName(PcmIntegrator::Substep),
-                 "substep");
-    setGlobalPcmIntegrator(PcmIntegrator::Substep);
-    EXPECT_EQ(Pcm(testWax()).integrator(), PcmIntegrator::Substep);
-    setGlobalPcmIntegrator(before);
-    EXPECT_EQ(globalPcmIntegrator(), before);
-}
+// ---- Closed-form integrator vs the sub-stepped reference ----
 
 /** One long step must walk solid -> melting -> liquid in closed form,
  *  conserving energy exactly (absorbed == enthalpy delta). */
 TEST(PcmClosed, OneStepCrossesSolidMeltingLiquid)
 {
     Pcm pcm(testWax(), 22.0);
-    pcm.setIntegrator(PcmIntegrator::Closed);
     const Joules before = pcm.enthalpy();
     const Joules absorbed = pcm.step(80.0, 6.0 * 3600.0);
     EXPECT_TRUE(pcm.fullyMelted());
@@ -204,7 +187,6 @@ TEST(PcmClosed, OneStepCrossesSolidMeltingLiquid)
 TEST(PcmClosed, OneStepCrossesLiquidFreezingSolid)
 {
     Pcm pcm(testWax(), 22.0);
-    pcm.setIntegrator(PcmIntegrator::Closed);
     pcm.step(80.0, 6.0 * 3600.0);
     ASSERT_TRUE(pcm.fullyMelted());
     const Joules before = pcm.enthalpy();
@@ -215,19 +197,23 @@ TEST(PcmClosed, OneStepCrossesLiquidFreezingSolid)
     EXPECT_DOUBLE_EQ(absorbed, pcm.enthalpy() - before);
 }
 
-/** Energy conservation holds exactly under both integrators. */
+/** Energy conservation holds under the closed form and the
+ *  sub-stepped reference alike. */
+template <typename Wax>
+void
+expectAbsorbedMatchesEnthalpyDelta()
+{
+    Wax pcm(testWax(), 22.0);
+    const Joules before = pcm.enthalpy();
+    Joules absorbed = pcm.step(80.0, 6.0 * 3600.0);
+    absorbed += pcm.step(10.0, 12.0 * 3600.0);
+    EXPECT_DOUBLE_EQ(absorbed, pcm.enthalpy() - before);
+}
+
 TEST(Pcm, AbsorbedMatchesEnthalpyDeltaBothIntegrators)
 {
-    for (const PcmIntegrator integ :
-         {PcmIntegrator::Closed, PcmIntegrator::Substep}) {
-        Pcm pcm(testWax(), 22.0);
-        pcm.setIntegrator(integ);
-        const Joules before = pcm.enthalpy();
-        Joules absorbed = pcm.step(80.0, 6.0 * 3600.0);
-        absorbed += pcm.step(10.0, 12.0 * 3600.0);
-        EXPECT_DOUBLE_EQ(absorbed, pcm.enthalpy() - before)
-            << pcmIntegratorName(integ);
-    }
+    expectAbsorbedMatchesEnthalpyDelta<Pcm>();
+    expectAbsorbedMatchesEnthalpyDelta<reference::SubstepPcm>();
 }
 
 /**
@@ -242,9 +228,7 @@ TEST(Pcm, AbsorbedMatchesEnthalpyDeltaBothIntegrators)
 TEST(PcmClosed, MatchesSubstepAcrossRegimes)
 {
     Pcm closed(testWax(), 22.0);
-    closed.setIntegrator(PcmIntegrator::Closed);
-    Pcm substep(testWax(), 22.0);
-    substep.setIntegrator(PcmIntegrator::Substep);
+    reference::SubstepPcm substep(testWax(), 22.0);
     Joules closed_abs = 0.0;
     Joules substep_abs = 0.0;
     for (int i = 0; i < 600; ++i) {
@@ -272,9 +256,7 @@ TEST(PcmClosed, MatchesSubstepAcrossRegimes)
 TEST(PcmClosed, StepSizeInvariant)
 {
     Pcm one(testWax(), 22.0);
-    one.setIntegrator(PcmIntegrator::Closed);
     Pcm many(testWax(), 22.0);
-    many.setIntegrator(PcmIntegrator::Closed);
     one.step(40.0, 3600.0);
     for (int i = 0; i < 60; ++i)
         many.step(40.0, 60.0);

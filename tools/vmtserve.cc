@@ -19,11 +19,6 @@
  *   --threshold T          wax threshold               (default 0.98)
  *   --seed X               run seed                    (default 7)
  *   --threads N            worker threads; 0 = auto    (default 0)
- *   --pcm-integrator I     closed | substep (env VMT_PCM_INTEGRATOR)
- *   --thermal-kernel K     soa | scalar (env VMT_THERMAL_KERNEL)
- *   --thermal-parallel-threshold N
- *                          stepThermal fan-out threshold
- *   --placement-engine E   batched | scalar (env VMT_PLACEMENT_ENGINE)
  *
  *   --feed F               synthetic | - (stdin) | FILE (default
  *                          synthetic)
@@ -112,9 +107,6 @@
 #include "obs/observability.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
-#include "sched/placement_engine.h"
-#include "thermal/pcm.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -318,24 +310,6 @@ main(int argc, char **argv)
         if (threads < 0)
             fatal("vmtserve: --threads must be >= 0 (0 = auto)");
         setGlobalThreadCount(static_cast<std::size_t>(threads));
-        if (flags.has("pcm-integrator"))
-            setGlobalPcmIntegrator(pcmIntegratorFromString(
-                flags.getString("pcm-integrator")));
-        if (flags.has("thermal-kernel"))
-            setGlobalThermalKernel(thermalKernelFromString(
-                flags.getString("thermal-kernel")));
-        if (flags.has("placement-engine"))
-            setGlobalPlacementEngine(placementEngineFromString(
-                flags.getString("placement-engine")));
-        if (flags.has("thermal-parallel-threshold")) {
-            const long long threshold =
-                flags.getInt("thermal-parallel-threshold", 0);
-            if (threshold < 0)
-                fatal("vmtserve: --thermal-parallel-threshold must "
-                      "be >= 0");
-            setThermalParallelThreshold(
-                static_cast<std::size_t>(threshold));
-        }
 
         const ServeConfig config = configFromFlags(flags);
         std::unique_ptr<JobFeed> feed = feedFromFlags(flags, config);

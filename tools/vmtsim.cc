@@ -16,20 +16,6 @@
  *   --seed X             run seed                   (default 7)
  *   --threads N          worker threads; 0 = auto from VMT_THREADS
  *                        or hardware concurrency    (default 0)
- *   --pcm-integrator I   closed | substep PCM integration; default
- *                        from VMT_PCM_INTEGRATOR, else closed
- *   --thermal-kernel K   soa | scalar interval kernel (bitwise
- *                        identical; scalar is the per-object
- *                        reference); default from VMT_THERMAL_KERNEL,
- *                        else soa
- *   --thermal-parallel-threshold N
- *                        cluster size at which stepThermal fans out
- *                        on the thread pool; default from
- *                        VMT_THERMAL_PARALLEL_THRESHOLD, else 256
- *   --placement-engine E batched | scalar scheduler hot path
- *                        (decision-identical; scalar is the
- *                        per-object reference); default from
- *                        VMT_PLACEMENT_ENGINE, else batched
  *   --inlet-stddev S     inlet variation sigma in K (default 0)
  *   --cooling-capacity W cooling plant capacity in watts (0 = inf)
  *   --trace FILE         load utilization trace CSV (hour,utilization)
@@ -83,13 +69,10 @@
 #include "core/policy_factory.h"
 #include "core/gv_tuner.h"
 #include "obs/observability.h"
-#include "sched/placement_engine.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
-#include "thermal/pcm.h"
-#include "thermal/thermal_kernel.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -374,24 +357,6 @@ main(int argc, char **argv)
         if (threads < 0)
             fatal("vmtsim: --threads must be >= 0 (0 = auto)");
         setGlobalThreadCount(static_cast<std::size_t>(threads));
-        if (flags.has("pcm-integrator"))
-            setGlobalPcmIntegrator(pcmIntegratorFromString(
-                flags.getString("pcm-integrator")));
-        if (flags.has("thermal-kernel"))
-            setGlobalThermalKernel(thermalKernelFromString(
-                flags.getString("thermal-kernel")));
-        if (flags.has("placement-engine"))
-            setGlobalPlacementEngine(placementEngineFromString(
-                flags.getString("placement-engine")));
-        if (flags.has("thermal-parallel-threshold")) {
-            const long long threshold =
-                flags.getInt("thermal-parallel-threshold", 0);
-            if (threshold < 0)
-                fatal("vmtsim: --thermal-parallel-threshold must be "
-                      ">= 0");
-            setThermalParallelThreshold(
-                static_cast<std::size_t>(threshold));
-        }
 
         int rc;
         if (command == "run")
