@@ -1271,10 +1271,9 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
         }
         const std::size_t pending = shrd.getSize();
         // Pin the rebuilt queue's drain front to the resume point,
-        // then re-schedule in saved pop order — (time, seq) sorting
-        // reproduces the original tie-breaks under fresh sequence
-        // numbers. The per-slot departure times rebuild from the
-        // same entries.
+        // then re-schedule in saved pop order — the queue's stable
+        // order by time keeps the original tie-breaks. The per-slot
+        // departure times rebuild from the same entries.
         shard.departures.restoreFront(resume_time);
         shard.slotDue.assign(shard.slots.size(), 0.0);
         for (std::size_t i = 0; i < pending; ++i) {

@@ -298,8 +298,8 @@ loadSnapshot(SimState &state, const std::string &path)
     }
     const std::size_t pending = queue.getSize();
     // Pin the rebuilt queue's drain front to the resume point, then
-    // re-schedule in saved pop order: (time, seq) sorting makes the
-    // fresh sequence numbers reproduce the original tie-breaks.
+    // re-schedule in saved pop order: the queue's stable order by time
+    // keeps that order, original tie-breaks included.
     state.departures.restoreFront(static_cast<double>(completed) *
                                   config.interval);
     for (std::size_t i = 0; i < pending; ++i) {

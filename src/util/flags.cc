@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -69,6 +70,10 @@ Flags::getDouble(const std::string &name, double fallback) const
     const double value = std::strtod(it->second.c_str(), &end);
     if (end == it->second.c_str() || *end != '\0')
         fatal("Flags: --" + name + " expects a number, got '" +
+              it->second + "'");
+    // strtod takes "nan" and "inf", and overflows to inf ('1e999').
+    if (!std::isfinite(value))
+        fatal("Flags: --" + name + " is not a finite number: '" +
               it->second + "'");
     return value;
 }

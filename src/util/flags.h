@@ -44,7 +44,8 @@ class Flags
 
     /**
      * Numeric value.
-     * @throws FatalError when present but not numeric.
+     * @throws FatalError when present but not a finite number (`nan`,
+     *         `inf` and values that overflow a double included).
      */
     double getDouble(const std::string &name, double fallback) const;
 

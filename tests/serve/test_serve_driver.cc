@@ -283,6 +283,49 @@ TEST(ServeDriver, DrainsAFiniteLineFeedToCompletion)
     EXPECT_EQ(result.completedIntervals, 4u);
 }
 
+TEST(ServeDriver, FarDepartureWaitsWithoutExhaustingMemory)
+{
+    // A job due 1e12 s out waits in its shard's departure queue at
+    // the cost of one pending event, not of one bucket per interval
+    // up to its departure.
+    ServeConfig config = smallConfig();
+    config.maxIntervals = 5;
+    const std::size_t cores =
+        config.numServers * config.spec.cores();
+    std::istringstream input("arrive 0 0.25 90\n"
+                             "arrive 1 0.001 1e12\n"
+                             "arrive 60 0.5 120\n");
+    LineFeed line(input, "<test>", cores);
+    ShardedDriver driver(config);
+    const ServeResult result = driver.run(line);
+
+    EXPECT_EQ(result.completedIntervals, 5u);
+    EXPECT_EQ(result.finalInFlight, 1u);
+    EXPECT_EQ(result.placed, result.completedJobs + 1);
+}
+
+TEST(ServeDriver, UnrepresentableDepartureIsANamedFatal)
+{
+    // One shard, so the fatal is raised on this thread rather than
+    // rethrown from a pool worker.
+    ServeConfig config = smallConfig();
+    config.podSize = 64;
+    config.maxIntervals = 5;
+    const std::size_t cores =
+        config.numServers * config.spec.cores();
+    std::istringstream input("arrive 0 0.001 1e300\n");
+    LineFeed line(input, "<test>", cores);
+    ShardedDriver driver(config);
+    try {
+        driver.run(line);
+        ADD_FAILURE() << "a departure at 1e300 s was scheduled";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1e+300"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ServeDriver, StopRequestEndsTheRunEarly)
 {
     ServeConfig config = smallConfig();

@@ -9,11 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "reference/event_queue.h"
 #include "sim/interval_queue.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace vmt {
@@ -343,6 +349,364 @@ TEST(IntervalQueue, VisitRestoreRoundtripAtLongHorizon)
         ASSERT_EQ(restored.pop(), original.pop());
     }
     EXPECT_TRUE(restored.empty());
+}
+
+/**
+ * An IntervalQueue driven in lockstep with the EventQueue oracle:
+ * every schedule goes to both, every drain pops both and requires
+ * the same payloads in the same order.
+ */
+struct Lockstep
+{
+    void
+    schedule(Seconds time)
+    {
+        iq.schedule(time, nextId);
+        eq.schedule(time, nextId);
+        ++nextId;
+    }
+
+    /** Drain everything due at `now` from both queues. */
+    void
+    drainAt(Seconds now)
+    {
+        while (eq.hasEventDue(now)) {
+            ASSERT_TRUE(iq.hasEventDue(now)) << "now " << now;
+            ASSERT_EQ(iq.nextTime(), eq.nextTime()) << "now " << now;
+            ASSERT_EQ(iq.pop(), eq.pop()) << "now " << now;
+        }
+        ASSERT_FALSE(iq.hasEventDue(now)) << "now " << now;
+        ASSERT_EQ(iq.size(), eq.size());
+    }
+
+    /** Pop both queues dry, ignoring interval boundaries. */
+    void
+    drainAll()
+    {
+        while (!eq.empty()) {
+            ASSERT_FALSE(iq.empty());
+            ASSERT_EQ(iq.nextTime(), eq.nextTime());
+            ASSERT_EQ(iq.pop(), eq.pop());
+        }
+        EXPECT_TRUE(iq.empty());
+    }
+
+    IntervalQueue<int> iq{kDt};
+    EventQueue<int> eq;
+    int nextId = 0;
+};
+
+/** Ordinary traffic: a random batch at each boundary, durations up
+ *  to ten intervals with exact-multiple and zero-duration ties. */
+void
+scheduleTraffic(Lockstep &q, Rng &rng, Seconds now)
+{
+    const std::uint64_t batch = rng.below(13);
+    for (std::uint64_t j = 0; j < batch; ++j) {
+        switch (rng.below(3)) {
+        case 0:
+            q.schedule(now + static_cast<double>(1 + rng.below(5)) *
+                                 kDt);
+            break;
+        case 1:
+            q.schedule(now + rng.uniform() * 10.0 * kDt);
+            break;
+        default:
+            q.schedule(now);
+            break;
+        }
+    }
+}
+
+TEST(IntervalQueue, ThousandsOfEventsAtOneTimePopInScheduleOrder)
+{
+    Lockstep q;
+    for (int i = 0; i < 5000; ++i)
+        q.schedule(7.0 * kDt - 13.0);
+    for (int i = 0; i < 100; ++i)
+        q.schedule(7.0 * kDt - 13.0 - static_cast<double>(i % 3));
+    q.drainAt(6.0 * kDt);
+    q.drainAt(7.0 * kDt);
+    EXPECT_TRUE(q.iq.empty());
+}
+
+TEST(IntervalQueue, CrowdedSubRangeKeepsTimeAndTieOrder)
+{
+    // 3000 times within a few ulps of each other plus one outlier
+    // early in the bucket: the outlier stretches the span so the
+    // crowd shares one sub-range, which orderByTime must fall back
+    // on a stable sort for. Ulp offsets repeat, so ties abound.
+    Lockstep q;
+    Rng rng(5);
+    const Seconds crowd = 9.0 * kDt - 1.0;
+    for (int i = 0; i < 3000; ++i) {
+        Seconds t = crowd;
+        for (std::uint64_t u = rng.below(6); u > 0; --u)
+            t = std::nextafter(t, 0.0);
+        q.schedule(t);
+        if (i == 1500)
+            q.schedule(8.0 * kDt + 1.0);
+    }
+    q.drainAt(8.0 * kDt);
+    q.drainAt(9.0 * kDt);
+    EXPECT_TRUE(q.iq.empty());
+}
+
+TEST(IntervalQueue, ZeroNegativeZeroAndSubnormalSpans)
+{
+    // Bucket 0 holds 0 and -0.0 (equal, so schedule order); bucket 1
+    // starts with a run of subnormal times whose span is itself
+    // subnormal.
+    Lockstep q;
+    const Seconds tiny = std::numeric_limits<Seconds>::denorm_min();
+    q.schedule(0.0);
+    q.schedule(-0.0);
+    q.schedule(5.0 * tiny);
+    q.schedule(tiny);
+    q.schedule(3.0 * tiny);
+    q.schedule(tiny);
+    q.schedule(0.0);
+    q.drainAt(0.0);
+    q.schedule(2.0 * tiny);
+    q.schedule(-0.0); // Late: bucket 0 is already drained.
+    q.drainAt(0.0);
+    q.drainAt(kDt);
+    EXPECT_TRUE(q.iq.empty());
+}
+
+TEST(IntervalQueue, LateEventsIntoAnUnorderedFront)
+{
+    // After the drain at boundary 10 the front (bucket 11) is left
+    // unordered; events stamped at or before that boundary join it
+    // and must surface at the same `now`, earliest first.
+    Lockstep q;
+    for (int i = 0; i < 20; ++i)
+        q.schedule(10.0 * kDt + static_cast<double>(i % 7) * 8.0);
+    q.drainAt(10.0 * kDt);
+    q.schedule(10.0 * kDt);       // Zero duration.
+    q.schedule(10.0 * kDt - 5.0); // Already past.
+    q.schedule(10.0 * kDt);
+    q.schedule(10.5 * kDt);       // Native to the front.
+    q.drainAt(10.0 * kDt);
+    q.schedule(3.0 * kDt); // Late again, into the now ordered front.
+    q.drainAt(11.0 * kDt);
+    q.drainAt(12.0 * kDt);
+    EXPECT_TRUE(q.iq.empty());
+}
+
+TEST(IntervalQueue, LateEventsIntoAFrontMidDrain)
+{
+    Lockstep q;
+    for (int i = 0; i < 30; ++i)
+        q.schedule(4.0 * kDt - static_cast<double>(i % 10) * 5.0);
+    const Seconds now = 4.0 * kDt;
+    ASSERT_TRUE(q.iq.hasEventDue(now));
+    ASSERT_TRUE(q.eq.hasEventDue(now));
+    for (int i = 0; i < 12; ++i)
+        ASSERT_EQ(q.iq.pop(), q.eq.pop());
+    // Earlier than anything popped, equal to pending times, and
+    // equal to the drain point: each lands where the heap puts it.
+    q.schedule(1.0);
+    q.schedule(now - 25.0);
+    q.schedule(now - 25.0);
+    q.schedule(now);
+    q.schedule(now + 1.0);
+    q.drainAt(now);
+    q.drainAt(now + kDt);
+    EXPECT_TRUE(q.iq.empty());
+}
+
+TEST(IntervalQueue, FarFirstEventLeavesTheQueueAnchored)
+{
+    // The first event of an empty queue is 1e9 s out; ordinary
+    // traffic after it must still drain interval by interval.
+    Lockstep q;
+    Rng rng(11);
+    q.schedule(1e9);
+    for (std::size_t interval = 0; interval < 400; ++interval) {
+        const Seconds now = static_cast<double>(interval) * kDt;
+        q.drainAt(now);
+        scheduleTraffic(q, rng, now);
+    }
+    q.drainAll();
+}
+
+TEST(IntervalQueue, FarEventsMixedIntoTrafficDrainInOrder)
+{
+    // 1e12 s and 1e15 s sit far beyond the dense window; they wait in
+    // the overflow while traffic drains, then pop last, in schedule
+    // order among equal times.
+    Lockstep q;
+    Rng rng(12);
+    for (std::size_t interval = 0; interval < 400; ++interval) {
+        const Seconds now = static_cast<double>(interval) * kDt;
+        q.drainAt(now);
+        if (interval % 50 == 7) {
+            q.schedule(1e15);
+            q.schedule(1e12 + now);
+            q.schedule(1e12);
+        }
+        scheduleTraffic(q, rng, now);
+    }
+    q.drainAt(1e12);
+    q.drainAll();
+}
+
+TEST(IntervalQueue, VisitRestoreRoundtripWithUnorderedBuckets)
+{
+    // Several unordered buckets, a late event in the unordered
+    // front and overflow buckets are all pending at the checkpoint;
+    // the rebuilt queue must pop exactly as the original and the
+    // heap do, across later boundaries.
+    Lockstep q;
+    Rng rng(3);
+    const Seconds now = 500.0 * kDt;
+    for (int i = 0; i < 200; ++i)
+        q.schedule(now + rng.uniform() * 6.0 * kDt);
+    for (int i = 0; i < 10; ++i)
+        q.schedule(now + static_cast<double>(1 + rng.below(4)) * kDt);
+    q.schedule(now + 1e7);
+    q.schedule(now + 1e7);
+    q.drainAt(now);
+    q.schedule(now);     // Late, into the unordered front.
+    q.schedule(now + 1e9);
+
+    std::vector<std::pair<Seconds, int>> saved;
+    q.iq.visitPending([&saved](Seconds time, int payload) {
+        saved.push_back({time, payload});
+    });
+    ASSERT_EQ(saved.size(), q.iq.size());
+    // The visit is the pop order itself (snapshots store it).
+    EventQueue<int> order = q.eq;
+    for (const auto &[time, payload] : saved) {
+        ASSERT_EQ(time, order.nextTime());
+        ASSERT_EQ(payload, order.pop());
+    }
+
+    IntervalQueue<int> restored(kDt);
+    restored.restoreFront(now);
+    for (const auto &[time, payload] : saved)
+        restored.schedule(time, payload);
+    for (int step = 0; step <= 8; ++step) {
+        const Seconds at = now + static_cast<double>(step) * kDt;
+        while (q.eq.hasEventDue(at)) {
+            ASSERT_TRUE(restored.hasEventDue(at));
+            ASSERT_TRUE(q.iq.hasEventDue(at));
+            const int expect = q.eq.pop();
+            ASSERT_EQ(q.iq.pop(), expect);
+            ASSERT_EQ(restored.pop(), expect);
+        }
+        ASSERT_FALSE(restored.hasEventDue(at));
+        ASSERT_FALSE(q.iq.hasEventDue(at));
+    }
+    while (!q.eq.empty()) {
+        ASSERT_FALSE(restored.empty());
+        ASSERT_EQ(restored.nextTime(), q.eq.nextTime());
+        const int expect = q.eq.pop();
+        ASSERT_EQ(q.iq.pop(), expect);
+        ASSERT_EQ(restored.pop(), expect);
+    }
+    EXPECT_TRUE(restored.empty());
+    EXPECT_TRUE(q.iq.empty());
+}
+
+TEST(IntervalQueue, WindowEdgeHandOffKeepsScheduleOrder)
+{
+    // Each bucket near the dense window's far edge (4,096 buckets
+    // out) receives events while it is still in the overflow and
+    // again after the advancing window has taken it over; the two
+    // batches must pop in schedule order, none lost.
+    Lockstep q;
+    for (std::size_t interval = 0; interval < 120; ++interval) {
+        const Seconds now = static_cast<double>(interval) * kDt;
+        q.drainAt(now);
+        for (int d = 4080; d <= 4112; ++d) {
+            const Seconds boundary = now + static_cast<double>(d) * kDt;
+            q.schedule(boundary);
+            q.schedule(boundary - 0.5 * kDt);
+        }
+    }
+    q.drainAll();
+}
+
+/**
+ * Everything at once, against the heap: ordinary and zero durations,
+ * late events, far-future events in the overflow, eager pops between
+ * boundaries, and a checkpoint round trip every few dozen intervals
+ * that replaces the queue with its restored copy.
+ */
+TEST(IntervalQueue, RandomizedMixedScheduleMatchesEventQueue)
+{
+    Lockstep q;
+    Rng rng(2024);
+    for (std::size_t interval = 0; interval < 3000; ++interval) {
+        const Seconds now = static_cast<double>(interval) * kDt;
+        q.drainAt(now);
+        if (rng.below(10) == 0) {
+            for (std::uint64_t k = rng.below(4); k > 0 && !q.eq.empty();
+                 --k) {
+                ASSERT_EQ(q.iq.nextTime(), q.eq.nextTime());
+                ASSERT_EQ(q.iq.pop(), q.eq.pop());
+            }
+        }
+        scheduleTraffic(q, rng, now);
+        switch (rng.below(8)) {
+        case 0:
+            q.schedule(std::max(0.0, now - rng.uniform() * 3.0 * kDt));
+            break;
+        case 1:
+            q.schedule(now + 1e6 + rng.uniform() * 1e9);
+            break;
+        case 2:
+            q.schedule(now + static_cast<double>(rng.below(5000)) * kDt);
+            break;
+        default:
+            break;
+        }
+        if (interval % 37 == 36) {
+            std::vector<std::pair<Seconds, int>> saved;
+            q.iq.visitPending([&saved](Seconds time, int payload) {
+                saved.push_back({time, payload});
+            });
+            IntervalQueue<int> restored(kDt);
+            restored.restoreFront(now + kDt);
+            for (const auto &[time, payload] : saved)
+                restored.schedule(time, payload);
+            q.iq = std::move(restored);
+        }
+    }
+    q.drainAll();
+}
+
+TEST(IntervalQueue, UnschedulableTimesAreNamedFatals)
+{
+    IntervalQueue<int> q(kDt);
+    const Seconds inf = std::numeric_limits<Seconds>::infinity();
+    const std::pair<Seconds, const char *> cases[] = {
+        {std::nan(""), "nan"}, {inf, "inf"}, {-inf, "-inf"},
+        {1e300, "1e+300"}, {-1.0, "-1"}};
+    for (const auto &[time, text] : cases) {
+        try {
+            q.schedule(time, 0);
+            ADD_FAILURE() << "no fatal for " << text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(text),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_TRUE(q.empty());
+
+    // The last schedulable bucket is index 2^53 - 1; one ulp past
+    // its boundary is refused.
+    const Seconds last =
+        static_cast<double>((std::uint64_t{1} << 53) - 1) * kDt;
+    q.schedule(last, 1);
+    EXPECT_THROW(q.schedule(std::nextafter(last, inf), 2), FatalError);
+    q.schedule(kDt, 3);
+    EXPECT_EQ(q.pop(), 3);
+    EXPECT_EQ(q.pop(), 1);
+    EXPECT_TRUE(q.empty());
 }
 
 } // namespace

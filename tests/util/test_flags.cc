@@ -70,6 +70,11 @@ TEST(Flags, NumericValidation)
 {
     EXPECT_THROW(parse({"--n=abc"}).getDouble("n", 0.0), FatalError);
     EXPECT_THROW(parse({"--n=1.5"}).getInt("n", 0), FatalError);
+    // strtod accepts these; a numeric flag must not.
+    for (const char *arg : {"--n=nan", "--n=inf", "--n=-inf",
+                            "--n=1e999"})
+        EXPECT_THROW(parse({arg}).getDouble("n", 0.0), FatalError)
+            << arg;
 }
 
 TEST(Flags, UnreadFlagsDetected)
