@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "thermal/server_thermal.h"
+#include "reference/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
 #include "util/table.h"
 

@@ -41,7 +41,7 @@
 #include "sim/datacenter_sim.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
-#include "thermal/server_thermal.h"
+#include "reference/server_thermal.h"
 #include "util/json_splice.h"
 #include "util/thread_pool.h"
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Serving-mode soak smoke, two phases:
 #
-#  1. clean soak — drive vmtserve through 60 sim-minutes of bursty
-#     synthetic traffic, SIGINT it mid-run, resume from the drained
-#     checkpoint, and assert that the stitched telemetry stream is
-#     exactly the stream an uninterrupted run produces — contiguous
-#     intervals, no gaps, no duplicates, bitwise identical lines;
+#  1. clean soak — drive vmtserve through bursty synthetic traffic,
+#     SIGINT it mid-run, resume from the drained checkpoint, and
+#     assert that the stitched telemetry stream is exactly the stream
+#     an uninterrupted run produces — contiguous intervals, no gaps,
+#     no duplicates, bitwise identical lines;
 #
 #  2. chaos soak — same fleet under an active fault plan (a 40-server
 #     outage wave plus a cooling derate), SIGKILL the serving process
@@ -13,6 +13,11 @@
 #     retained snapshot, and restart: recovery must fall back to the
 #     .prev generation and the post-recovery stream must still stitch
 #     bitwise against an uninterrupted faulted reference.
+#
+# The interrupted legs run open-ended, so how far they get before the
+# signal lands depends on the host's speed; each phase therefore sets
+# its run length from where its first leg stopped, and the
+# uninterrupted reference runs to that same length.
 #
 # Usage: scripts/serve_soak.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -36,10 +41,6 @@ COMMON=(--servers 100 --pod-size 32 --policy wa
         --burst-period-hours 0.1666666666666667
         --burst-factor 3 --burst-minutes 3
         --seed 99 --threads 2)
-
-echo "serve_soak: reference run (60 uninterrupted sim-minutes)"
-"$VMTSERVE" "${COMMON[@]}" --minutes 60 \
-    --telemetry-out "$WORK/reference.jsonl" >/dev/null
 
 echo "serve_soak: leg 1 (open-ended, SIGINT mid-run)"
 "$VMTSERVE" "${COMMON[@]}" --minutes 0 \
@@ -70,28 +71,36 @@ wait "$PID" || {
 }
 LEG1=$(wc -l <"$WORK/leg1.jsonl")
 echo "serve_soak: leg 1 stopped after $LEG1 intervals"
-((LEG1 >= 20 && LEG1 < 60)) || {
+((LEG1 >= 20)) || {
     echo "serve_soak: leg 1 interval count $LEG1 out of range" >&2
     exit 1
 }
+# Leg 2 runs 40 sim-minutes past the stop.
+MINUTES=$((LEG1 + 40))
 
-echo "serve_soak: leg 2 (resume to 60 sim-minutes)"
-"$VMTSERVE" "${COMMON[@]}" --minutes 60 \
+echo "serve_soak: reference run ($MINUTES uninterrupted sim-minutes)"
+"$VMTSERVE" "${COMMON[@]}" --minutes "$MINUTES" \
+    --telemetry-out "$WORK/reference.jsonl" >/dev/null
+
+echo "serve_soak: leg 2 (resume to $MINUTES sim-minutes)"
+"$VMTSERVE" "${COMMON[@]}" --minutes "$MINUTES" \
     --checkpoint-every 5 --checkpoint-path "$WORK/soak.ckpt" \
     --resume-from "$WORK/soak.ckpt" \
     --telemetry-out "$WORK/leg2.jsonl" >/dev/null
 
-# Continuity: the stitched stream covers exactly intervals 0..59,
-# strictly increasing, and matches the uninterrupted run bitwise.
+# Continuity: the stitched stream covers exactly intervals
+# 0..MINUTES-1, strictly increasing, and matches the uninterrupted
+# run bitwise.
 cat "$WORK/leg1.jsonl" "$WORK/leg2.jsonl" >"$WORK/stitched.jsonl"
 TOTAL=$(wc -l <"$WORK/stitched.jsonl")
-((TOTAL == 60)) || {
-    echo "serve_soak: stitched stream has $TOTAL lines, want 60" >&2
+((TOTAL == MINUTES)) || {
+    echo "serve_soak: stitched stream has $TOTAL lines, want" \
+        "$MINUTES" >&2
     exit 1
 }
 SEQ=$(sed -n 's/.*"interval":\([0-9]*\).*/\1/p' \
     "$WORK/stitched.jsonl" | tr '\n' ' ')
-WANT=$(seq 0 59 | tr '\n' ' ')
+WANT=$(seq 0 $((MINUTES - 1)) | tr '\n' ' ')
 [[ "$SEQ" == "$WANT" ]] || {
     echo "serve_soak: interval sequence has gaps or duplicates" >&2
     echo "  got: $SEQ" >&2
@@ -104,7 +113,8 @@ if ! cmp -s "$WORK/stitched.jsonl" "$WORK/reference.jsonl"; then
     exit 1
 fi
 
-echo "serve_soak: OK (60 intervals, kill/resume bitwise continuous)"
+echo "serve_soak: OK ($MINUTES intervals, kill/resume bitwise" \
+    "continuous)"
 
 # ----------------------------------------------------------------
 # Phase 2: chaos soak. An outage wave takes out 40 of the 100
@@ -162,15 +172,6 @@ PLAN
 CHAOS=("${COMMON[@]}" --fault-plan "$WORK/chaos.plan"
        --critical-temp 60 --max-queue-age 600)
 
-echo "serve_soak: chaos reference run (60 faulted sim-minutes)"
-"$VMTSERVE" "${CHAOS[@]}" --minutes 60 \
-    --telemetry-out "$WORK/chaos_ref.jsonl" >"$WORK/chaos_ref.out"
-grep -q '"evacuated":[1-9]' "$WORK/chaos_ref.jsonl" || {
-    echo "serve_soak: chaos reference shows no evacuations — the" \
-        "plan never engaged" >&2
-    exit 1
-}
-
 echo "serve_soak: chaos leg 1 (SIGKILL mid-run, no drain)"
 "$VMTSERVE" "${CHAOS[@]}" --minutes 0 \
     --checkpoint-every 5 --checkpoint-path "$WORK/chaos.ckpt" \
@@ -200,12 +201,28 @@ wait "$PID" 2>/dev/null && {
     exit 1
 }
 
+# The faulted run goes to the plan's last repair (35 min) and at
+# least 20 sim-minutes past the kill.
+KILLED=$(wc -l <"$WORK/chaos1.jsonl")
+CHAOS_MINUTES=$((KILLED + 20 > 60 ? KILLED + 20 : 60))
+
+echo "serve_soak: chaos reference run ($CHAOS_MINUTES faulted" \
+    "sim-minutes)"
+"$VMTSERVE" "${CHAOS[@]}" --minutes "$CHAOS_MINUTES" \
+    --telemetry-out "$WORK/chaos_ref.jsonl" >"$WORK/chaos_ref.out"
+grep -q '"evacuated":[1-9]' "$WORK/chaos_ref.jsonl" || {
+    echo "serve_soak: chaos reference shows no evacuations — the" \
+        "plan never engaged" >&2
+    exit 1
+}
+
 # Simulate the crash also eating the newest snapshot: recovery must
 # fall back to the .prev generation instead of dying.
 printf 'VMTSNAP\ntruncated' >"$WORK/chaos.ckpt"
 
-echo "serve_soak: chaos leg 2 (recovery restart to 60 sim-minutes)"
-"$VMTSERVE" "${CHAOS[@]}" --minutes 60 \
+echo "serve_soak: chaos leg 2 (recovery restart to $CHAOS_MINUTES" \
+    "sim-minutes)"
+"$VMTSERVE" "${CHAOS[@]}" --minutes "$CHAOS_MINUTES" \
     --checkpoint-every 5 --checkpoint-path "$WORK/chaos.ckpt" \
     --resume-from "$WORK/chaos.ckpt" \
     --telemetry-out "$WORK/chaos2.jsonl" >"$WORK/chaos2.out"
@@ -223,9 +240,9 @@ echo "serve_soak: recovered at interval $RESUME (from .prev)"
 head -n "$RESUME" "$WORK/chaos1.jsonl" >"$WORK/chaos_stitch.jsonl"
 cat "$WORK/chaos2.jsonl" >>"$WORK/chaos_stitch.jsonl"
 TOTAL=$(wc -l <"$WORK/chaos_stitch.jsonl")
-((TOTAL == 60)) || {
+((TOTAL == CHAOS_MINUTES)) || {
     echo "serve_soak: chaos stitched stream has $TOTAL lines," \
-        "want 60" >&2
+        "want $CHAOS_MINUTES" >&2
     exit 1
 }
 if ! cmp -s "$WORK/chaos_stitch.jsonl" "$WORK/chaos_ref.jsonl"; then
@@ -239,7 +256,7 @@ fi
 # Zero accounting leaks end to end: the faulted run's summary must
 # balance its own books (the driver's conservation identities are
 # asserted in-process; here we just require the evacuation actually
-# moved jobs and the run finished all 60 intervals).
+# moved jobs and the run finished every interval).
 grep -q 'evacuated' "$WORK/chaos2.out" || {
     echo "serve_soak: chaos summary reports no evacuations" >&2
     exit 1

@@ -217,7 +217,7 @@ ShardedDriver::Shard::Shard(std::size_t num_servers,
     : cluster(num_servers, config.spec, config.thermal, power),
       scheduler(makeScheduler(config.policy, config.gv,
                               config.waxThreshold)),
-      departures(config.interval), jobsAt(num_servers)
+      departures(config.interval, num_servers)
 {}
 
 ShardedDriver::ShardedDriver(const ServeConfig &config)
@@ -273,26 +273,11 @@ ShardedDriver::ShardedDriver(const ServeConfig &config)
 void
 ShardedDriver::drainDepartures(Shard &shard, Seconds now)
 {
-    while (shard.departures.hasEventDue(now)) {
-        const std::uint32_t slot = shard.departures.pop();
-        const SimActiveJob &job = shard.slots[slot];
-        // Tombstones (evacuated jobs whose slot waits for its
-        // original departure) free silently.
-        if (job.serverId != kNoServer) {
-            shard.cluster.removeJob(job.serverId, job.type);
-            auto &ids =
-                shard.jobsAt[job.serverId][workloadIndex(job.type)];
-            const std::uint32_t pos = job.pos;
-            if (pos >= ids.size() || ids[pos] != slot)
-                panic("serve: job missing from server index");
-            const std::uint32_t moved = ids.back();
-            ids[pos] = moved;
-            shard.slots[moved].pos = pos;
-            ids.pop_back();
-            ++shard.completedThisInterval;
-        }
-        shard.freeSlots.push_back(slot);
-    }
+    shard.departures.drain(now, [&shard](DepartureRing::Record record) {
+        shard.cluster.removeJob(DepartureRing::serverOf(record),
+                                DepartureRing::typeOf(record));
+        ++shard.completedThisInterval;
+    });
 }
 
 void
@@ -326,23 +311,10 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
     shard.scheduler->beginInterval(shard.cluster, now);
 
     // Drain every job resident on a newly failed server into the
-    // refugee list, tombstoning its slot (the departure queue has no
-    // removal; the slot frees when the original departure fires).
-    // The refugee keeps its absolute departure time, so a migrated
-    // job finishes exactly when it would have.
-    for (const std::size_t from : evacuating) {
-        for (const WorkloadType type : kAllWorkloads) {
-            auto &ids = shard.jobsAt[from][workloadIndex(type)];
-            while (!ids.empty()) {
-                const std::uint32_t slot = ids.back();
-                ids.pop_back();
-                shard.cluster.removeJob(from, type);
-                shard.slots[slot].serverId = kNoServer;
-                shard.evacBatch.push_back(Job{0, type, 0.0});
-                shard.evacDue.push_back(shard.slotDue[slot]);
-            }
-        }
-    }
+    // refugee list; each refugee keeps its departure bucket, so a
+    // migrated job finishes in the interval it would have.
+    evacuateServers(shard.departures, shard.cluster, evacuating,
+                    shard.evacBatch, shard.evacDue);
     shard.evacuatedThisInterval = shard.evacBatch.size();
 
     // Routing capacity for refugees and admissions: free cores on Up
@@ -356,27 +328,6 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
             free += srv.freeCores();
     }
     shard.schedulableFree = free;
-}
-
-void
-ShardedDriver::bindJob(Shard &shard, std::size_t server,
-                       WorkloadType type, Seconds due)
-{
-    auto &ids = shard.jobsAt[server][workloadIndex(type)];
-    const auto pos = static_cast<std::uint32_t>(ids.size());
-    std::uint32_t slot;
-    if (!shard.freeSlots.empty()) {
-        slot = shard.freeSlots.back();
-        shard.freeSlots.pop_back();
-        shard.slots[slot] = SimActiveJob{server, type, pos};
-        shard.slotDue[slot] = due;
-    } else {
-        slot = static_cast<std::uint32_t>(shard.slots.size());
-        shard.slots.push_back(SimActiveJob{server, type, pos});
-        shard.slotDue.push_back(due);
-    }
-    ids.push_back(slot);
-    shard.departures.schedule(due, slot);
 }
 
 void
@@ -396,13 +347,14 @@ ShardedDriver::placeEvac(Shard &shard)
             shard.evacFailDue.push_back(shard.evacDue[k]);
             continue;
         }
-        bindJob(shard, id, type, shard.evacDue[k]);
+        shard.departures.schedule(shard.evacDue[k],
+                                  DepartureRing::pack(id, type));
         ++shard.migratedThisInterval;
     }
 }
 
 void
-ShardedDriver::evacuateRefugees(Seconds now)
+ShardedDriver::evacuateRefugees()
 {
     // The post-evacuation capacity estimates double as the
     // admission router's input, so they are (re)seeded every
@@ -485,7 +437,7 @@ ShardedDriver::evacuateRefugees(Seconds now)
     }
 
     // Out of retries (or capacity): the stragglers are lost. Their
-    // origin slots are already tombstoned.
+    // departure records left the ring with the evacuation.
     lost_ += types.size();
     for (Shard &shard : shards_)
         migrated_ += shard.migratedThisInterval;
@@ -500,9 +452,9 @@ ShardedDriver::placeBatch(Shard &shard, Seconds now)
         shard.scheduler->beginInterval(shard.cluster, now);
     if (shard.batch.empty())
         return;
-    // One batch call decides (and applies) every placement — the
-    // PR-7 batched hot path; the slot/departure bookkeeping below is
-    // driver-local and cannot influence decisions.
+    // One batch call decides (and applies) every placement; the
+    // departure records below are driver-local and cannot influence
+    // decisions.
     shard.scheduler->placeJobs(shard.cluster, shard.batch,
                                shard.placements);
     for (std::size_t k = 0; k < shard.batch.size(); ++k) {
@@ -512,7 +464,8 @@ ShardedDriver::placeBatch(Shard &shard, Seconds now)
             ++shard.unplacedThisInterval;
             continue;
         }
-        bindJob(shard, id, job.type, now + job.duration);
+        shard.departures.schedule(now + job.duration,
+                                  DepartureRing::pack(id, job.type));
         ++shard.placedThisInterval;
     }
 }
@@ -689,7 +642,7 @@ ShardedDriver::run(JobFeed &feed,
         // in parallel batches, retry the failures a bounded number
         // of rounds, shed the rest.
         if (degraded_)
-            evacuateRefugees(now);
+            evacuateRefugees();
 
         // 2. Ingest the feed's arrivals due before the next boundary
         // into the bounded ring; overflow is shed, not queued.
@@ -1085,38 +1038,13 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     ingr.putU64(overheated_);
 
     // SHRD: the full shard map — per shard, the cluster, the policy
-    // and the QUEU-style job bookkeeping (slot table verbatim,
-    // freelist, residency lists, departures in pop order). Per-slot
-    // departure times are NOT stored: loadCheckpoint rebuilds them
-    // from the departure entries, keeping this layout identical to
-    // the pre-fault driver's.
+    // and the departure ring (format v3: 4 B per running job).
     Serializer &shrd = writer.section("SHRD");
     shrd.putSize(shards_.size());
     for (const Shard &shard : shards_) {
         shard.cluster.saveState(shrd);
         shard.scheduler->saveState(shrd);
-        shrd.putSize(shard.slots.size());
-        for (const SimActiveJob &job : shard.slots) {
-            shrd.putSize(job.serverId);
-            shrd.putU8(static_cast<std::uint8_t>(job.type));
-            shrd.putU32(job.pos);
-        }
-        shrd.putSize(shard.freeSlots.size());
-        for (std::uint32_t slot : shard.freeSlots)
-            shrd.putU32(slot);
-        for (const auto &per_server : shard.jobsAt) {
-            for (const auto &ids : per_server) {
-                shrd.putSize(ids.size());
-                for (std::uint32_t slot : ids)
-                    shrd.putU32(slot);
-            }
-        }
-        shrd.putSize(shard.departures.size());
-        shard.departures.visitPending(
-            [&shrd](Seconds time, std::uint32_t slot) {
-                shrd.putDouble(time);
-                shrd.putU32(slot);
-            });
+        shard.departures.saveState(shrd);
     }
 
     // DGRD: degraded-mode configuration echo + dynamic state. Only
@@ -1241,50 +1169,13 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     for (Shard &shard : shards_) {
         shard.cluster.loadState(shrd);
         shard.scheduler->loadState(shrd);
-        const std::size_t slot_count = shrd.getSize();
-        shard.slots.clear();
-        shard.slots.reserve(slot_count);
-        for (std::size_t i = 0; i < slot_count; ++i) {
-            SimActiveJob job;
-            job.serverId = shrd.getSize();
-            const std::uint8_t type = shrd.getU8();
-            if (type >= kNumWorkloads)
-                fatal("serve snapshot job slot has invalid workload "
-                      "type");
-            job.type = static_cast<WorkloadType>(type);
-            job.pos = shrd.getU32();
-            shard.slots.push_back(job);
-        }
-        const std::size_t free_count = shrd.getSize();
-        shard.freeSlots.clear();
-        shard.freeSlots.reserve(free_count);
-        for (std::size_t i = 0; i < free_count; ++i)
-            shard.freeSlots.push_back(shrd.getU32());
-        for (auto &per_server : shard.jobsAt) {
-            for (auto &ids : per_server) {
-                const std::size_t count = shrd.getSize();
-                ids.clear();
-                ids.reserve(count);
-                for (std::size_t i = 0; i < count; ++i)
-                    ids.push_back(shrd.getU32());
-            }
-        }
-        const std::size_t pending = shrd.getSize();
-        // Pin the rebuilt queue's drain front to the resume point,
-        // then re-schedule in saved pop order — the queue's stable
-        // order by time keeps the original tie-breaks. The per-slot
-        // departure times rebuild from the same entries.
-        shard.departures.restoreFront(resume_time);
-        shard.slotDue.assign(shard.slots.size(), 0.0);
-        for (std::size_t i = 0; i < pending; ++i) {
-            const Seconds time = shrd.getDouble();
-            const std::uint32_t slot = shrd.getU32();
-            if (slot >= shard.slots.size())
-                fatal("serve snapshot departure references an "
-                      "invalid job slot");
-            shard.departures.schedule(time, slot);
-            shard.slotDue[slot] = time;
-        }
+        // The next drain is the resume boundary; a v1/v2 slot ledger
+        // converts to records.
+        if (reader.version() >= 3)
+            shard.departures.loadState(shrd, resume_time);
+        else
+            shard.departures.loadLegacy(shrd, resume_time);
+        checkLedger(shard.departures, shard.cluster);
     }
     shrd.expectEnd();
 

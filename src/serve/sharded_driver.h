@@ -32,19 +32,18 @@
  * results — including the JSONL telemetry stream — are bitwise
  * identical at any thread count and across checkpoint/resume. The
  * periodic checkpoints (src/state/ snapshot container) carry the feed
- * cursor, the ingress ring, the full shard map and — in degraded
- * mode only — a DGRD section with the fault/brownout state, so a run
- * without any degraded-mode configuration writes byte-identical
- * snapshots to the pre-fault driver. Checkpoint writes go through
- * the crash-recovery manager (state/recovery.h): failures are
- * counted and retried instead of fatal, and resume scans the
- * retained generations instead of dying on a corrupt newest file.
+ * cursor, the ingress ring, the full shard map (cluster, policy and
+ * departure ring per shard) and — in degraded mode only — a DGRD
+ * section with the fault/brownout state, so a run without any
+ * degraded-mode configuration writes no fault state. Checkpoint
+ * writes go through the crash-recovery manager (state/recovery.h):
+ * failures are counted and retried instead of fatal, and resume scans
+ * the retained generations instead of dying on a corrupt newest file.
  */
 
 #ifndef VMT_SERVE_SHARDED_DRIVER_H
 #define VMT_SERVE_SHARDED_DRIVER_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -61,8 +60,7 @@
 #include "serve/job_feed.h"
 #include "server/cluster.h"
 #include "server/server_spec.h"
-#include "sim/interval_queue.h"
-#include "sim/simulation.h"
+#include "sim/departure_ring.h"
 #include "thermal/thermal_params.h"
 #include "util/units.h"
 
@@ -274,7 +272,7 @@ class ShardedDriver
 
   private:
     /** One pod's worth of servers with its own policy instance and
-     *  job bookkeeping — the unit of parallelism. */
+     *  departure ring — the unit of parallelism. */
     struct Shard
     {
         Shard(std::size_t num_servers, const ServeConfig &config,
@@ -282,22 +280,9 @@ class ShardedDriver
 
         Cluster cluster;
         std::unique_ptr<Scheduler> scheduler;
-        /** Pending departures, payload = slot index (shard-local). */
-        IntervalQueue<std::uint32_t> departures;
-        /** Slot table + freelist + per-(server, workload) residency,
-         *  exactly the batch driver's bookkeeping, per shard. Slots
-         *  whose serverId is kNoServer are evacuation tombstones:
-         *  the slot stays reserved until its scheduled departure
-         *  fires (the queue has no removal). */
-        std::vector<SimActiveJob> slots;
-        /** Departure time per slot (parallel to `slots`); what a
-         *  refugee's remaining runtime migrates with. Rebuilt from
-         *  the departure queue on load, so the SHRD snapshot layout
-         *  is unchanged. */
-        std::vector<Seconds> slotDue;
-        std::vector<std::uint32_t> freeSlots;
-        std::vector<std::array<std::vector<std::uint32_t>,
-                               kNumWorkloads>> jobsAt;
+        /** Pending departures: one (server, type) record per running
+         *  job, shard-local server ids. */
+        DepartureRing departures;
         /** This interval's routed arrivals / placement results. */
         std::vector<Job> batch;
         std::vector<std::size_t> placements;
@@ -312,7 +297,10 @@ class ShardedDriver
         /** Newly failed servers' drained jobs (this interval), and
          *  later each retry round's refugees routed to this shard. */
         std::vector<Job> evacBatch;
-        /** Preserved departure times parallel to evacBatch. */
+        /** Parallel to evacBatch: the boundary time of the departure
+         *  bucket each refugee keeps (the evacuation rule). Every
+         *  shard drains at the same boundaries, so the destination
+         *  files it back into the same bucket. */
         std::vector<Seconds> evacDue;
         std::vector<std::size_t> evacPlacements;
         /** Refugees this shard's scheduler could not place in the
@@ -332,8 +320,7 @@ class ShardedDriver
         std::uint64_t migratedThisInterval = 0;
     };
 
-    /** Complete a shard's jobs due at or before now (tombstone slots
-     *  free silently). */
+    /** Complete a shard's jobs due at or before now. */
     void drainDepartures(Shard &shard, Seconds now);
     /**
      * Degraded-mode per-shard boundary work (runs inside the
@@ -345,20 +332,16 @@ class ShardedDriver
     /** Cross-shard refugee re-routing: waterfill over surviving
      *  capacity, parallel batched placement, bounded retries, shed
      *  on exhaustion. Serial orchestration (shard order). */
-    void evacuateRefugees(Seconds now);
-    /** Place one round's refugees routed to this shard, scheduling
-     *  each at its preserved departure time. */
+    void evacuateRefugees();
+    /** Place one round's refugees routed to this shard, filing each
+     *  into its kept departure bucket. */
     void placeEvac(Shard &shard);
     /** beginInterval (clean mode only — faultPhase already ran it in
-     *  degraded mode) + batch placement + slot bookkeeping. */
+     *  degraded mode) + batch placement + departure records. */
     void placeBatch(Shard &shard, Seconds now);
     /** Deterministic waterfill of @p admitted over shard free cores;
      *  returns the number routed (prefix of @p admitted). */
     std::size_t routeToShards(const std::vector<FeedJob> &admitted);
-    /** Allocate a slot for a placed job and schedule its departure. */
-    void bindJob(Shard &shard, std::size_t server, WorkloadType type,
-                 Seconds due);
-
     void buildCheckpoint(SnapshotWriter &writer, const JobFeed &feed,
                          std::size_t completed) const;
     std::size_t loadCheckpoint(JobFeed &feed,

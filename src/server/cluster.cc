@@ -304,8 +304,34 @@ Cluster::loadState(Deserializer &in)
     for (std::size_t &count : active_)
         count = in.getSize();
     thermal_.inletTemp = in.getDouble();
-    for (Server &srv : servers_)
+    CoreCounts active{};
+    std::size_t busy = 0;
+    for (Server &srv : servers_) {
         srv.loadState(in);
+        const auto reject = [&srv] {
+            fatal("Cluster::loadState: snapshot server " +
+                  std::to_string(srv.id()) +
+                  "'s job counts do not fit its " +
+                  std::to_string(srv.cores()) + " cores and " +
+                  std::to_string(srv.busyCores()) + " busy cores");
+        };
+        // Each count is checked against the cores still free before
+        // it is added, so no sum can wrap.
+        std::size_t jobs = 0;
+        for (std::size_t t = 0; t < kNumWorkloads; ++t) {
+            const std::size_t count = srv.coreCounts()[t];
+            if (count > srv.cores() - jobs)
+                reject();
+            jobs += count;
+            active[t] += count;
+        }
+        if (jobs != srv.busyCores())
+            reject();
+        busy += jobs;
+    }
+    if (busy != busyCores_ || active != active_)
+        fatal("Cluster::loadState: snapshot totals disagree with its "
+              "servers' job counts");
     totalPowerCache_.reset();
     markAllPowerDirty();
 }

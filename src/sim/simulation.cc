@@ -7,7 +7,7 @@
 #include "cooling/cooling_system.h"
 #include "fault/fault_engine.h"
 #include "obs/observability.h"
-#include "sim/interval_queue.h"
+#include "sim/departure_ring.h"
 #include "thermal/inlet_model.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -161,33 +161,10 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         result.meltMap.emplace(config.numServers, trace.size());
     }
 
-    // Running jobs live in a slot table (vector + freelist) rather
-    // than a hash map: departures are the hottest part of the driver
-    // loop, and resolving a slot is one indexed load where the map
-    // cost a hash, a probe and an erase per job. Slots are unique
-    // among live jobs (freed only at departure, reused only after),
-    // so they identify jobs exactly as the old global ids did and
-    // every bookkeeping structure below sees the same sequence of
-    // operations — simulation results are unchanged.
-    IntervalQueue<std::uint32_t> departures(config.interval);
-    std::vector<SimActiveJob> slots;
-    std::vector<std::uint32_t> free_slots;
-    // Per-(server, type) slot index so migrations find a victim in
-    // O(1).
-    std::vector<std::array<std::vector<std::uint32_t>, kNumWorkloads>>
-        jobs_at(config.numServers);
-    const auto index_remove = [&](std::size_t server,
-                                  WorkloadType type,
-                                  std::uint32_t slot) {
-        auto &ids = jobs_at[server][workloadIndex(type)];
-        const std::uint32_t pos = slots[slot].pos;
-        if (pos >= ids.size() || ids[pos] != slot)
-            panic("job missing from server index");
-        const std::uint32_t moved = ids.back();
-        ids[pos] = moved;
-        slots[moved].pos = pos;
-        ids.pop_back();
-    };
+    // One (server, type) record per running job: a departure is one
+    // Cluster::removeJob, and which job of a (server, type) leaves
+    // cannot change a result.
+    DepartureRing departures(config.interval, config.numServers);
 
     std::optional<CoolingSystem> plant;
     if (config.coolingCapacity > 0.0) {
@@ -208,11 +185,13 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         rejected.resize(config.numServers, 0.0);
     // Arrival buffer, likewise hoisted and reused.
     std::vector<Job> arrivals;
-    // Batch-placement buffers: one placement result per arrival, and
-    // the evacuation loop's refugee jobs + their slot ids.
+    // Batch-placement buffers: one placement result per arrival, the
+    // evacuation loop's refugee jobs + their kept due times, and this
+    // interval's executed migrations.
     std::vector<std::size_t> placements;
     std::vector<Job> refugees;
-    std::vector<std::uint32_t> refugee_slots;
+    std::vector<Seconds> refugee_dues;
+    std::vector<MigrationRequest> moves;
 
     // Fault layer: scripted/stochastic outages and degraded-mode
     // handling. Disabled (the default) leaves every code path below
@@ -235,9 +214,9 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                     config.interval);
     }
 
-    SimState state{config,       trace.size(), cluster,   generator,
-                   scheduler,    departures,   slots,     free_slots,
-                   jobs_at,      result,       prev_cooling_load,
+    SimState state{config,     trace.size(), cluster,
+                   generator,  scheduler,    departures,
+                   result,     prev_cooling_load,
                    faults ? &*faults : nullptr,
                    o};
 
@@ -271,19 +250,11 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         const Seconds now =
             static_cast<double>(interval) * config.interval;
 
-        // 1. Complete jobs due by now. Slots whose job was lost in an
-        // evacuation (serverId == kNoServer) are tombstones: the slot
-        // stays reserved until its departure fires, so slot ids stay
-        // unique among scheduled departures.
-        while (departures.hasEventDue(now)) {
-            const std::uint32_t slot = departures.pop();
-            const SimActiveJob &job = slots[slot];
-            if (job.serverId != kNoServer) {
-                cluster.removeJob(job.serverId, job.type);
-                index_remove(job.serverId, job.type, slot);
-            }
-            free_slots.push_back(slot);
-        }
+        // 1. Complete jobs due by now.
+        departures.drain(now, [&](DepartureRing::Record record) {
+            cluster.removeJob(DepartureRing::serverOf(record),
+                              DepartureRing::typeOf(record));
+        });
 
         // 1b. Apply fault events due at this boundary (server
         // outages/repairs, cooling derates, stochastic draws,
@@ -310,46 +281,33 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         // decision-identical to the historical interleaved loop: a
         // Failed server reports no capacity regardless of its
         // residual bookkeeping, and placement reads only frozen heap
-        // keys, thermal state and live capacity. Jobs with nowhere
-        // to go are lost; their slots become tombstones until the
-        // scheduled departure fires.
+        // keys, thermal state and live capacity. A placed refugee
+        // keeps its departure bucket (evacuateServers); jobs with
+        // nowhere to go are lost.
         if (!evacuating.empty()) {
             obs::ScopedPhase timer(prof, dobs.phasePlacementEvac);
-            refugees.clear();
-            refugee_slots.clear();
-            for (const std::size_t from : evacuating) {
-                for (const WorkloadType type : kAllWorkloads) {
-                    auto &ids = jobs_at[from][workloadIndex(type)];
-                    while (!ids.empty()) {
-                        const std::uint32_t slot = ids.back();
-                        ids.pop_back();
-                        cluster.removeJob(from, type);
-                        refugees.push_back(Job{0, type, 0.0});
-                        refugee_slots.push_back(slot);
-                    }
-                }
-            }
+            evacuateServers(departures, cluster, evacuating, refugees,
+                            refugee_dues);
             scheduler.placeJobs(cluster, refugees, placements);
             for (std::size_t k = 0; k < refugees.size(); ++k) {
-                const std::uint32_t slot = refugee_slots[k];
                 const std::size_t to = placements[k];
                 if (to == kNoServer) {
-                    slots[slot].serverId = kNoServer;
                     ++result.lostJobs;
                     continue;
                 }
-                auto &dest =
-                    jobs_at[to][workloadIndex(refugees[k].type)];
-                slots[slot].serverId = to;
-                slots[slot].pos =
-                    static_cast<std::uint32_t>(dest.size());
-                dest.push_back(slot);
+                departures.schedule(
+                    refugee_dues[k],
+                    DepartureRing::pack(to, refugees[k].type));
                 ++result.evacuatedJobs;
             }
         }
 
+        // Migrations are decided on core counts; migrateRecords then
+        // re-homes each move's departure record (the source's
+        // earliest-draining one of that type).
         if (config.migrationBudget > 0) {
             std::size_t budget = config.migrationBudget;
+            moves.clear();
             for (const MigrationRequest &req :
                  scheduler.proposeMigrations(cluster, now)) {
                 if (budget == 0)
@@ -358,28 +316,18 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                     req.toServer >= config.numServers ||
                     req.fromServer == req.toServer)
                     continue;
-                if (!std::as_const(cluster)
-                         .server(req.toServer)
-                         .hasCapacity())
+                const Cluster &view = cluster;
+                if (!view.server(req.toServer).hasCapacity() ||
+                    view.server(req.fromServer)
+                            .coreCounts()[workloadIndex(req.type)] == 0)
                     continue;
-                // Any matching job on the source server will do.
-                auto &ids =
-                    jobs_at[req.fromServer][workloadIndex(req.type)];
-                if (ids.empty())
-                    continue;
-                const std::uint32_t slot = ids.back();
-                ids.pop_back();
-                auto &dest =
-                    jobs_at[req.toServer][workloadIndex(req.type)];
-                slots[slot].pos =
-                    static_cast<std::uint32_t>(dest.size());
-                dest.push_back(slot);
                 cluster.removeJob(req.fromServer, req.type);
                 cluster.addJob(req.toServer, req.type);
-                slots[slot].serverId = req.toServer;
+                moves.push_back(req);
                 ++result.migrations;
                 --budget;
             }
+            migrateRecords(departures, moves);
         }
 
         // 3. Place this interval's arrivals.
@@ -394,8 +342,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         {
             obs::ScopedPhase timer(prof, dobs.phasePlacement);
             // One batch call decides (and applies) every placement;
-            // the slot/departure bookkeeping below is driver-local
-            // and cannot influence decisions.
+            // the departure records below are driver-local and cannot
+            // influence decisions.
             scheduler.placeJobs(cluster, arrivals, placements);
             for (std::size_t k = 0; k < arrivals.size(); ++k) {
                 const Job &job = arrivals[k];
@@ -404,20 +352,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                     ++result.droppedJobs;
                     continue;
                 }
-                auto &ids = jobs_at[id][workloadIndex(job.type)];
-                const auto pos =
-                    static_cast<std::uint32_t>(ids.size());
-                std::uint32_t slot;
-                if (!free_slots.empty()) {
-                    slot = free_slots.back();
-                    free_slots.pop_back();
-                    slots[slot] = SimActiveJob{id, job.type, pos};
-                } else {
-                    slot = static_cast<std::uint32_t>(slots.size());
-                    slots.push_back(SimActiveJob{id, job.type, pos});
-                }
-                ids.push_back(slot);
-                departures.schedule(now + job.duration, slot);
+                departures.schedule(now + job.duration,
+                                    DepartureRing::pack(id, job.type));
                 ++result.placedJobs;
             }
         }

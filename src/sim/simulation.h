@@ -13,7 +13,6 @@
 #ifndef VMT_SIM_SIMULATION_H
 #define VMT_SIM_SIMULATION_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -25,7 +24,7 @@
 #include "sched/scheduler.h"
 #include "server/cluster.h"
 #include "server/server_spec.h"
-#include "sim/interval_queue.h"
+#include "sim/departure_ring.h"
 #include "thermal/thermal_params.h"
 #include "util/heatmap.h"
 #include "util/time_series.h"
@@ -197,17 +196,6 @@ struct SimResult
     SimResult();
 };
 
-/** Where each running job currently lives (jobs can migrate).
- *  Exposed for checkpointing; see SimState. */
-struct SimActiveJob
-{
-    std::size_t serverId;
-    WorkloadType type;
-    /** Index of this job's slot within its jobs_at list, so removal
-     *  is O(1) instead of a scan. */
-    std::uint32_t pos;
-};
-
 /**
  * The complete mutable driver state of one in-flight runSimulation
  * call, exposed to the checkpoint/restore hooks. References point at
@@ -223,16 +211,9 @@ struct SimState
     Cluster &cluster;
     JobGenerator &generator;
     Scheduler &scheduler;
-    /** Pending departures, payload = job slot index. */
-    IntervalQueue<std::uint32_t> &departures;
-    /** The job slot table (freed slots keep stale entries that are
-     *  never read before reuse; serialized verbatim). */
-    std::vector<SimActiveJob> &slots;
-    /** Freelist of reusable slots; reuse order is back() first. */
-    std::vector<std::uint32_t> &freeSlots;
-    /** Per-(server, workload) lists of resident job slots. */
-    std::vector<std::array<std::vector<std::uint32_t>,
-                           kNumWorkloads>> &jobsAt;
+    /** Pending departures: one (server, type) record per running
+     *  job. */
+    DepartureRing &departures;
     SimResult &result;
     /** Previous interval's cooling load (plant feedback input). */
     Watts &prevCoolingLoad;

@@ -127,33 +127,9 @@ saveSnapshot(const SimState &state, std::size_t completed,
     state.generator.saveState(writer.section("GENR"));
     cluster.saveState(writer.section("CLUS"));
 
-    // QUEU: the job slot table (verbatim, including stale freed
-    // entries — they are never read before reuse but keep slot indices
-    // stable), the freelist, the per-(server, workload) residency
-    // lists and the pending departures in pop order.
-    Serializer &queue = writer.section("QUEU");
-    queue.putSize(state.slots.size());
-    for (const SimActiveJob &job : state.slots) {
-        queue.putSize(job.serverId);
-        queue.putU8(static_cast<std::uint8_t>(job.type));
-        queue.putU32(job.pos);
-    }
-    queue.putSize(state.freeSlots.size());
-    for (std::uint32_t slot : state.freeSlots)
-        queue.putU32(slot);
-    for (const auto &per_server : state.jobsAt) {
-        for (const auto &ids : per_server) {
-            queue.putSize(ids.size());
-            for (std::uint32_t slot : ids)
-                queue.putU32(slot);
-        }
-    }
-    queue.putSize(state.departures.size());
-    state.departures.visitPending(
-        [&queue](Seconds time, std::uint32_t slot) {
-            queue.putDouble(time);
-            queue.putU32(slot);
-        });
+    // QUEU (format v3): the departure ring, one 4-byte (server, type)
+    // record per running job, bucket by bucket in drain order.
+    state.departures.saveState(writer.section("QUEU"));
 
     state.scheduler.saveState(writer.section("SCHD"));
 
@@ -180,11 +156,11 @@ saveSnapshot(const SimState &state, std::size_t completed,
     saveHeatmap(res, result.airTempMap);
     saveHeatmap(res, result.meltMap);
 
-    // FALT (new in format v2): the fault-layer configuration echo
+    // FALT (since format v2): the fault-layer configuration echo
     // (rejecting resume under different faults, like CONF does for
     // the core parameters), the engine's dynamic state and the fault
     // telemetry. Always written — a disabled layer round-trips as
-    // "inactive" — so every v2 snapshot has the same section set.
+    // "inactive" — so every v2/v3 snapshot has the same section set.
     Serializer &falt = writer.section("FALT");
     const FaultConfig &fc = config.faults;
     falt.putBool(fc.enable);
@@ -211,8 +187,9 @@ saveSnapshot(const SimState &state, std::size_t completed,
     falt.putU64(result.criticalServerIntervals);
 
     // OBSV (optional): metric values + run telemetry, written only
-    // when the run carries an observability layer. Still format v2 —
-    // readers treat a missing section as "run without observability".
+    // when the run carries an observability layer. Readers of every
+    // format version treat a missing section as "run without
+    // observability".
     if (state.obs)
         state.obs->saveState(writer.section("OBSV"));
 
@@ -268,48 +245,17 @@ loadSnapshot(SimState &state, const std::string &path)
     state.cluster.loadState(clus);
     clus.expectEnd();
 
+    // QUEU: the departure ring (v3), or a v1/v2 slot-table ledger
+    // converted to records. Either way the next drain is the resume
+    // boundary, and the ring must hold exactly the cluster's jobs.
     Deserializer queue = reader.section("QUEU");
-    const std::size_t slot_count = queue.getSize();
-    state.slots.clear();
-    state.slots.reserve(slot_count);
-    for (std::size_t i = 0; i < slot_count; ++i) {
-        SimActiveJob job;
-        job.serverId = queue.getSize();
-        const std::uint8_t type = queue.getU8();
-        if (type >= kNumWorkloads)
-            fatal("snapshot job slot has invalid workload type");
-        job.type = static_cast<WorkloadType>(type);
-        job.pos = queue.getU32();
-        state.slots.push_back(job);
-    }
-    const std::size_t free_count = queue.getSize();
-    state.freeSlots.clear();
-    state.freeSlots.reserve(free_count);
-    for (std::size_t i = 0; i < free_count; ++i)
-        state.freeSlots.push_back(queue.getU32());
-    for (auto &per_server : state.jobsAt) {
-        for (auto &ids : per_server) {
-            const std::size_t count = queue.getSize();
-            ids.clear();
-            ids.reserve(count);
-            for (std::size_t i = 0; i < count; ++i)
-                ids.push_back(queue.getU32());
-        }
-    }
-    const std::size_t pending = queue.getSize();
-    // Pin the rebuilt queue's drain front to the resume point, then
-    // re-schedule in saved pop order: the queue's stable order by time
-    // keeps that order, original tie-breaks included.
-    state.departures.restoreFront(static_cast<double>(completed) *
-                                  config.interval);
-    for (std::size_t i = 0; i < pending; ++i) {
-        const Seconds time = queue.getDouble();
-        const std::uint32_t slot = queue.getU32();
-        if (slot >= state.slots.size())
-            fatal("snapshot departure references an invalid job slot");
-        state.departures.schedule(time, slot);
-    }
+    const Seconds resume = static_cast<double>(completed) * config.interval;
+    if (reader.version() >= 3)
+        state.departures.loadState(queue, resume);
+    else
+        state.departures.loadLegacy(queue, resume);
     queue.expectEnd();
+    checkLedger(state.departures, state.cluster);
 
     Deserializer sched = reader.section("SCHD");
     state.scheduler.loadState(sched);

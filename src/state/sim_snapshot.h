@@ -3,9 +3,9 @@
  * Checkpoint/restore for the simulation driver.
  *
  * saveSnapshot() captures the complete mutable state of an in-flight
- * run — RNG streams, per-server thermal state, the job slot table and
- * pending departures, scheduler internals and the result series so
- * far — into the versioned snapshot container (state/snapshot.h).
+ * run — RNG streams, per-server thermal state, the departure ring,
+ * scheduler internals and the result series so far — into the
+ * versioned snapshot container (state/snapshot.h).
  * loadSnapshot() rebuilds that state into a freshly set-up driver, and
  * the resumed run then produces a SimResult bitwise identical to an
  * uninterrupted one (pinned by the `ctest -L state` suite).

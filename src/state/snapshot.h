@@ -36,11 +36,13 @@ namespace vmt {
 /**
  * Version written by SnapshotWriter. Bumped whenever the container
  * layout or any section payload changes incompatibly. v2 added the
- * FALT section (fault-engine state + fault telemetry); every v1
- * section kept its layout, so v1 files remain loadable (see
+ * FALT section (fault-engine state + fault telemetry). v3 replaced
+ * the job slot ledger in QUEU (vmtsim) and SHRD (vmtserve) with the
+ * departure ring's (server, type) records; the loaders convert a
+ * v1/v2 ledger, so older files remain loadable (see
  * kSnapshotMinReadVersion).
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /** Oldest format version readers still accept. */
 inline constexpr std::uint32_t kSnapshotMinReadVersion = 1;

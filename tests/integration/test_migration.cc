@@ -1,10 +1,13 @@
 /**
  * @file
- * Tests for live job migration: bookkeeping correctness (departures
- * follow moved jobs) and the VMT-WA shedding policy.
+ * Tests for live job migration: bookkeeping correctness (departure
+ * records follow moved jobs) and the VMT-WA shedding policy.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/vmt_wa.h"
 #include "sched/round_robin.h"
@@ -51,9 +54,24 @@ TEST(Migration, BookkeepingSurvivesConstantChurn)
     config.numServers = 10;
     config.trace.duration = 12.0;
     config.migrationBudget = 4;
+    // Each move re-homes a departure record: after every interval the
+    // ring must hold exactly the cluster's jobs per (server, type).
+    std::size_t mismatches = 0;
+    config.checkpointHook = [&mismatches](const SimState &state,
+                                          std::size_t) {
+        const Cluster &cluster = state.cluster;
+        const std::vector<std::uint32_t> pending =
+            state.departures.countsByRecord();
+        for (std::size_t id = 0; id < cluster.numServers(); ++id)
+            for (const WorkloadType type : kAllWorkloads)
+                mismatches += pending[DepartureRing::pack(id, type)] !=
+                              cluster.server(id)
+                                  .coreCounts()[workloadIndex(type)];
+    };
     ChurnScheduler sched;
     // Would panic on a departure landing on the wrong server.
     const SimResult r = runSimulation(config, sched);
+    EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(r.migrations, 100u);
     EXPECT_EQ(r.droppedJobs, 0u);
     // Energy split still exact.

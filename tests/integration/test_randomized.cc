@@ -12,7 +12,7 @@
 #include "sched/block_min_group.h"
 #include "sched/scheduler.h"
 #include "thermal/pcm.h"
-#include "thermal/server_thermal.h"
+#include "reference/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
 #include "util/rng.h"
 

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "server/cluster.h"
-#include "thermal/server_thermal.h"
+#include "reference/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
 
 namespace vmt::reference {

@@ -233,6 +233,30 @@ TEST(ServeDriver, ResumeProducesBitwiseIdenticalTelemetry)
     EXPECT_DOUBLE_EQ(resumed.maxMeltFraction, full.maxMeltFraction);
 }
 
+TEST(ServeDriver, FormatV2SnapshotStillResumes)
+{
+    // tests/state/data/serve_v2.snap was written by a format v2 build
+    // (SHRD held a job slot table, freelist, residency lists and
+    // timed departures): smallConfig() and busyFeed(), checkpointed
+    // after interval 4. The loader converts that ledger to departure
+    // records, and the resumed run reproduces the uninterrupted one.
+    const ServeResult full = runSmall(smallConfig(), busyFeed());
+    ServeConfig resume = smallConfig();
+    resume.resumeFrom =
+        std::string(VMT_TEST_DATA_DIR) + "/serve_v2.snap";
+    SyntheticFeed feed(busyFeed());
+    ShardedDriver driver(resume);
+    const ServeResult resumed = driver.run(feed);
+
+    EXPECT_EQ(resumed.resumedIntervals, 4u);
+    std::size_t tail_start = 0;
+    for (int line = 0; line < 4; ++line)
+        tail_start = full.telemetry.find('\n', tail_start) + 1;
+    EXPECT_EQ(resumed.telemetry, full.telemetry.substr(tail_start));
+    EXPECT_EQ(resumed.completedJobs, full.completedJobs);
+    EXPECT_EQ(resumed.finalInFlight, full.finalInFlight);
+}
+
 TEST(ServeDriver, ResumeRefusesAMismatchedConfig)
 {
     const std::string ckpt =

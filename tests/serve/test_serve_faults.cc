@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "reference/snapshot_mutator.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "util/logging.h"
@@ -190,7 +192,8 @@ TEST(ServeFaults, ResumeWithActivePlanIsBitwise)
 
     // First leg stops at interval 8 — after the outage fired (t=300,
     // interval 5) but before the scripted repair, so the snapshot
-    // carries failed servers, tombstoned slots and the plan cursor.
+    // carries failed servers, re-filed refugee departures and the
+    // plan cursor.
     ServeConfig first = reference;
     first.maxIntervals = 8;
     first.checkpointEvery = 8;
@@ -328,6 +331,127 @@ TEST(ServeFaults, CleanRunCarriesNoDegradedFields)
     EXPECT_DOUBLE_EQ(faulted.maxAirTemp, result.maxAirTemp);
     EXPECT_NE(faulted.telemetry.find("\"failed\":"),
               std::string::npos);
+}
+
+TEST(ServeFaults, DepartureLedgerMatchesTheClusterEveryInterval)
+{
+    // Every interval's checkpoint is resumed by a second driver, whose
+    // loader refuses a shard whose pending departure records of any
+    // (server, type) differ from the cluster's job count — through
+    // the outage, the cross-shard evacuation and the repair.
+    const std::string ckpt =
+        testing::TempDir() + "vmt_serve_ledger.ckpt";
+    ServeConfig config = smallConfig();
+    config.faults.plan = halfFleetOutage();
+    config.keepTelemetry = false;
+    config.checkpointEvery = 1;
+    config.checkpointPath = ckpt;
+    std::size_t checked = 0;
+    const auto check = [&](std::size_t completed) {
+        ServeConfig probe = config;
+        probe.checkpointEvery = 0;
+        probe.maxIntervals = completed;
+        probe.resumeFrom = ckpt;
+        SyntheticFeed feed(busyFeed());
+        ShardedDriver driver(probe);
+        EXPECT_NO_THROW(driver.run(feed)) << "interval " << completed;
+        ++checked;
+    };
+    SyntheticFeed feed(busyFeed());
+    ShardedDriver driver(config);
+    std::size_t polls = 0;
+    const ServeResult result = driver.run(feed, [&] {
+        if (polls > 0)
+            check(polls);
+        ++polls;
+        return false;
+    });
+    check(result.completedIntervals);
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".prev").c_str());
+
+    EXPECT_EQ(checked, config.maxIntervals);
+    EXPECT_GT(result.migratedJobs, 0u);
+}
+
+/** A 24-server CoolestFirst run under the half-fleet outage (the
+ *  policy keeps no state of its own, so the SHRD payload is cluster
+ *  and departure ring). */
+ServeConfig
+ledgerConfig()
+{
+    ServeConfig config = smallConfig();
+    config.policy = "cf";
+    config.faults.plan = halfFleetOutage();
+    config.keepTelemetry = false;
+    return config;
+}
+
+std::vector<std::uint8_t>
+snapshotAfter(std::size_t completed)
+{
+    const std::string ckpt =
+        testing::TempDir() + "vmt_serve_ledger_source.ckpt";
+    ServeConfig config = ledgerConfig();
+    config.maxIntervals = completed;
+    config.checkpointEvery = completed;
+    config.checkpointPath = ckpt;
+    SyntheticFeed feed(busyFeed());
+    ShardedDriver(config).run(feed);
+    std::vector<std::uint8_t> image = reference::readBytes(ckpt);
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".prev").c_str());
+    return image;
+}
+
+/** True when a run resumed from `image` goes to the end, false on a
+ *  FatalError; anything else escapes and fails the test. */
+bool
+resumes(const std::vector<std::uint8_t> &image)
+{
+    const std::string ckpt =
+        testing::TempDir() + "vmt_serve_ledger_mutant.ckpt";
+    reference::writeBytes(ckpt, image);
+    ServeConfig config = ledgerConfig();
+    config.resumeFrom = ckpt;
+    SyntheticFeed feed(busyFeed());
+    ShardedDriver driver(config);
+    bool ran = true;
+    try {
+        driver.run(feed);
+    } catch (const FatalError &) {
+        ran = false;
+    }
+    std::remove(ckpt.c_str());
+    return ran;
+}
+
+TEST(ServeFaults, MutatedShrdPayloadsEndInANamedFatalOrACleanResume)
+{
+    // Truncated, byte-flipped and spliced SHRD payloads, CRCs
+    // recomputed: each ends in a FatalError or a resume that runs to
+    // the end — never a crash (the CI sanitizer job runs this suite
+    // under ASan and UBSan).
+    reference::SnapshotSections base(snapshotAfter(8));
+    const std::vector<std::uint8_t> shrd = base.payload("SHRD");
+    const std::vector<std::uint8_t> donor =
+        reference::SnapshotSections(snapshotAfter(12)).payload("SHRD");
+    ASSERT_TRUE(resumes(base.encode()));
+
+    Rng rng(1717);
+    std::array<int, 3> fatals{};
+    constexpr int kPerKind = 700;
+    for (int i = 0; i < 3 * kPerKind; ++i) {
+        const auto kind = static_cast<reference::Mutation>(i % 3);
+        reference::SnapshotSections image = base;
+        image.payload("SHRD") =
+            reference::mutate(shrd, donor, kind, rng);
+        if (!resumes(image.encode()))
+            ++fatals[static_cast<std::size_t>(kind)];
+    }
+    EXPECT_EQ(fatals[0], kPerKind); // Every cut falls short.
+    EXPECT_GT(fatals[1], 0);
+    EXPECT_GT(fatals[2], 0);
 }
 
 } // namespace

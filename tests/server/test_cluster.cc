@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "server/cluster.h"
+#include "state/serializer.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -58,6 +62,32 @@ TEST(Cluster, ServerOutOfRangePanics)
 {
     Cluster c = makeCluster();
     EXPECT_DEATH(c.server(4), "out of range");
+}
+
+TEST(Cluster, LoadStateRejectsCountsItsServersCannotHold)
+{
+    Cluster c = makeCluster(4);
+    c.addJob(0, WorkloadType::WebSearch);
+    c.addJob(2, WorkloadType::Clustering);
+    Serializer out;
+    c.saveState(out);
+    const auto load = [](std::vector<std::uint8_t> bytes,
+                         std::size_t at, std::uint64_t value) {
+        for (int b = 0; b < 8; ++b)
+            bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+        Deserializer in(bytes);
+        Cluster fresh = makeCluster(4);
+        fresh.loadState(in);
+    };
+    // Layout: server count, busy cores, five per-type totals, the
+    // inlet, then per server its five type counts and busy cores.
+    EXPECT_NO_THROW(load(out.bytes(), 8, 2));
+    EXPECT_THROW(load(out.bytes(), 8, 3), FatalError);   // Busy total.
+    EXPECT_THROW(load(out.bytes(), 16, 2), FatalError);  // Type total.
+    EXPECT_THROW(load(out.bytes(), 64, std::uint64_t{1} << 63),
+                 FatalError); // Server 0's count beyond its cores.
+    EXPECT_THROW(load(out.bytes(), 104, 2),
+                 FatalError); // Server 0's busy cores vs its counts.
 }
 
 TEST(Cluster, TotalPowerSumsServers)

@@ -20,7 +20,11 @@ namespace {
 class ResultIoTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "vmt_result.csv";
+    // One file per test: ctest runs the tests in parallel processes.
+    std::string path_ =
+        ::testing::TempDir() + "vmt_result_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
 
     void TearDown() override { std::remove(path_.c_str()); }
 

@@ -206,8 +206,8 @@ TEST(Snapshot, MissingFileThrows)
     EXPECT_THROW(SnapshotReader("/nonexistent-vmt.snap"), FatalError);
 }
 
-/** Shared checks on the golden payloads (identical in v1 and v2 —
- *  section layouts did not change across the bump). */
+/** Shared checks on the golden payloads (identical in v1, v2 and v3
+ *  — the container layout did not change across the bumps). */
 void
 expectGoldenPayloads(const SnapshotReader &reader)
 {
@@ -227,12 +227,13 @@ expectGoldenPayloads(const SnapshotReader &reader)
  * writer must produce its exact bytes, and today's reader must parse
  * it. If this test fails because the format deliberately changed,
  * bump kSnapshotFormatVersion and regenerate the fixture by writing
- * goldenWriter().encode() to tests/state/data/golden_v2.snap.
+ * goldenWriter().encode() to tests/state/data/golden_v<N>.snap,
+ * keeping the older fixtures byte for byte.
  */
 TEST(Snapshot, GoldenFixtureIsByteStable)
 {
     const std::string path =
-        std::string(VMT_TEST_DATA_DIR) + "/golden_v2.snap";
+        std::string(VMT_TEST_DATA_DIR) + "/golden_v3.snap";
     ASSERT_TRUE(fileExists(path))
         << "golden fixture missing: " << path;
     EXPECT_EQ(readFile(path), goldenWriter().encode());
@@ -241,17 +242,26 @@ TEST(Snapshot, GoldenFixtureIsByteStable)
 TEST(Snapshot, GoldenFixtureParses)
 {
     const SnapshotReader reader(std::string(VMT_TEST_DATA_DIR) +
+                                "/golden_v3.snap");
+    EXPECT_EQ(reader.version(), 3u);
+    expectGoldenPayloads(reader);
+}
+
+/**
+ * Backward compatibility: files written by v2 builds (job slot
+ * ledgers in QUEU/SHRD, which the driver loaders convert) and by v1
+ * builds (before the fault layer's FALT section) must keep parsing —
+ * the version gate accepts [kSnapshotMinReadVersion,
+ * kSnapshotFormatVersion].
+ */
+TEST(Snapshot, V2FixtureStillParses)
+{
+    const SnapshotReader reader(std::string(VMT_TEST_DATA_DIR) +
                                 "/golden_v2.snap");
     EXPECT_EQ(reader.version(), 2u);
     expectGoldenPayloads(reader);
 }
 
-/**
- * Backward compatibility: files written by v1 builds (before the
- * fault layer's FALT section) must keep parsing — the version gate
- * accepts [kSnapshotMinReadVersion, kSnapshotFormatVersion] and no
- * v1 section changed its layout.
- */
 TEST(Snapshot, V1FixtureStillParses)
 {
     const SnapshotReader reader(std::string(VMT_TEST_DATA_DIR) +

@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "thermal/rc_node.h"
-#include "thermal/server_thermal.h"
+#include "reference/server_thermal.h"
 #include "util/logging.h"
 
 namespace vmt {

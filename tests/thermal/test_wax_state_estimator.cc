@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "thermal/server_thermal.h"
+#include "reference/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
 #include "util/logging.h"
 

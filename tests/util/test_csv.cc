@@ -27,8 +27,11 @@ readAll(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
+    // One file per test: ctest runs the tests in parallel processes.
     std::string path_ =
-        ::testing::TempDir() + "vmt_csv_test.csv";
+        ::testing::TempDir() + "vmt_csv_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

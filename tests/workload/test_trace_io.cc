@@ -17,7 +17,11 @@ namespace {
 class TraceIoTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "vmt_trace_test.csv";
+    // One file per test: ctest runs the tests in parallel processes.
+    std::string path_ =
+        ::testing::TempDir() + "vmt_trace_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
 
     void TearDown() override { std::remove(path_.c_str()); }
 };
