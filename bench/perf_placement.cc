@@ -13,13 +13,26 @@
  * times one interval refresh plus one arrival batch, and the jobs
  * placed are removed again (untimed) before the next rep.
  *
- * Flags: --threads (bench/common.h)
+ * Each point places two batch shapes with the catalog's load shares:
+ * `runs`, one same-type run per workload as JobGenerator emits them
+ * (the group policies' batch path), and `mixed`, the same jobs
+ * interleaved as a serving feed delivers them (runs of one or two
+ * jobs: the per-job path).
+ *
+ * Flags: --check    perf gate: on the 1000-server cluster with `runs`
+ *                   batches, time placeJobs against a per-job replay
+ *                   (the Scheduler::placeJobs default) for cf, ta and
+ *                   wa, best of three; exit non-zero unless the batch
+ *                   path is faster and its decisions are identical.
+ *                   Writes no JSON.
+ *        --threads (bench/common.h)
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
  *              `placement_micro` rows into (default ./BENCH_sim.json;
  *              inserted before the `kernel_micro`/`build` tail).
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +49,7 @@
 #include "core/vmt_wa.h"
 #include "sched/coolest_first.h"
 #include "server/cluster.h"
+#include "util/flags.h"
 #include "util/json_splice.h"
 
 using namespace vmt;
@@ -74,13 +88,48 @@ policies()
     };
 }
 
+/** Arrival batch shapes (see the file comment). */
+enum class Shape { Runs, Mixed };
+
+const char *
+shapeName(Shape shape)
+{
+    return shape == Shape::Runs ? "runs" : "mixed";
+}
+
 struct Row
 {
     std::string policy;
     std::size_t servers;
     std::size_t rate;
+    Shape shape;
     double usPerInterval;
     double jobsPerSec;
+};
+
+/** Forwards every call but placeJobs, so a batch is replayed job by
+ *  job through the Scheduler::placeJobs default. */
+class PerJobReplay final : public Scheduler
+{
+  public:
+    explicit PerJobReplay(std::unique_ptr<Scheduler> inner)
+        : inner_(std::move(inner))
+    {}
+
+    std::string name() const override { return inner_->name(); }
+
+    void beginInterval(Cluster &cluster, Seconds now) override
+    {
+        inner_->beginInterval(cluster, now);
+    }
+
+    std::size_t placeJob(Cluster &cluster, const Job &job) override
+    {
+        return inner_->placeJob(cluster, job);
+    }
+
+  private:
+    std::unique_ptr<Scheduler> inner_;
 };
 
 /**
@@ -113,28 +162,66 @@ makeSteadyCluster(std::size_t servers)
     return cluster;
 }
 
-/** The deterministic arrival batch for one point (mixed hot/cold). */
+/**
+ * The deterministic arrival batch for one point: `rate` jobs split
+ * over the workloads by catalog load share (remainder to the first
+ * types), as one same-type run per workload in catalog order
+ * (Shape::Runs) or interleaved by smooth weighted round robin
+ * (Shape::Mixed).
+ */
 std::vector<Job>
-makeArrivals(std::size_t rate)
+makeArrivals(std::size_t rate, Shape shape)
 {
+    std::array<std::size_t, kNumWorkloads> count{};
+    std::size_t assigned = 0;
+    for (std::size_t i = 0; i < kNumWorkloads; ++i) {
+        count[i] = static_cast<std::size_t>(
+            static_cast<double>(rate) *
+            workloadInfo(kAllWorkloads[i]).loadShare);
+        assigned += count[i];
+    }
+    for (std::size_t i = 0; assigned < rate; i = (i + 1) % kNumWorkloads) {
+        ++count[i];
+        ++assigned;
+    }
+
     std::vector<Job> jobs;
     jobs.reserve(rate);
-    for (std::size_t k = 0; k < rate; ++k)
-        jobs.push_back(
-            Job{k, kAllWorkloads[(k * 5 + 1) % kNumWorkloads], 0.0});
+    if (shape == Shape::Runs) {
+        for (std::size_t i = 0; i < kNumWorkloads; ++i)
+            for (std::size_t j = 0; j < count[i]; ++j)
+                jobs.push_back(Job{jobs.size(), kAllWorkloads[i], 0.0});
+        return jobs;
+    }
+    std::array<std::ptrdiff_t, kNumWorkloads> credit{};
+    for (std::size_t k = 0; k < rate; ++k) {
+        std::size_t pick = 0;
+        for (std::size_t i = 0; i < kNumWorkloads; ++i) {
+            credit[i] += static_cast<std::ptrdiff_t>(count[i]);
+            if (credit[i] > credit[pick])
+                pick = i;
+        }
+        credit[pick] -= static_cast<std::ptrdiff_t>(rate);
+        jobs.push_back(Job{k, kAllWorkloads[pick], 0.0});
+    }
     return jobs;
 }
 
 /**
  * Time `reps` intervals of (beginInterval + placeJobs), un-placing
  * the batch between reps so every rep sees the identical steady
- * state.
+ * state. With `per_job` the policy's batches are replayed job by job;
+ * `decisions`, when given, receives the first rep's placements.
  */
 double
 timeIntervals(const Policy &policy, Cluster &cluster,
-              const std::vector<Job> &jobs, std::size_t reps)
+              const std::vector<Job> &jobs, std::size_t reps,
+              bool per_job = false,
+              std::vector<std::size_t> *decisions = nullptr)
 {
     std::unique_ptr<Scheduler> sched = policy.make();
+    if (per_job)
+        sched = std::make_unique<PerJobReplay>(std::move(sched));
 
     std::vector<std::size_t> out;
     std::chrono::steady_clock::duration elapsed{};
@@ -143,6 +230,8 @@ timeIntervals(const Policy &policy, Cluster &cluster,
         sched->beginInterval(cluster, 0.0);
         sched->placeJobs(cluster, jobs, out);
         elapsed += std::chrono::steady_clock::now() - start;
+        if (rep == 0 && decisions)
+            *decisions = out;
         // Untimed restore: the next rep starts from the same state.
         for (std::size_t k = 0; k < out.size(); ++k) {
             if (out[k] != kNoServer)
@@ -150,6 +239,52 @@ timeIntervals(const Policy &policy, Cluster &cluster,
         }
     }
     return std::chrono::duration<double>(elapsed).count();
+}
+
+/**
+ * The CI gate: on the 1000-server cluster with 2048-job `runs`
+ * batches, each of cf, ta and wa must place faster through placeJobs
+ * than through a per-job replay (best of three, alternating), with
+ * identical decisions.
+ */
+bool
+checkBatchGate()
+{
+    constexpr std::size_t kServers = 1000;
+    constexpr std::size_t kRate = 2048;
+    constexpr std::size_t kReps = 100;
+    auto cluster = makeSteadyCluster(kServers);
+    const std::vector<Job> jobs = makeArrivals(kRate, Shape::Runs);
+    bool ok = true;
+    for (const Policy &policy : policies()) {
+        const std::string name = policy.name;
+        if (name != "cf" && name != "ta" && name != "wa")
+            continue;
+        std::vector<std::size_t> batch_out;
+        std::vector<std::size_t> replay_out;
+        double batch = 1e300;
+        double replay = 1e300;
+        for (int round = 0; round < 3; ++round) {
+            batch = std::min(batch, timeIntervals(policy, *cluster, jobs,
+                                                  kReps, false,
+                                                  &batch_out));
+            replay = std::min(replay,
+                              timeIntervals(policy, *cluster, jobs, kReps,
+                                            true, &replay_out));
+        }
+        const bool same = batch_out == replay_out;
+        const bool faster = batch < replay;
+        std::printf("[placement_check] %-3s batch %8.2f us/interval  "
+                    "per-job %8.2f us/interval  %.2fx  decisions %s\n",
+                    policy.name, 1e6 * batch / kReps,
+                    1e6 * replay / kReps, replay / batch,
+                    same ? "identical" : "DIFFER");
+        ok = ok && same && faster;
+    }
+    std::printf("[placement_check] perf gate: %s\n",
+                ok ? "PASS (batch faster, same decisions)"
+                   : "FAIL (batch slower or decisions differ)");
+    return ok;
 }
 
 /**
@@ -176,8 +311,9 @@ spliceJson(const std::string &path, const std::vector<Row> &rows)
         const Row &r = rows[i];
         micro << "    {\"policy\": \"" << r.policy
               << "\", \"servers\": " << r.servers
-              << ", \"rate\": " << r.rate
-              << ", \"us_per_interval\": " << r.usPerInterval
+              << ", \"rate\": " << r.rate << ", \"arrivals\": \""
+              << shapeName(r.shape)
+              << "\", \"us_per_interval\": " << r.usPerInterval
               << ", \"jobs_per_sec\": " << r.jobsPerSec << "}"
               << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -201,6 +337,9 @@ int
 main(int argc, char **argv)
 {
     vmt::bench::configureThreadsFromArgs(argc, argv);
+    const Flags flags(argc, argv);
+    if (flags.getBool("check", false))
+        return checkBatchGate() ? 0 : 1;
 
     std::string json_path = "BENCH_sim.json";
     if (const char *env = std::getenv("VMT_PERF_JSON"))
@@ -211,28 +350,32 @@ main(int argc, char **argv)
         for (const std::size_t servers : {250, 1000, 10000}) {
             auto cluster = makeSteadyCluster(servers);
             for (const std::size_t rate : {32, 256, 2048}) {
-                const std::vector<Job> jobs = makeArrivals(rate);
-                const std::size_t reps = std::max<std::size_t>(
-                    20, 400000 / (servers + 4 * rate));
-                // Best of three: the minimum is the least
-                // noise-contaminated estimate of the true cost.
-                double seconds =
-                    timeIntervals(policy, *cluster, jobs, reps);
-                for (int rep = 0; rep < 2; ++rep)
-                    seconds = std::min(seconds,
-                                       timeIntervals(policy, *cluster,
-                                                     jobs, reps));
-                const double interval_rate =
-                    static_cast<double>(reps) / seconds;
-                rows.push_back(
-                    {policy.name, servers, rate,
-                     1e6 * seconds / static_cast<double>(reps),
-                     static_cast<double>(rate) * interval_rate});
-                std::printf("[placement_micro] %-8s servers=%-5zu "
-                            "rate=%-4zu %9.2f us/interval\n",
-                            policy.name, servers, rate,
-                            rows.back().usPerInterval);
-                std::fflush(stdout);
+                for (const Shape shape : {Shape::Runs, Shape::Mixed}) {
+                    const std::vector<Job> jobs =
+                        makeArrivals(rate, shape);
+                    const std::size_t reps = std::max<std::size_t>(
+                        20, 400000 / (servers + 4 * rate));
+                    // Best of three: the minimum is the least
+                    // noise-contaminated estimate of the true cost.
+                    double seconds =
+                        timeIntervals(policy, *cluster, jobs, reps);
+                    for (int rep = 0; rep < 2; ++rep)
+                        seconds = std::min(
+                            seconds,
+                            timeIntervals(policy, *cluster, jobs, reps));
+                    const double interval_rate =
+                        static_cast<double>(reps) / seconds;
+                    rows.push_back(
+                        {policy.name, servers, rate, shape,
+                         1e6 * seconds / static_cast<double>(reps),
+                         static_cast<double>(rate) * interval_rate});
+                    std::printf("[placement_micro] %-8s servers=%-5zu "
+                                "rate=%-4zu %-5s %9.2f us/interval\n",
+                                policy.name, servers, rate,
+                                shapeName(shape),
+                                rows.back().usPerInterval);
+                    std::fflush(stdout);
+                }
             }
         }
     }

@@ -85,6 +85,14 @@ AdaptiveVmtScheduler::placeJob(Cluster &cluster, const Job &job)
     return inner_.placeJob(cluster, job);
 }
 
+void
+AdaptiveVmtScheduler::placeJobs(Cluster &cluster,
+                                std::span<const Job> jobs,
+                                std::vector<std::size_t> &out)
+{
+    inner_.placeJobs(cluster, jobs, out);
+}
+
 std::optional<std::size_t>
 AdaptiveVmtScheduler::hotGroupSize() const
 {

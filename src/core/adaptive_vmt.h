@@ -77,6 +77,9 @@ class AdaptiveVmtScheduler : public Scheduler
 
     std::size_t placeJob(Cluster &cluster, const Job &job) override;
 
+    void placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                   std::vector<std::size_t> &out) override;
+
     std::optional<std::size_t> hotGroupSize() const override;
 
     std::vector<MigrationRequest>

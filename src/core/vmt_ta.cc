@@ -60,6 +60,29 @@ VmtTaScheduler::placeJob(Cluster &cluster, const Job &job)
     return fallback.place(cluster, watts);
 }
 
+void
+VmtTaScheduler::placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                          std::vector<std::size_t> &out)
+{
+    if (!initialized_ && !jobs.empty())
+        beginInterval(cluster, 0.0);
+    const auto place_one = [&](const Job &job) {
+        return VmtTaScheduler::placeJob(cluster, job);
+    };
+    // The primary group only fails once every member is dropped, so
+    // it fails for the rest of the run too.
+    const auto place_run = [&](WorkloadType type, std::size_t k) {
+        const Watts watts = cluster.powerModel().corePower(type);
+        const bool hot = hotMask_[workloadIndex(type)];
+        const std::size_t placed =
+            (hot ? hotGroup_ : coldGroup_)
+                .placeRun(cluster, type, watts, k, out);
+        (hot ? coldGroup_ : hotGroup_)
+            .placeRun(cluster, type, watts, k - placed, out);
+    };
+    placeTypeRuns(cluster, jobs, out, place_one, place_run);
+}
+
 std::optional<std::size_t>
 VmtTaScheduler::hotGroupSize() const
 {

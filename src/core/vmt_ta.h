@@ -49,6 +49,11 @@ class VmtTaScheduler : public Scheduler
 
     std::size_t placeJob(Cluster &cluster, const Job &job) override;
 
+    /** Each same-type run: the primary group's batch run, then the
+     *  fallback's; whatever is left is unplaced. */
+    void placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                   std::vector<std::size_t> &out) override;
+
     std::optional<std::size_t> hotGroupSize() const override;
 
   private:

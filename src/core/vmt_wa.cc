@@ -205,6 +205,67 @@ VmtWaScheduler::placeJob(Cluster &cluster, const Job &job)
                : placeCold(cluster, watts);
 }
 
+void
+VmtWaScheduler::placeHotRun(Cluster &cluster, WorkloadType type,
+                            std::size_t k, std::vector<std::size_t> &out)
+{
+    const Watts watts = cluster.powerModel().corePower(type);
+    // (0) for the whole run first: once placeIfBelow fails, every live
+    // keep-warm key is at or above the limit, keys only rise and
+    // dropped members stay dropped, so it fails for every later hot
+    // job this interval.
+    std::size_t placed =
+        keepWarm_.placeRun(cluster, type, watts, k, out, keepWarmPower_);
+    while (placed < k) {
+        // (1), then one job through the per-job cascade, which may
+        // extend the hot group before (1) runs again.
+        placed += hotPlaceable_.placeRun(cluster, type, watts,
+                                         k - placed, out);
+        if (placed == k)
+            break;
+        const std::size_t id = placeHot(cluster, watts);
+        if (id != kNoServer)
+            cluster.addJob(id, type);
+        out.push_back(id);
+        ++placed;
+    }
+}
+
+void
+VmtWaScheduler::placeColdRun(Cluster &cluster, WorkloadType type,
+                             std::size_t k, std::vector<std::size_t> &out)
+{
+    const Watts watts = cluster.powerModel().corePower(type);
+    // (1) fails only once the cold group is exhausted; the rest of the
+    // run takes the per-job cascade.
+    std::size_t placed =
+        coldGroup_.placeRun(cluster, type, watts, k, out);
+    for (; placed < k; ++placed) {
+        const std::size_t id = placeCold(cluster, watts);
+        if (id != kNoServer)
+            cluster.addJob(id, type);
+        out.push_back(id);
+    }
+}
+
+void
+VmtWaScheduler::placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                          std::vector<std::size_t> &out)
+{
+    if (!initialized_ && !jobs.empty())
+        beginInterval(cluster, 0.0);
+    const auto place_one = [&](const Job &job) {
+        return VmtWaScheduler::placeJob(cluster, job);
+    };
+    const auto place_run = [&](WorkloadType type, std::size_t k) {
+        if (hotMask_[workloadIndex(type)])
+            placeHotRun(cluster, type, k, out);
+        else
+            placeColdRun(cluster, type, k, out);
+    };
+    placeTypeRuns(cluster, jobs, out, place_one, place_run);
+}
+
 std::optional<std::size_t>
 VmtWaScheduler::hotGroupSize() const
 {

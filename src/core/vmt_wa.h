@@ -48,6 +48,14 @@ class VmtWaScheduler : public Scheduler
 
     std::size_t placeJob(Cluster &cluster, const Job &job) override;
 
+    /**
+     * Each same-type run goes through the cascade stage by stage:
+     * batch runs of the groups, and the per-job cascade where a
+     * group runs out (DESIGN.md §14, "Batch runs").
+     */
+    void placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                   std::vector<std::size_t> &out) override;
+
     std::optional<std::size_t> hotGroupSize() const override;
 
     /**
@@ -88,6 +96,10 @@ class VmtWaScheduler : public Scheduler
   private:
     std::size_t placeHot(Cluster &cluster, Watts watts);
     std::size_t placeCold(Cluster &cluster, Watts watts);
+    void placeHotRun(Cluster &cluster, WorkloadType type, std::size_t k,
+                     std::vector<std::size_t> &out);
+    void placeColdRun(Cluster &cluster, WorkloadType type,
+                      std::size_t k, std::vector<std::size_t> &out);
 
     /** True when the server still has unmelted wax or is cool enough
      *  to keep melting profitably. */

@@ -21,4 +21,19 @@ CoolestFirstScheduler::placeJob(Cluster &cluster, const Job &job)
                         cluster.powerModel().corePower(job.type));
 }
 
+void
+CoolestFirstScheduler::placeJobs(Cluster &cluster,
+                                 std::span<const Job> jobs,
+                                 std::vector<std::size_t> &out)
+{
+    const auto place_one = [&](const Job &job) {
+        return CoolestFirstScheduler::placeJob(cluster, job);
+    };
+    const auto place_run = [&](WorkloadType type, std::size_t k) {
+        group_.placeRun(cluster, type,
+                        cluster.powerModel().corePower(type), k, out);
+    };
+    placeTypeRuns(cluster, jobs, out, place_one, place_run);
+}
+
 } // namespace vmt

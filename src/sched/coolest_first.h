@@ -39,6 +39,10 @@ class CoolestFirstScheduler : public Scheduler
 
     std::size_t placeJob(Cluster &cluster, const Job &job) override;
 
+    /** One batch run of the group per same-type run of jobs. */
+    void placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                   std::vector<std::size_t> &out) override;
+
   private:
     PlacementView view_;
     /** Every server, keyed by virtual air temperature. */

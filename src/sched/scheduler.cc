@@ -1,5 +1,7 @@
 #include "sched/scheduler.h"
 
+#include "util/logging.h"
+
 namespace vmt {
 
 void
@@ -39,5 +41,21 @@ Scheduler::saveState(Serializer &) const
 void
 Scheduler::loadState(Deserializer &)
 {}
+
+void
+checkPlacements(const Scheduler &policy, std::size_t jobs,
+                const std::vector<std::size_t> &out, std::size_t servers)
+{
+    if (out.size() != jobs)
+        panic("placeJobs of policy " + policy.name() + " returned " +
+              std::to_string(out.size()) + " placements for " +
+              std::to_string(jobs) + " jobs");
+    for (const std::size_t id : out) {
+        if (id >= servers && id != kNoServer)
+            panic("placeJobs of policy " + policy.name() +
+                  " chose server " + std::to_string(id) + " in a " +
+                  std::to_string(servers) + "-server pod");
+    }
+}
 
 } // namespace vmt

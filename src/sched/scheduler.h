@@ -120,6 +120,15 @@ class Scheduler
     virtual void loadState(Deserializer &in);
 };
 
+/**
+ * The drivers' check on a placeJobs result: `out` must hold one entry
+ * per job, each a server id below `servers` or kNoServer. Anything
+ * else is a bug in the policy; panics, naming it.
+ */
+void checkPlacements(const Scheduler &policy, std::size_t jobs,
+                     const std::vector<std::size_t> &out,
+                     std::size_t servers);
+
 } // namespace vmt
 
 #endif // VMT_SCHED_SCHEDULER_H

@@ -34,6 +34,13 @@ SwitchoverScheduler::placeJob(Cluster &cluster, const Job &job)
     return active().placeJob(cluster, job);
 }
 
+void
+SwitchoverScheduler::placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                               std::vector<std::size_t> &out)
+{
+    active().placeJobs(cluster, jobs, out);
+}
+
 std::optional<std::size_t>
 SwitchoverScheduler::hotGroupSize() const
 {

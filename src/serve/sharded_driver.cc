@@ -339,6 +339,8 @@ ShardedDriver::placeEvac(Shard &shard)
         return;
     shard.scheduler->placeJobs(shard.cluster, shard.evacBatch,
                                shard.evacPlacements);
+    checkPlacements(*shard.scheduler, shard.evacBatch.size(),
+                    shard.evacPlacements, shard.cluster.numServers());
     for (std::size_t k = 0; k < shard.evacBatch.size(); ++k) {
         const std::size_t id = shard.evacPlacements[k];
         const WorkloadType type = shard.evacBatch[k].type;
@@ -457,6 +459,8 @@ ShardedDriver::placeBatch(Shard &shard, Seconds now)
     // decisions.
     shard.scheduler->placeJobs(shard.cluster, shard.batch,
                                shard.placements);
+    checkPlacements(*shard.scheduler, shard.batch.size(),
+                    shard.placements, shard.cluster.numServers());
     for (std::size_t k = 0; k < shard.batch.size(); ++k) {
         const Job &job = shard.batch[k];
         const std::size_t id = shard.placements[k];

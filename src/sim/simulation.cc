@@ -289,6 +289,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
             evacuateServers(departures, cluster, evacuating, refugees,
                             refugee_dues);
             scheduler.placeJobs(cluster, refugees, placements);
+            checkPlacements(scheduler, refugees.size(), placements,
+                            config.numServers);
             for (std::size_t k = 0; k < refugees.size(); ++k) {
                 const std::size_t to = placements[k];
                 if (to == kNoServer) {
@@ -345,6 +347,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
             // the departure records below are driver-local and cannot
             // influence decisions.
             scheduler.placeJobs(cluster, arrivals, placements);
+            checkPlacements(scheduler, arrivals.size(), placements,
+                            config.numServers);
             for (std::size_t k = 0; k < arrivals.size(); ++k) {
                 const Job &job = arrivals[k];
                 const std::size_t id = placements[k];

@@ -72,6 +72,17 @@ class TempOrderedGroup
     /** Number of members still in the heap. */
     std::size_t size() const { return heap_.size(); }
 
+    /** Current key of member `id`; kDrop once it has been dropped
+     *  (or was never added). */
+    Celsius keyOf(std::size_t id) const
+    {
+        for (const GroupEntry &entry : heap_) {
+            if (entry.id == id)
+                return entry.temp;
+        }
+        return Order::kDrop;
+    }
+
     /** Add one server keyed by its projected steady-state air
      *  temperature (inlet + rise-per-watt x current power). */
     void add(const Cluster &cluster, std::size_t id)

@@ -12,6 +12,10 @@
  *  - Whole simulations: every policy on a faulted 20-server run with
  *    a migration budget must reproduce its recorded SimResult digest
  *    at threads 1 and 4.
+ *  - Batch runs (DESIGN.md §14): the policies' placeJobs overrides
+ *    against a per-job replay through the Scheduler::placeJobs
+ *    default, on a type-major churn stream and on whole 300-server
+ *    simulations, fault-free and under an outage.
  *
  * The expected values are FNV-1a digests (tests/reference/digest.h)
  * recorded by running these exact streams and simulations under the
@@ -27,10 +31,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -263,63 +270,78 @@ faultedRun(std::size_t servers, double hours)
     return config;
 }
 
+/** A policy and the delegates it borrows; the policy is last. */
+struct PolicyStack
+{
+    std::vector<std::unique_ptr<Scheduler>> parts;
+    Scheduler &policy() const { return *parts.back(); }
+};
+
+template <typename S, typename... Args>
+PolicyStack
+single(Args &&...args)
+{
+    PolicyStack stack;
+    stack.parts.push_back(
+        std::make_unique<S>(std::forward<Args>(args)...));
+    return stack;
+}
+
 struct NamedPolicy
 {
     const char *name;
-    std::function<SimResult(const SimConfig &)> run;
-    std::uint64_t digest;
+    std::function<PolicyStack()> make;
+    std::uint64_t digest; // faultedRun(20, 0.2)
+
+    SimResult run(const SimConfig &config) const
+    {
+        const PolicyStack stack = make();
+        return runSimulation(config, stack.policy());
+    }
 };
 
 std::vector<NamedPolicy>
 allPolicies()
 {
     return {
-        {"rr",
-         [](const SimConfig &c) {
-             RoundRobinScheduler s;
-             return runSimulation(c, s);
-         },
+        {"rr", [] { return single<RoundRobinScheduler>(); },
          0xe2aeb4cf7dcd64e1ull},
-        {"cf",
-         [](const SimConfig &c) {
-             CoolestFirstScheduler s;
-             return runSimulation(c, s);
-         },
+        {"cf", [] { return single<CoolestFirstScheduler>(); },
          0xa58de423e1af1e07ull},
         {"switchover",
-         [](const SimConfig &c) {
-             RoundRobinScheduler before;
-             CoolestFirstScheduler after;
-             SwitchoverScheduler s(before, after, 0.1 * kHour);
-             return runSimulation(c, s);
+         [] {
+             PolicyStack stack;
+             stack.parts.push_back(
+                 std::make_unique<RoundRobinScheduler>());
+             stack.parts.push_back(
+                 std::make_unique<CoolestFirstScheduler>());
+             stack.parts.push_back(std::make_unique<SwitchoverScheduler>(
+                 *stack.parts[0], *stack.parts[1], 0.1 * kHour));
+             return stack;
          },
          0x42b96ea55bce146cull},
         {"ta",
-         [](const SimConfig &c) {
-             VmtTaScheduler s(bench::studyVmt(22.0),
-                              hotMaskFromPaper());
-             return runSimulation(c, s);
+         [] {
+             return single<VmtTaScheduler>(bench::studyVmt(22.0),
+                                           hotMaskFromPaper());
          },
          0x296c41efc8547705ull},
         {"wa",
-         [](const SimConfig &c) {
-             VmtWaScheduler s(bench::studyVmt(22.0),
-                              hotMaskFromPaper());
-             return runSimulation(c, s);
+         [] {
+             return single<VmtWaScheduler>(bench::studyVmt(22.0),
+                                           hotMaskFromPaper());
          },
          0x68a0459ad3a0c1f6ull},
         {"preserve",
-         [](const SimConfig &c) {
-             VmtPreserveScheduler s(bench::studyVmt(22.0),
-                                    hotMaskFromPaper());
-             return runSimulation(c, s);
+         [] {
+             return single<VmtPreserveScheduler>(bench::studyVmt(22.0),
+                                                 hotMaskFromPaper());
          },
          0xa0e2691bf78a9c9eull},
         {"adaptive",
-         [](const SimConfig &c) {
-             AdaptiveVmtScheduler s(bench::studyVmt(22.0),
-                                    hotMaskFromPaper());
-             return runSimulation(c, s);
+         [] {
+             return single<AdaptiveVmtScheduler>(bench::studyVmt(22.0),
+                                                 hotMaskFromPaper());
          },
          0x151289e12db40e5aull},
     };
@@ -375,6 +397,229 @@ TEST(PlacementSimEquivalence, DepartureLedgerMatchesTheClusterEveryInterval)
             EXPECT_GT(result.evacuatedJobs, 0u);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Batch runs: every policy's placeJobs against a per-job replay.
+// ---------------------------------------------------------------------
+
+/** Forwards everything except placeJobs, so batches take the per-job
+ *  Scheduler::placeJobs default (placeJob + addJob per job). */
+class PerJob final : public Scheduler
+{
+  public:
+    explicit PerJob(Scheduler &inner) : inner_(inner) {}
+
+    std::string name() const override { return inner_.name(); }
+
+    void beginInterval(Cluster &cluster, Seconds now) override
+    {
+        inner_.beginInterval(cluster, now);
+    }
+
+    std::size_t placeJob(Cluster &cluster, const Job &job) override
+    {
+        return inner_.placeJob(cluster, job);
+    }
+
+    std::optional<std::size_t> hotGroupSize() const override
+    {
+        return inner_.hotGroupSize();
+    }
+
+    std::vector<MigrationRequest>
+    proposeMigrations(Cluster &cluster, Seconds now) override
+    {
+        return inner_.proposeMigrations(cluster, now);
+    }
+
+    void saveState(Serializer &out) const override
+    {
+        inner_.saveState(out);
+    }
+
+    void loadState(Deserializer &in) override { inner_.loadState(in); }
+
+  private:
+    Scheduler &inner_;
+};
+
+/** Everything one churn stream decides and leaves behind. */
+struct BatchStream
+{
+    std::vector<std::size_t> decisions;
+    std::vector<std::uint8_t> cluster;
+    std::vector<std::uint8_t> scheduler;
+    std::size_t longRuns = 0;     // runs of at least kBlock jobs
+    std::size_t unplaced = 0;     // kNoServer decisions
+    std::size_t hotInlets = 0;    // intervals above PMT + 0.3 C
+};
+
+/**
+ * The churn stream in type-major batch mode: the 48-server fleet
+ * alternates 40-step fill and drain phases (departures of a random
+ * share of each chosen server's jobs), arrivals come as 1-4 runs of
+ * one type each, up to 300 jobs long, and mutate() keeps the inlet,
+ * health and thermal chaos (global inlets up to 42 C, past VMT-WA's
+ * keep-warm point, where its keep-warm power is negative).
+ */
+BatchStream
+runBatchStream(const NamedPolicy &named, bool per_job,
+               std::uint64_t seed, std::size_t steps)
+{
+    ThreadCountGuard guard;
+    setGlobalThreadCount(1);
+    Cluster cluster(kServers, ServerSpec{}, ServerThermalParams{},
+                    PowerModel({}, 1.0));
+    const PolicyStack stack = named.make();
+    PerJob replay(stack.policy());
+    Scheduler &sched =
+        per_job ? static_cast<Scheduler &>(replay) : stack.policy();
+    const Celsius keep_warm_inlet =
+        bench::studyVmt(22.0).physicalMeltTemp + 0.3;
+
+    BatchStream trace;
+    Rng rng(seed);
+    const Seconds dts[3] = {30.0, 60.0, 300.0};
+    std::vector<Job> batch;
+    std::vector<std::size_t> out;
+    Seconds now = 0.0;
+    for (std::size_t step = 0; step < steps; ++step) {
+        const bool draining = (step / 40) % 2 == 1;
+        for (std::size_t id = 0; id < kServers; ++id) {
+            if (rng.below(draining ? 2 : 6) != 0)
+                continue;
+            for (const WorkloadType type : kAllWorkloads) {
+                const std::size_t idx = workloadIndex(type);
+                const std::size_t leave = rng.below(
+                    std::as_const(cluster).server(id).coreCounts()[idx] +
+                    1);
+                for (std::size_t j = 0; j < leave; ++j)
+                    cluster.removeJob(id, type);
+            }
+        }
+        const std::size_t churn = 1 + rng.below(3);
+        for (std::size_t k = 0; k < churn; ++k)
+            mutate(rng, cluster);
+        trace.hotInlets +=
+            cluster.thermalParams().inletTemp > keep_warm_inlet;
+
+        sched.beginInterval(cluster, now);
+
+        batch.clear();
+        const std::size_t runs = 1 + rng.below(4);
+        for (std::size_t r = 0; r < runs; ++r) {
+            const WorkloadType type =
+                kAllWorkloads[rng.below(kNumWorkloads)];
+            const std::size_t length =
+                1 + rng.below(draining ? 60 : 300);
+            trace.longRuns +=
+                length >= BlockMinGroup<CoolerFirst>::kBlock;
+            for (std::size_t j = 0; j < length; ++j)
+                batch.push_back(Job{step, type, 0.0});
+        }
+        sched.placeJobs(cluster, batch, out);
+        EXPECT_EQ(out.size(), batch.size());
+        trace.decisions.insert(trace.decisions.end(), out.begin(),
+                               out.end());
+        trace.unplaced += static_cast<std::size_t>(
+            std::count(out.begin(), out.end(), kNoServer));
+
+        const Seconds dt = dts[rng.below(3)];
+        cluster.stepThermal(dt, 38.0);
+        now += dt;
+    }
+    Serializer cluster_bytes;
+    cluster.saveState(cluster_bytes);
+    trace.cluster = cluster_bytes.bytes();
+    Serializer sched_bytes;
+    sched.saveState(sched_bytes);
+    trace.scheduler = sched_bytes.bytes();
+    return trace;
+}
+
+/** Index of the first differing decision (the shorter size if one is
+ *  a prefix of the other), for a readable failure. */
+std::size_t
+firstMismatch(const std::vector<std::size_t> &a,
+              const std::vector<std::size_t> &b)
+{
+    const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(),
+                                        b.end());
+    return static_cast<std::size_t>(ia - a.begin());
+}
+
+TEST(PlacementBatchLockstep, TypeMajorRunsMatchAPerJobReplay)
+{
+    std::uint64_t seed = 0xBA7C5EEDull;
+    for (const NamedPolicy &policy : allPolicies()) {
+        SCOPED_TRACE(policy.name);
+        ++seed;
+        const BatchStream batch = runBatchStream(policy, false, seed, 1200);
+        const BatchStream replay = runBatchStream(policy, true, seed, 1200);
+        EXPECT_EQ(batch.decisions.size(), replay.decisions.size());
+        EXPECT_EQ(firstMismatch(batch.decisions, replay.decisions),
+                  batch.decisions.size());
+        EXPECT_TRUE(batch.cluster == replay.cluster);
+        EXPECT_TRUE(batch.scheduler == replay.scheduler);
+        // The stream reaches every regime the batch path must handle.
+        EXPECT_GT(batch.longRuns, 1000u);
+        EXPECT_GT(batch.unplaced, 0u);
+        EXPECT_GT(batch.hotInlets, 0u);
+    }
+}
+
+/** The 12-hour 300-server study run, optionally under an outage of a
+ *  fifth of the fleet (hot-group members included) with a migration
+ *  budget. */
+SimConfig
+batchStudyRun(bool outage)
+{
+    SimConfig config = bench::studyConfig(300);
+    config.trace.duration = 12.0;
+    if (outage) {
+        std::string text;
+        for (int id = 0; id < 60; ++id)
+            text += "3 server-down " + std::to_string(id * 5) + "\n";
+        for (int id = 0; id < 30; ++id)
+            text += "6 server-up " + std::to_string(id * 5) + "\n";
+        config.faults.plan = FaultPlan::parse(text);
+        config.migrationBudget = 8;
+    }
+    return config;
+}
+
+void
+expectBatchSimsMatchPerJob(bool outage)
+{
+    ThreadCountGuard guard;
+    const SimConfig config = batchStudyRun(outage);
+    for (const NamedPolicy &policy : allPolicies()) {
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(std::string(policy.name) +
+                         " threads=" + std::to_string(threads));
+            setGlobalThreadCount(threads);
+            const SimResult batch = policy.run(config);
+            const PolicyStack stack = policy.make();
+            PerJob replay(stack.policy());
+            const SimResult per_job = runSimulation(config, replay);
+            EXPECT_EQ(digestResult(batch), digestResult(per_job));
+            if (outage) {
+                EXPECT_GT(batch.evacuatedJobs, 0u);
+            }
+        }
+    }
+}
+
+TEST(PlacementBatchSimEquivalence, EveryPolicyFaultFree)
+{
+    expectBatchSimsMatchPerJob(false);
+}
+
+TEST(PlacementBatchSimEquivalence, EveryPolicyUnderAnOutage)
+{
+    expectBatchSimsMatchPerJob(true);
 }
 
 } // namespace

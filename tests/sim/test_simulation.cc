@@ -159,5 +159,65 @@ TEST(Simulation, InletVariationChangesTemperatureSpread)
     EXPECT_GT(varied_spread, flat_spread + 2.0);
 }
 
+/** A deliberately broken policy: its placeJobs places every job
+ *  through round robin, then reports one placement too few or an id
+ *  past the end of the fleet. */
+class BrokenBatchScheduler final : public RoundRobinScheduler
+{
+  public:
+    enum class Fault { ShortOutput, IdOutOfRange };
+
+    explicit BrokenBatchScheduler(Fault fault) : fault_(fault) {}
+
+    std::string name() const override { return "Broken"; }
+
+    void placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                   std::vector<std::size_t> &out) override
+    {
+        RoundRobinScheduler::placeJobs(cluster, jobs, out);
+        if (out.empty())
+            return;
+        if (fault_ == Fault::ShortOutput)
+            out.pop_back();
+        else
+            out.back() = cluster.numServers();
+    }
+
+  private:
+    Fault fault_;
+};
+
+TEST(SimulationDeathTest, ShortPlacementOutputPanicsNamingThePolicy)
+{
+    const SimConfig config = shortConfig(10, 1.0);
+    EXPECT_DEATH(
+        {
+            BrokenBatchScheduler broken(
+                BrokenBatchScheduler::Fault::ShortOutput);
+            runSimulation(config, broken);
+        },
+        "placeJobs of policy Broken returned [0-9]+ placements for "
+        "[0-9]+ jobs");
+}
+
+TEST(SimulationDeathTest, OutOfRangePlacementPanicsNamingThePolicy)
+{
+    const SimConfig config = shortConfig(10, 1.0);
+    EXPECT_DEATH(
+        {
+            BrokenBatchScheduler broken(
+                BrokenBatchScheduler::Fault::IdOutOfRange);
+            runSimulation(config, broken);
+        },
+        "placeJobs of policy Broken chose server 10 in a 10-server pod");
+}
+
+TEST(Simulation, CheckPlacementsAcceptsIdsAndNoServer)
+{
+    RoundRobinScheduler rr;
+    checkPlacements(rr, 3, {0, kNoServer, 9}, 10);
+    checkPlacements(rr, 0, {}, 10);
+}
+
 } // namespace
 } // namespace vmt
