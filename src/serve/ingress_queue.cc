@@ -1,5 +1,7 @@
 #include "serve/ingress_queue.h"
 
+#include <algorithm>
+
 #include "state/serializer.h"
 #include "util/logging.h"
 
@@ -11,31 +13,70 @@ IngressQueue::IngressQueue(std::size_t capacity) : ring_(capacity)
         fatal("IngressQueue requires a positive capacity");
 }
 
-bool
-IngressQueue::push(const FeedJob &job)
+std::size_t
+IngressQueue::pushAll(const std::vector<FeedJob> &jobs)
 {
-    if (count_ == ring_.size())
-        return false;
-    ring_[(head_ + count_) % ring_.size()] = job;
-    ++count_;
-    return true;
-}
-
-const FeedJob &
-IngressQueue::front() const
-{
-    if (count_ == 0)
-        panic("IngressQueue::front on empty queue");
-    return ring_[head_];
+    const std::size_t n = std::min(jobs.size(), ring_.size() - count_);
+    // At most two contiguous runs: to the end of the ring, then from
+    // its start.
+    const std::size_t tail = slot(count_);
+    const std::size_t first = std::min(n, ring_.size() - tail);
+    std::copy_n(jobs.begin(), first, ring_.begin() + tail);
+    std::copy_n(jobs.begin() + first, n - first, ring_.begin());
+    count_ += n;
+    return n;
 }
 
 void
-IngressQueue::pop()
+IngressQueue::pop(std::size_t n)
 {
-    if (count_ == 0)
-        panic("IngressQueue::pop on empty queue");
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
+    if (n > count_)
+        panic("IngressQueue::pop past the end of the queue");
+    head_ = slot(n);
+    count_ -= n;
+}
+
+void
+IngressQueue::rotate(std::size_t n)
+{
+    if (n > count_)
+        panic("IngressQueue::rotate past the end of the queue");
+    // Copying in order is safe even once the write position wraps
+    // onto the front: it then lands on an entry already copied.
+    std::size_t from = head_;
+    std::size_t to = slot(count_);
+    for (std::size_t i = 0; i < n; ++i) {
+        ring_[to] = ring_[from];
+        if (++from == ring_.size())
+            from = 0;
+        if (++to == ring_.size())
+            to = 0;
+    }
+    head_ = from;
+}
+
+std::size_t
+IngressQueue::dropExpired(Seconds cutoff, std::size_t budget)
+{
+    std::size_t scanned = 0;
+    std::size_t live = 0;
+    while (scanned < count_ && (budget == 0 || live < budget)) {
+        if (!(at(scanned).time < cutoff))
+            ++live;
+        ++scanned;
+    }
+    const std::size_t expired = scanned - live;
+    if (expired == 0)
+        return 0;
+    // Slide the live entries, in order, to the back of the scanned
+    // range, then drop its front.
+    std::size_t to = scanned;
+    for (std::size_t from = scanned; from-- > 0;) {
+        if (!(at(from).time < cutoff))
+            ring_[slot(--to)] = at(from);
+    }
+    pop(expired);
+    return expired;
 }
 
 std::size_t
@@ -52,12 +93,8 @@ IngressQueue::saveState(Serializer &out) const
 {
     out.putSize(ring_.size());
     out.putSize(count_);
-    for (std::size_t i = 0; i < count_; ++i) {
-        const FeedJob &job = ring_[(head_ + i) % ring_.size()];
-        out.putDouble(job.time);
-        out.putU8(static_cast<std::uint8_t>(job.type));
-        out.putDouble(job.duration);
-    }
+    for (std::size_t i = 0; i < count_; ++i)
+        saveFeedJob(out, at(i));
 }
 
 void
@@ -76,13 +113,8 @@ IngressQueue::loadState(Deserializer &in)
         fatal("serve snapshot ingress depth exceeds its capacity");
     head_ = 0;
     count_ = pending;
-    for (std::size_t i = 0; i < pending; ++i) {
-        FeedJob job;
-        job.time = in.getDouble();
-        job.type = static_cast<WorkloadType>(in.getU8());
-        job.duration = in.getDouble();
-        ring_[i] = job;
-    }
+    for (std::size_t i = 0; i < pending; ++i)
+        ring_[i] = loadFeedJob(in, "INGR");
 }
 
 } // namespace vmt::serve

@@ -28,14 +28,29 @@ class IngressQueue
     /** @throws FatalError on zero capacity. */
     explicit IngressQueue(std::size_t capacity);
 
-    /** Enqueue; returns false (job dropped) when full. */
-    bool push(const FeedJob &job);
+    /** Enqueue the longest prefix of @p jobs that fits; returns its
+     *  length (the rest are dropped: overload sheds). */
+    std::size_t pushAll(const std::vector<FeedJob> &jobs);
 
-    /** Oldest queued arrival; queue must not be empty. */
-    const FeedJob &front() const;
+    /** The i-th oldest queued arrival; requires i < size(). */
+    const FeedJob &at(std::size_t i) const { return ring_[slot(i)]; }
 
-    /** Drop the oldest queued arrival; queue must not be empty. */
-    void pop();
+    /** Drop the @p n oldest queued arrivals; requires n <= size(). */
+    void pop(std::size_t n);
+
+    /** Move the @p n oldest queued arrivals, in order, behind the
+     *  rest: the same ring as popping them and pushing them back. */
+    void rotate(std::size_t n);
+
+    /**
+     * The queue-age deadline at the admission pop. The popped range
+     * is the queue's front up to and including its @p budget-th entry
+     * with time >= @p cutoff (the whole queue when @p budget is 0 or
+     * the queue holds fewer). Drops the entries of that range older
+     * than @p cutoff and keeps the others, in order, at the front.
+     * Returns the number dropped.
+     */
+    std::size_t dropExpired(Seconds cutoff, std::size_t budget);
 
     bool empty() const { return count_ == 0; }
     std::size_t size() const { return count_; }
@@ -48,10 +63,19 @@ class IngressQueue
     /** Serialize the queued jobs in FIFO order. */
     void saveState(Serializer &out) const;
 
-    /** Restore into an empty queue of the same capacity. */
+    /** Restore into an empty queue of the same capacity. @throws
+     *  FatalError on a corrupt entry (unknown workload type, or a
+     *  non-finite or negative time or duration). */
     void loadState(Deserializer &in);
 
   private:
+    /** Ring index of the i-th oldest entry (i <= capacity). */
+    std::size_t slot(std::size_t i) const
+    {
+        const std::size_t index = head_ + i;
+        return index < ring_.size() ? index : index - ring_.size();
+    }
+
     std::vector<FeedJob> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;

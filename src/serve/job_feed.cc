@@ -51,12 +51,46 @@ loadRng(Deserializer &in, Rng &rng)
     RngState state;
     for (std::uint64_t &word : state.s)
         word = in.getU64();
+    // xoshiro256** never leaves the all-zero state, where every
+    // uniform draw is 0 and the exponential draws never return.
+    if ((state.s[0] | state.s[1] | state.s[2] | state.s[3]) == 0)
+        fatal("serve snapshot FEED section is corrupt: all-zero RNG "
+              "state");
     state.hasSpare = in.getBool();
     state.spare = in.getDouble();
     rng.setState(state);
 }
 
 } // namespace
+
+void
+saveFeedJob(Serializer &out, const FeedJob &job)
+{
+    out.putDouble(job.time);
+    out.putU8(static_cast<std::uint8_t>(job.type));
+    out.putDouble(job.duration);
+}
+
+FeedJob
+loadFeedJob(Deserializer &in, const char *section)
+{
+    const auto corrupt = [section](const std::string &what) {
+        fatal(std::string("serve snapshot ") + section +
+              " section is corrupt: " + what);
+    };
+    FeedJob job;
+    job.time = in.getDouble();
+    if (!std::isfinite(job.time) || job.time < 0.0)
+        corrupt("arrival time " + std::to_string(job.time));
+    const std::uint8_t type = in.getU8();
+    if (type >= kNumWorkloads)
+        corrupt("workload type " + std::to_string(type));
+    job.type = static_cast<WorkloadType>(type);
+    job.duration = in.getDouble();
+    if (!std::isfinite(job.duration) || job.duration < 0.0)
+        corrupt("job duration " + std::to_string(job.duration));
+    return job;
+}
 
 SyntheticFeed::SyntheticFeed(const SyntheticFeedParams &params)
     : params_(params), rng_(params.seed)
@@ -83,6 +117,16 @@ SyntheticFeed::SyntheticFeed(const SyntheticFeedParams &params)
     maxRate_ = baseRate_ * (params.burstPeriodHours > 0.0
                                 ? params.burstFactor
                                 : 1.0);
+    candidateGap_ = 1.0 / maxRate_;
+    keepFloor_ = diurnalRate(0.0) / maxRate_;
+    const WorkloadShares shares = catalogShares();
+    double cdf = 0.0;
+    for (WorkloadType type : kAllWorkloads) {
+        const std::size_t w = workloadIndex(type);
+        cdf += shares[w];
+        typeCdf_[w] = cdf;
+        meanDuration_[w] = workloadInfo(type).meanDuration;
+    }
 }
 
 double
@@ -94,10 +138,7 @@ SyntheticFeed::ratePerSecond(Seconds t) const
     // Sinusoidal day: trough at hour 0, peak at hour 12.
     const double shape =
         0.5 * (1.0 - std::cos(2.0 * kPi * hours / 24.0));
-    double rate =
-        baseRate_ *
-        (params_.diurnalTrough +
-         (1.0 - params_.diurnalTrough) * shape);
+    double rate = diurnalRate(shape);
     if (params_.rampHours > 0.0 && hours < params_.rampHours)
         rate *= hours / params_.rampHours;
     if (params_.burstPeriodHours > 0.0) {
@@ -116,29 +157,28 @@ SyntheticFeed::generateNext()
     // the candidate sequence (and every accept/reject draw) depends
     // only on the seed, never on how callers segment their pulls.
     while (true) {
-        candidateTime_ += rng_.exponential(1.0 / maxRate_);
-        const double keep = ratePerSecond(candidateTime_) / maxRate_;
-        if (rng_.uniform() >= keep)
+        candidateTime_ += rng_.exponential(candidateGap_);
+        const double u = rng_.uniform();
+        // Below the keep floor the candidate is kept whatever the rate
+        // (never inside the warm-up ramp, which scales below it).
+        if (u < keepFloor_ &&
+            !(params_.rampHours > 0.0 &&
+              secondsToHours(candidateTime_) < params_.rampHours))
+            ++floorAccepts_;
+        else if (u >= ratePerSecond(candidateTime_) / maxRate_)
             continue;
         // Type from the catalog CDF, then duration — one fixed draw
         // order per accepted arrival.
-        const WorkloadShares shares = catalogShares();
-        const double u = rng_.uniform();
-        double cdf = 0.0;
-        WorkloadType type = kAllWorkloads.back();
-        for (WorkloadType candidate : kAllWorkloads) {
-            cdf += shares[workloadIndex(candidate)];
-            if (u < cdf) {
-                type = candidate;
+        const double v = rng_.uniform();
+        std::size_t w = kNumWorkloads - 1;
+        for (std::size_t i = 0; i < kNumWorkloads; ++i) {
+            if (v < typeCdf_[i]) {
+                w = i;
                 break;
             }
         }
-        FeedJob job;
-        job.time = candidateTime_;
-        job.type = type;
-        job.duration =
-            rng_.exponential(workloadInfo(type).meanDuration);
-        pending_ = job;
+        pending_ = FeedJob{candidateTime_, kAllWorkloads[w],
+                           rng_.exponential(meanDuration_[w])};
         return;
     }
 }
@@ -146,14 +186,12 @@ SyntheticFeed::generateNext()
 void
 SyntheticFeed::arrivalsUntil(Seconds end, std::vector<FeedJob> &out)
 {
-    while (true) {
-        if (!pending_)
-            generateNext();
-        if (pending_->time >= end)
-            return;
+    if (!pending_)
+        generateNext();
+    while (pending_->time < end) {
         out.push_back(*pending_);
-        pending_.reset();
         ++emitted_;
+        generateNext();
     }
 }
 
@@ -174,11 +212,8 @@ SyntheticFeed::saveState(Serializer &out) const
     saveRng(out, rng_);
     out.putDouble(candidateTime_);
     out.putBool(pending_.has_value());
-    if (pending_) {
-        out.putDouble(pending_->time);
-        out.putU8(static_cast<std::uint8_t>(pending_->type));
-        out.putDouble(pending_->duration);
-    }
+    if (pending_)
+        saveFeedJob(out, *pending_);
     out.putU64(emitted_);
 }
 
@@ -203,14 +238,12 @@ SyntheticFeed::loadState(Deserializer &in)
 
     loadRng(in, rng_);
     candidateTime_ = in.getDouble();
+    if (!std::isfinite(candidateTime_) || candidateTime_ < 0.0)
+        fatal("serve snapshot FEED section is corrupt: candidate time " +
+              std::to_string(candidateTime_));
     pending_.reset();
-    if (in.getBool()) {
-        FeedJob job;
-        job.time = in.getDouble();
-        job.type = static_cast<WorkloadType>(in.getU8());
-        job.duration = in.getDouble();
-        pending_ = job;
-    }
+    if (in.getBool())
+        pending_ = loadFeedJob(in, "FEED");
     emitted_ = in.getU64();
 }
 

@@ -25,6 +25,7 @@
 #ifndef VMT_SERVE_JOB_FEED_H
 #define VMT_SERVE_JOB_FEED_H
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -52,6 +53,14 @@ struct FeedJob
     /** Run length in seconds. */
     Seconds duration = 0.0;
 };
+
+/** Serialize one arrival: time, workload type byte, duration. */
+void saveFeedJob(Serializer &out, const FeedJob &job);
+
+/** Read an arrival written by saveFeedJob. @throws FatalError naming
+ *  @p section on an unknown workload type or a non-finite or
+ *  negative time or duration. */
+FeedJob loadFeedJob(Deserializer &in, const char *section);
 
 /** Open-ended, time-ordered arrival stream. */
 class JobFeed
@@ -138,6 +147,10 @@ class SyntheticFeed : public JobFeed
     /** Arrivals emitted so far. */
     std::uint64_t emitted() const { return emitted_; }
 
+    /** Candidates this instance accepted below the keep floor,
+     *  without evaluating the rate (not checkpointed). */
+    std::uint64_t floorAccepts() const { return floorAccepts_; }
+
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
 
@@ -145,17 +158,39 @@ class SyntheticFeed : public JobFeed
     /** Draw candidates until one survives thinning; fills pending_. */
     void generateNext();
 
+    /** The diurnal rate at a point of the day's shape (0 at the
+     *  trough, 1 at the peak), before ramp and burst scaling. */
+    double diurnalRate(double shape) const
+    {
+        return baseRate_ * (params_.diurnalTrough +
+                            (1.0 - params_.diurnalTrough) * shape);
+    }
+
     SyntheticFeedParams params_;
     /** Base rate in jobs/second (users * requestsPerUserHour / 3600). */
     double baseRate_;
     /** Thinning envelope: base * max burst factor. */
     double maxRate_;
+    /** Mean gap between candidates, 1 / maxRate_. */
+    double candidateGap_ = 0.0;
+    /**
+     * The keep probability at the diurnal trough, a lower bound on
+     * the keep probability anywhere past the warm-up ramp: the shape
+     * is >= 0 and every later factor is a burst factor >= 1, and IEEE
+     * rounding is monotone. A uniform draw below it accepts without
+     * evaluating the rate.
+     */
+    double keepFloor_ = 0.0;
+    /** Catalog-share CDF over kAllWorkloads, summed in that order. */
+    std::array<double, kNumWorkloads> typeCdf_{};
+    std::array<Seconds, kNumWorkloads> meanDuration_{};
     Rng rng_;
     /** Last candidate arrival time handed to the thinning draw. */
     Seconds candidateTime_ = 0.0;
     /** Accepted arrival not yet released (beyond the last `end`). */
     std::optional<FeedJob> pending_;
     std::uint64_t emitted_ = 0;
+    std::uint64_t floorAccepts_ = 0;
 };
 
 /**

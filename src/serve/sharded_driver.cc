@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <queue>
-#include <utility>
 
 #include "core/policy_factory.h"
+#include "serve/waterfill.h"
 #include "state/recovery.h"
 #include "state/snapshot.h"
 #include "thermal/pcm.h"
@@ -46,26 +45,6 @@ checkDouble(const char *what, double snap, double now)
                  std::to_string(now));
 }
 
-/** Deterministic waterfill order: most free cores first, ties to the
- *  lowest shard id. */
-struct MoreFree
-{
-    bool operator()(const std::pair<std::size_t, std::size_t> &a,
-                    const std::pair<std::size_t, std::size_t> &b)
-        const
-    {
-        if (a.first != b.first)
-            return a.first < b.first;
-        return a.second > b.second;
-    }
-};
-
-using WaterfillHeap =
-    std::priority_queue<std::pair<std::size_t, std::size_t>,
-                        std::vector<
-                            std::pair<std::size_t, std::size_t>>,
-                        MoreFree>;
-
 /**
  * The serving driver's metric/phase handles, resolved once per run.
  * Everything under `serve.` is deterministic; the placement-latency
@@ -75,6 +54,8 @@ using WaterfillHeap =
 struct ServeObs
 {
     obs::PhaseId phaseDepartures;
+    obs::PhaseId phaseFeed;
+    obs::PhaseId phaseAdmit;
     obs::PhaseId phasePlace;
     obs::PhaseId phaseThermal;
     obs::PhaseId phaseCheckpoint;
@@ -114,6 +95,8 @@ struct ServeObs
     {
         obs::PhaseProfiler &prof = o.profiler();
         phaseDepartures = prof.phase("serve.departures");
+        phaseFeed = prof.phase("serve.feed");
+        phaseAdmit = prof.phase("serve.admit");
         phasePlace = prof.phase("serve.place");
         phaseThermal = prof.phase("serve.thermal");
         phaseCheckpoint = prof.phase("serve.checkpoint");
@@ -392,30 +375,22 @@ ShardedDriver::evacuateRefugees()
             shard.evacBatch.clear();
             shard.evacDue.clear();
         }
-        WaterfillHeap heap;
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            heap.push({freeEst_[s], s});
-        nextTypes.clear();
-        nextDues.clear();
-        std::size_t assigned = 0;
-        for (std::size_t k = 0; k < types.size(); ++k) {
-            const auto [free, s] = heap.top();
-            if (free == 0) {
-                // Every shard is out of estimated capacity; the
-                // rest of this round's refugees have nowhere to go.
-                for (std::size_t j = k; j < types.size(); ++j) {
-                    nextTypes.push_back(types[j]);
-                    nextDues.push_back(dues[j]);
-                }
-                break;
-            }
-            heap.pop();
-            shards_[s].evacBatch.push_back(Job{0, types[k], 0.0});
-            shards_[s].evacDue.push_back(dues[k]);
-            freeEst_[s] = free - 1;
-            heap.push({free - 1, s});
-            ++assigned;
-        }
+        std::size_t next = 0;
+        const std::size_t assigned =
+            waterfill(freeEst_, types.size(), [&](std::size_t s) {
+                shards_[s].evacBatch.push_back(
+                    Job{0, types[next], 0.0});
+                shards_[s].evacDue.push_back(dues[next]);
+                ++next;
+            });
+        // Every shard is out of estimated capacity past `assigned`;
+        // those refugees go straight to the next round.
+        nextTypes.assign(types.begin() +
+                             static_cast<std::ptrdiff_t>(assigned),
+                         types.end());
+        nextDues.assign(dues.begin() +
+                            static_cast<std::ptrdiff_t>(assigned),
+                        dues.end());
         if (assigned == 0)
             break;
 
@@ -474,36 +449,55 @@ ShardedDriver::placeBatch(Shard &shard, Seconds now)
     }
 }
 
-std::size_t
-ShardedDriver::routeToShards(const std::vector<FeedJob> &admitted)
+void
+ShardedDriver::admit(Seconds now)
 {
-    // Each job goes to the shard with the most free cores at that
-    // moment (ties: lowest shard id) — a deterministic waterfill that
-    // keeps pods evenly loaded so no shard's scheduler sees an
-    // artificially full pod while another idles. Degraded runs use
-    // the post-evacuation schedulable-free estimates instead of the
-    // raw core balance, which would count failed servers' cores.
-    WaterfillHeap heap;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (degraded_) {
-            heap.push({freeEst_[s], s});
-            continue;
-        }
-        const Cluster &cluster = shards_[s].cluster;
-        heap.push({cluster.totalCores() - cluster.busyCores(), s});
+    // Brownout steps the effective budget down before the pop.
+    std::size_t budget = config_.admissionBudget;
+    if (brownout_) {
+        budget = brownout_->effectiveBudget(config_.admissionBudget,
+                                            totalCores_);
+        if (brownout_->level() > 0)
+            ++brownoutIntervals_;
     }
-    std::size_t routed = 0;
-    for (const FeedJob &job : admitted) {
-        const auto [free, s] = heap.top();
-        if (free == 0)
-            break; // Fleet is full; the rest re-queues or sheds.
-        heap.pop();
-        shards_[s].batch.push_back(
-            Job{nextJobId_++, job.type, job.duration});
-        heap.push({free - 1, s});
-        ++routed;
+    // The queue-age deadline sheds stale arrivals at the pop without
+    // charging them against the budget. The ring is not time-sorted
+    // once re-queues happen, so it checks every popped entry.
+    if (config_.maxQueueAge > 0.0)
+        expired_ += ingress_.dropExpired(now - config_.maxQueueAge,
+                                         budget);
+
+    // Pop the budget's worth (all of it without one) and route it to
+    // shards by a deterministic waterfill over free cores. Degraded
+    // runs use the post-evacuation schedulable-free estimates, which
+    // do not count failed servers' cores.
+    const std::size_t depth = ingress_.size();
+    const std::size_t take = budget > 0 ? std::min(budget, depth) : depth;
+    if (!degraded_) {
+        for (std::size_t s = 0; s < shards_.size(); ++s)
+            freeEst_[s] = shards_[s].cluster.totalCores() -
+                          shards_[s].cluster.busyCores();
     }
-    return routed;
+    std::size_t next = 0;
+    const std::size_t routed =
+        waterfill(freeEst_, take, [&](std::size_t s) {
+            const FeedJob &job = ingress_.at(next++);
+            shards_[s].batch.push_back(
+                Job{nextJobId_++, job.type, job.duration});
+        });
+    ingress_.pop(routed);
+    admitted_ += routed;
+
+    // What the fleet cannot hold re-queues behind the entries the pop
+    // left (queue policy), or sheds with the rest of the ring (shed
+    // policy: backlog never carries across intervals).
+    if (config_.admit == AdmitPolicy::Shed) {
+        shed_ += ingress_.clear();
+        return;
+    }
+    if (take < depth)
+        ingress_.rotate(take - routed);
+    requeued_ += take - routed;
 }
 
 ServeResult
@@ -650,67 +644,21 @@ ShardedDriver::run(JobFeed &feed,
 
         // 2. Ingest the feed's arrivals due before the next boundary
         // into the bounded ring; overflow is shed, not queued.
-        feedBuf_.clear();
-        feed.arrivalsUntil(now + dt, feedBuf_);
-        for (const FeedJob &job : feedBuf_) {
-            ++arrivals_;
-            if (!ingress_.push(job))
-                ++shed_;
+        {
+            obs::ScopedPhase timer(prof, sobs.phaseFeed);
+            feedBuf_.clear();
+            feed.arrivalsUntil(now + dt, feedBuf_);
         }
-        peakQueueDepth_ = std::max(peakQueueDepth_, ingress_.size());
+        {
+            obs::ScopedPhase timer(prof, sobs.phaseAdmit);
+            arrivals_ += feedBuf_.size();
+            shed_ += feedBuf_.size() - ingress_.pushAll(feedBuf_);
+            peakQueueDepth_ =
+                std::max(peakQueueDepth_, ingress_.size());
 
-        // 3. Admission: pop at most the budget's worth of queued
-        // arrivals, route them over free cores; what the fleet cannot
-        // hold re-queues (queue policy) or sheds. Under the shed
-        // policy backlog never carries across intervals.
-        admitBuf_.clear();
-        if (!degraded_) {
-            const std::size_t budget =
-                config_.admissionBudget > 0
-                    ? std::min(config_.admissionBudget,
-                               ingress_.size())
-                    : ingress_.size();
-            for (std::size_t i = 0; i < budget; ++i) {
-                admitBuf_.push_back(ingress_.front());
-                ingress_.pop();
-            }
-        } else {
-            // Brownout steps the effective budget down before the
-            // pop; the queue-age deadline sheds stale arrivals at
-            // the pop (the ring is not time-sorted once re-queues
-            // happen, so only a per-pop check catches every stale
-            // entry) without charging them against the budget.
-            std::size_t budget = config_.admissionBudget;
-            if (brownout_) {
-                budget = brownout_->effectiveBudget(
-                    config_.admissionBudget, totalCores_);
-                if (brownout_->level() > 0)
-                    ++brownoutIntervals_;
-            }
-            const bool deadline = config_.maxQueueAge > 0.0;
-            const Seconds cutoff = now - config_.maxQueueAge;
-            while (!ingress_.empty() &&
-                   (budget == 0 || admitBuf_.size() < budget)) {
-                const FeedJob job = ingress_.front();
-                ingress_.pop();
-                if (deadline && job.time < cutoff) {
-                    ++expired_;
-                    continue;
-                }
-                admitBuf_.push_back(job);
-            }
+            // 3. Admission: pop, route, re-queue or shed.
+            admit(now);
         }
-        const std::size_t routed = routeToShards(admitBuf_);
-        admitted_ += routed;
-        for (std::size_t i = routed; i < admitBuf_.size(); ++i) {
-            if (config_.admit == AdmitPolicy::Queue &&
-                ingress_.push(admitBuf_[i]))
-                ++requeued_;
-            else
-                ++shed_;
-        }
-        if (config_.admit == AdmitPolicy::Shed)
-            shed_ += ingress_.clear();
 
         // 4. Per-shard policy refresh + batched placement.
         const auto place_start =

@@ -17,11 +17,13 @@
  *  3. the feed's arrivals due before the next boundary enter the
  *     bounded ingress ring (overflow is shed and accounted);
  *  4. the admission budget's worth of queued arrivals is admitted and
- *     routed to shards by a deterministic waterfill over free cores —
- *     arrivals beyond the fleet's free capacity are re-queued (queue
- *     policy) or shed (shed policy). Under a thermal brownout the
- *     effective budget steps down before the admission pop, and a
- *     configured queue-age deadline sheds stale arrivals at the pop;
+ *     routed to shards by a deterministic waterfill over free cores
+ *     (serve/waterfill.h) — arrivals beyond the fleet's free capacity
+ *     are re-queued (queue policy) or shed (shed policy). Only the
+ *     routed arrivals are popped; the others are counted, not copied.
+ *     Under a thermal brownout the effective budget steps down before
+ *     the admission pop, and a configured queue-age deadline sheds
+ *     stale arrivals at the pop;
  *  5. every shard refreshes its policy state and batch-places its
  *     routed jobs through Scheduler::placeJobs (the PR-7 batched
  *     placement hot path), again fanned out per shard;
@@ -339,9 +341,10 @@ class ShardedDriver
     /** beginInterval (clean mode only — faultPhase already ran it in
      *  degraded mode) + batch placement + departure records. */
     void placeBatch(Shard &shard, Seconds now);
-    /** Deterministic waterfill of @p admitted over shard free cores;
-     *  returns the number routed (prefix of @p admitted). */
-    std::size_t routeToShards(const std::vector<FeedJob> &admitted);
+    /** Admission: pop the budget's worth of queued arrivals (after
+     *  the queue-age deadline), waterfill them over the shards' free
+     *  cores into their batches, and re-queue or shed the rest. */
+    void admit(Seconds now);
     void buildCheckpoint(SnapshotWriter &writer, const JobFeed &feed,
                          std::size_t completed) const;
     std::size_t loadCheckpoint(JobFeed &feed,
@@ -379,11 +382,11 @@ class ShardedDriver
     double maxMeltFraction_ = 0.0;
     std::uint64_t overheated_ = 0;
 
-    /** Reused per-interval buffers. */
+    /** Reused per-interval buffer of the feed's arrivals. */
     std::vector<FeedJob> feedBuf_;
-    std::vector<FeedJob> admitBuf_;
-    /** Post-evacuation free-capacity estimates per shard, consumed
-     *  by the degraded-mode admission waterfill. */
+    /** Free cores per shard, the admission waterfill's input: in
+     *  degraded mode the post-evacuation schedulable-free estimates,
+     *  debited by the refugees routed before admission. */
     std::vector<std::size_t> freeEst_;
     bool ran_ = false;
 };

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/observability.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "util/logging.h"
@@ -347,6 +348,60 @@ TEST(ServeDriver, UnrepresentableDepartureIsANamedFatal)
         EXPECT_NE(std::string(e.what()).find("1e+300"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(ServeDriver, ProfilesEveryPhaseWithoutChangingOutputs)
+{
+    // The serial feed pull and admission (ingest, pop, route, requeue)
+    // are phases next to the four fan-out ones. Attaching the sink
+    // changes no deterministic output, and its serve.* metrics are the
+    // same at any thread count.
+    const ServeConfig config = smallConfig();
+    const ServeResult plain = runSmall(config, busyFeed());
+
+    const auto observed = [&](std::size_t threads,
+                              obs::Observability &bundle) {
+        setGlobalThreadCount(threads);
+        ServeConfig with_obs = config;
+        with_obs.obs = &bundle;
+        const ServeResult result = runSmall(with_obs, busyFeed());
+        setGlobalThreadCount(0);
+        return result;
+    };
+    obs::Observability serial;
+    obs::Observability threaded;
+    const ServeResult one = observed(1, serial);
+    const ServeResult four = observed(4, threaded);
+
+    ASSERT_GT(plain.requeued, 0u);
+    EXPECT_EQ(one.telemetry, plain.telemetry);
+    EXPECT_EQ(four.telemetry, plain.telemetry);
+    EXPECT_EQ(one.arrivals, plain.arrivals);
+    EXPECT_EQ(one.admitted, plain.admitted);
+    EXPECT_EQ(one.requeued, plain.requeued);
+    EXPECT_EQ(one.finalQueueDepth, plain.finalQueueDepth);
+
+    obs::PhaseProfiler &prof = serial.profiler();
+    for (const char *phase :
+         {"serve.departures", "serve.feed", "serve.admit", "serve.place",
+          "serve.thermal"})
+        EXPECT_EQ(prof.calls(prof.phase(phase)), config.maxIntervals)
+            << phase;
+    obs::MetricsRegistry &m = serial.metrics();
+    EXPECT_EQ(m.counterValue(m.counter("serve.arrivals_total")),
+              plain.arrivals);
+    EXPECT_EQ(m.counterValue(m.counter("serve.requeued_total")),
+              plain.requeued);
+
+    const std::vector<obs::MetricValue> a =
+        serial.metrics().snapshotValues(false);
+    const std::vector<obs::MetricValue> b =
+        threaded.metrics().snapshotValues(false);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].values, b[i].values) << a[i].name;
     }
 }
 

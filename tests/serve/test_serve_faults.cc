@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "fault/fault_plan.h"
 #include "reference/snapshot_mutator.h"
 #include "serve/job_feed.h"
@@ -387,11 +389,20 @@ ledgerConfig()
     return config;
 }
 
-std::vector<std::uint8_t>
-snapshotAfter(std::size_t completed)
+/** Scratch snapshot path, unique to the test (@p tag) and the
+ *  process, so tests that run at once never share a file. */
+std::string
+scratchPath(const std::string &tag, const char *role)
 {
-    const std::string ckpt =
-        testing::TempDir() + "vmt_serve_ledger_source.ckpt";
+    return testing::TempDir() + "vmt_serve_" +
+           std::to_string(::getpid()) + "_" + tag + "_" + role +
+           ".ckpt";
+}
+
+std::vector<std::uint8_t>
+snapshotAfter(std::size_t completed, const std::string &tag)
+{
+    const std::string ckpt = scratchPath(tag, "source");
     ServeConfig config = ledgerConfig();
     config.maxIntervals = completed;
     config.checkpointEvery = completed;
@@ -407,10 +418,9 @@ snapshotAfter(std::size_t completed)
 /** True when a run resumed from `image` goes to the end, false on a
  *  FatalError; anything else escapes and fails the test. */
 bool
-resumes(const std::vector<std::uint8_t> &image)
+resumes(const std::vector<std::uint8_t> &image, const std::string &tag)
 {
-    const std::string ckpt =
-        testing::TempDir() + "vmt_serve_ledger_mutant.ckpt";
+    const std::string ckpt = scratchPath(tag, "mutant");
     reference::writeBytes(ckpt, image);
     ServeConfig config = ledgerConfig();
     config.resumeFrom = ckpt;
@@ -426,30 +436,68 @@ resumes(const std::vector<std::uint8_t> &image)
     return ran;
 }
 
-TEST(ServeFaults, MutatedShrdPayloadsEndInANamedFatalOrACleanResume)
+/**
+ * Resume from the interval-8 snapshot with the @p tag section's
+ * payload truncated, byte-flipped or spliced with the interval-12
+ * payload (CRCs recomputed), @p per_kind times each. Every resume
+ * must end in a FatalError or run to the end, never a crash (the CI
+ * sanitizer job runs this suite under ASan and UBSan). Returns the
+ * fatals per kind.
+ */
+std::array<int, 3>
+mutationFatals(const std::string &tag, int per_kind, std::uint64_t seed)
 {
-    // Truncated, byte-flipped and spliced SHRD payloads, CRCs
-    // recomputed: each ends in a FatalError or a resume that runs to
-    // the end — never a crash (the CI sanitizer job runs this suite
-    // under ASan and UBSan).
-    reference::SnapshotSections base(snapshotAfter(8));
-    const std::vector<std::uint8_t> shrd = base.payload("SHRD");
+    reference::SnapshotSections base(snapshotAfter(8, tag));
+    const std::vector<std::uint8_t> payload = base.payload(tag);
     const std::vector<std::uint8_t> donor =
-        reference::SnapshotSections(snapshotAfter(12)).payload("SHRD");
-    ASSERT_TRUE(resumes(base.encode()));
+        reference::SnapshotSections(snapshotAfter(12, tag)).payload(tag);
+    EXPECT_TRUE(resumes(base.encode(), tag));
 
-    Rng rng(1717);
+    Rng rng(seed);
     std::array<int, 3> fatals{};
-    constexpr int kPerKind = 700;
-    for (int i = 0; i < 3 * kPerKind; ++i) {
+    for (int i = 0; i < 3 * per_kind; ++i) {
         const auto kind = static_cast<reference::Mutation>(i % 3);
         reference::SnapshotSections image = base;
-        image.payload("SHRD") =
-            reference::mutate(shrd, donor, kind, rng);
-        if (!resumes(image.encode()))
+        image.payload(tag) = reference::mutate(payload, donor, kind, rng);
+        if (!resumes(image.encode(), tag))
             ++fatals[static_cast<std::size_t>(kind)];
     }
+    return fatals;
+}
+
+TEST(ServeFaults, MutatedShrdPayloadsEndInANamedFatalOrACleanResume)
+{
+    constexpr int kPerKind = 700;
+    const std::array<int, 3> fatals =
+        mutationFatals("SHRD", kPerKind, 1717);
     EXPECT_EQ(fatals[0], kPerKind); // Every cut falls short.
+    EXPECT_GT(fatals[1], 0);
+    EXPECT_GT(fatals[2], 0);
+}
+
+TEST(ServeFaults, MutatedIngrPayloadsEndInANamedFatalOrACleanResume)
+{
+    // The ring holds a backlog at interval 8, so most damage lands in
+    // queued entries: an unknown workload type, or a non-finite or
+    // negative time or duration, is a named fatal at load.
+    ASSERT_GT(reference::SnapshotSections(snapshotAfter(8, "INGR"))
+                  .payload("INGR")
+                  .size(),
+              1000u);
+    constexpr int kPerKind = 300;
+    const std::array<int, 3> fatals =
+        mutationFatals("INGR", kPerKind, 1818);
+    EXPECT_EQ(fatals[0], kPerKind);
+    EXPECT_GT(fatals[1], 0);
+    EXPECT_GT(fatals[2], 0);
+}
+
+TEST(ServeFaults, MutatedFeedPayloadsEndInANamedFatalOrACleanResume)
+{
+    constexpr int kPerKind = 300;
+    const std::array<int, 3> fatals =
+        mutationFatals("FEED", kPerKind, 1919);
+    EXPECT_EQ(fatals[0], kPerKind);
     EXPECT_GT(fatals[1], 0);
     EXPECT_GT(fatals[2], 0);
 }
