@@ -21,8 +21,8 @@
  *                            reference on the cluster1000 rows
  *        --threads and the shared bench flags (bench/common.h)
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
- *              `kernel_micro` + `build` keys into (default
- *              ./BENCH_sim.json; see spliceJson below).
+ *              `kernel_micro` + `kernel_micro_build` keys into
+ *              (default ./BENCH_sim.json; see spliceJson below).
  */
 
 #include <algorithm>
@@ -127,10 +127,10 @@ timeSteps(Fleet &cluster, Seconds dt, std::size_t reps)
 }
 
 /**
- * Splice the `kernel_micro` + `build` keys into BENCH_sim.json,
- * replacing this bench's previous rows in place and leaving every
- * other tool's keys untouched (spliceTopLevelJson). Missing file =>
- * standalone object.
+ * Splice the `kernel_micro` + `kernel_micro_build` keys into
+ * BENCH_sim.json, replacing this bench's previous rows in place and
+ * leaving every other tool's keys untouched (spliceTopLevelJson).
+ * Missing file => standalone object.
  */
 void
 spliceJson(const std::string &path, const std::vector<Row> &rows)
@@ -159,15 +159,8 @@ spliceJson(const std::string &path, const std::vector<Row> &rows)
     micro << "  ]";
     doc = spliceTopLevelJson(doc, "kernel_micro", micro.str());
 
-    std::ostringstream build;
-    build << "{\"compiler\": \"" << __VERSION__ << "\", \"flags\": \""
-#ifdef VMT_BUILD_FLAGS
-          << VMT_BUILD_FLAGS
-#else
-          << "unknown"
-#endif
-          << "\"}";
-    doc = spliceTopLevelJson(doc, "build", build.str());
+    doc = spliceTopLevelJson(doc, "kernel_micro_build",
+                             bench::buildJson());
 
     std::ofstream out(path);
     if (!out) {

@@ -27,8 +27,8 @@
  *                   Writes no JSON.
  *        --threads (bench/common.h)
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
- *              `placement_micro` rows into (default ./BENCH_sim.json;
- *              inserted before the `kernel_micro`/`build` tail).
+ *              `placement_micro` + `placement_micro_build` keys into
+ *              (default ./BENCH_sim.json).
  */
 
 #include <algorithm>
@@ -319,6 +319,8 @@ spliceJson(const std::string &path, const std::vector<Row> &rows)
     }
     micro << "  ]";
     doc = spliceTopLevelJson(doc, "placement_micro", micro.str());
+    doc = spliceTopLevelJson(doc, "placement_micro_build",
+                             bench::buildJson());
 
     std::ofstream out(path);
     if (!out) {

@@ -12,11 +12,16 @@
  * degraded-mode bookkeeping overhead, expected <= ~3%), and a
  * half-fleet outage with scripted recovery (sustained arrivals/sec
  * while the cross-shard evacuation and re-admission paths are hot).
+ * One run of each side reads as noise on a shared host, so the study
+ * runs kFaultRounds rounds of clean, empty-plan and outage runs in
+ * turn; a row gives the median rate of its mode's runs and the
+ * median and quartiles of the per-round overhead against the clean
+ * run of the same round.
  *
  * Flags:  --quick   small fleets / short runs (CI smoke)
  * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice the
- *              `serve` and `serve_fault` keys into (default
- *              ./BENCH_sim.json).
+ *              `serve`, `serve_fault` and `serve_build` keys into
+ *              (default ./BENCH_sim.json).
  */
 
 #include <algorithm>
@@ -26,6 +31,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -62,14 +68,33 @@ percentileUs(std::vector<double> sorted, double q)
     return 1e6 * sorted[std::min(rank, sorted.size() - 1)];
 }
 
-/** One `serve_fault` study row. */
+/** Rounds of the fault study: clean, empty-plan and outage runs. */
+constexpr std::size_t kFaultRounds = 5;
+
+/** Linear-interpolation quantile q of `values` (not empty). */
+double
+quantile(std::vector<double> values, double q)
+{
+    std::sort(values.begin(), values.end());
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] +
+           (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+/** One `serve_fault` study row, over kFaultRounds rounds. */
 struct FaultRow
 {
     std::size_t servers;
     std::string mode; // "empty_plan" | "half_fleet_outage"
+    /** Median over the mode's runs. */
     double arrivalsPerSec;
-    /** Slowdown vs. the clean baseline of the same config (%). */
+    /** Slowdown vs. the clean run of the same round (%): median and
+     *  quartiles over the rounds. */
     double overheadPct;
+    double overheadQ1Pct;
+    double overheadQ3Pct;
     std::uint64_t evacuated;
     std::uint64_t migrated;
     std::uint64_t lost;
@@ -92,8 +117,11 @@ spliceFaultJson(const std::string &path,
         const FaultRow &r = rows[i];
         value << "    {\"servers\": " << r.servers
               << ", \"mode\": \"" << r.mode << "\""
+              << ", \"runs\": " << kFaultRounds
               << ", \"arrivals_per_sec\": " << r.arrivalsPerSec
               << ", \"overhead_pct\": " << r.overheadPct
+              << ", \"overhead_pct_q1\": " << r.overheadQ1Pct
+              << ", \"overhead_pct_q3\": " << r.overheadQ3Pct
               << ", \"evacuated\": " << r.evacuated
               << ", \"migrated\": " << r.migrated
               << ", \"lost\": " << r.lost << "}"
@@ -101,6 +129,7 @@ spliceFaultJson(const std::string &path,
     }
     value << "  ]";
     doc = spliceTopLevelJson(doc, "serve_fault", value.str());
+    doc = spliceTopLevelJson(doc, "serve_build", bench::buildJson());
 
     std::ofstream out(path);
     if (!out) {
@@ -245,85 +274,83 @@ main(int argc, char **argv)
         return result;
     };
 
-    double clean_wall = 0.0;
-    const ServeResult clean = timedRun(fault_config, &clean_wall);
-    const double clean_rate =
-        static_cast<double>(clean.arrivals) / clean_wall;
-
-    std::vector<FaultRow> fault_rows;
-
     // Empty plan: the full degraded interval path (fault engines,
     // schedulable-free capacity scans, evacuation orchestration)
     // with zero events — pure bookkeeping overhead.
-    {
-        ServeConfig config = fault_config;
-        config.faults.enable = true;
-        double wall = 0.0;
-        const ServeResult result = timedRun(config, &wall);
-        FaultRow row;
-        row.servers = fault_servers;
-        row.mode = "empty_plan";
-        row.arrivalsPerSec =
-            static_cast<double>(result.arrivals) / wall;
-        row.overheadPct =
-            100.0 * (1.0 - row.arrivalsPerSec / clean_rate);
-        row.evacuated = result.evacuatedJobs;
-        row.migrated = result.migratedJobs;
-        row.lost = result.lostJobs;
-        fault_rows.push_back(row);
-        std::printf("[serve_fault] servers=%-6zu empty_plan "
-                    "%10.0f arrivals/s  overhead %+5.1f%%%s\n",
-                    fault_servers, row.arrivalsPerSec,
-                    row.overheadPct,
-                    row.overheadPct > 3.0
-                        ? "  (above the 3%% budget)"
-                        : "");
-    }
+    ServeConfig empty_plan = fault_config;
+    empty_plan.faults.enable = true;
 
     // Half-fleet outage a third of the way in, scripted recovery at
     // two thirds: the evacuation, waterfill re-routing and
     // re-admission paths all run hot while the rate is measured.
+    ServeConfig outage = fault_config;
     {
-        ServeConfig config = fault_config;
         const Seconds down_at = static_cast<double>(
                                     fault_intervals / 3) *
-                                config.interval;
+                                outage.interval;
         const Seconds up_at = static_cast<double>(
                                   2 * fault_intervals / 3) *
-                              config.interval;
+                              outage.interval;
         std::vector<FaultEvent> events;
-        for (std::size_t id = 0; id < fault_servers / 2; ++id) {
-            FaultEvent event;
-            event.time = down_at;
-            event.type = FaultEventType::ServerDown;
-            event.serverId = id;
-            events.push_back(event);
+        for (const auto &[at, type] :
+             {std::pair{down_at, FaultEventType::ServerDown},
+              std::pair{up_at, FaultEventType::ServerUp}}) {
+            for (std::size_t id = 0; id < fault_servers / 2; ++id) {
+                FaultEvent event;
+                event.time = at;
+                event.type = type;
+                event.serverId = id;
+                events.push_back(event);
+            }
         }
-        for (std::size_t id = 0; id < fault_servers / 2; ++id) {
-            FaultEvent event;
-            event.time = up_at;
-            event.type = FaultEventType::ServerUp;
-            event.serverId = id;
-            events.push_back(event);
-        }
-        config.faults.plan = FaultPlan(std::move(events));
+        outage.faults.plan = FaultPlan(std::move(events));
+    }
+
+    struct Mode
+    {
+        const char *name;
+        const ServeConfig *config;
+        std::vector<double> rates;
+        std::vector<double> overheads;
+        ServeResult last;
+    };
+    Mode modes[] = {{"empty_plan", &empty_plan, {}, {}, {}},
+                    {"half_fleet_outage", &outage, {}, {}, {}}};
+    for (std::size_t round = 0; round < kFaultRounds; ++round) {
         double wall = 0.0;
-        const ServeResult result = timedRun(config, &wall);
+        const ServeResult clean = timedRun(fault_config, &wall);
+        const double clean_rate =
+            static_cast<double>(clean.arrivals) / wall;
+        for (Mode &mode : modes) {
+            mode.last = timedRun(*mode.config, &wall);
+            const double rate =
+                static_cast<double>(mode.last.arrivals) / wall;
+            mode.rates.push_back(rate);
+            mode.overheads.push_back(100.0 *
+                                     (1.0 - rate / clean_rate));
+        }
+    }
+
+    std::vector<FaultRow> fault_rows;
+    for (const Mode &mode : modes) {
         FaultRow row;
         row.servers = fault_servers;
-        row.mode = "half_fleet_outage";
-        row.arrivalsPerSec =
-            static_cast<double>(result.arrivals) / wall;
-        row.overheadPct =
-            100.0 * (1.0 - row.arrivalsPerSec / clean_rate);
-        row.evacuated = result.evacuatedJobs;
-        row.migrated = result.migratedJobs;
-        row.lost = result.lostJobs;
+        row.mode = mode.name;
+        row.arrivalsPerSec = quantile(mode.rates, 0.5);
+        row.overheadPct = quantile(mode.overheads, 0.5);
+        row.overheadQ1Pct = quantile(mode.overheads, 0.25);
+        row.overheadQ3Pct = quantile(mode.overheads, 0.75);
+        row.evacuated = mode.last.evacuatedJobs;
+        row.migrated = mode.last.migratedJobs;
+        row.lost = mode.last.lostJobs;
         fault_rows.push_back(row);
-        std::printf("[serve_fault] servers=%-6zu half_fleet_outage "
-                    "%10.0f arrivals/s  evacuated %llu "
+        std::printf("[serve_fault] servers=%-6zu %-17s %10.0f "
+                    "arrivals/s  overhead %+5.1f%% (quartiles "
+                    "%+.1f, %+.1f; %zu rounds)  evacuated %llu "
                     "(migrated %llu, lost %llu)\n",
-                    fault_servers, row.arrivalsPerSec,
+                    fault_servers, mode.name, row.arrivalsPerSec,
+                    row.overheadPct, row.overheadQ1Pct,
+                    row.overheadQ3Pct, kFaultRounds,
                     static_cast<unsigned long long>(row.evacuated),
                     static_cast<unsigned long long>(row.migrated),
                     static_cast<unsigned long long>(row.lost));

@@ -1,5 +1,6 @@
 #include "sched/round_robin.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "state/serializer.h"
@@ -17,6 +18,29 @@ RoundRobinScheduler::placeJob(Cluster &cluster, const Job &)
             return id;
     }
     return kNoServer;
+}
+
+void
+RoundRobinScheduler::placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                               std::vector<std::size_t> &out)
+{
+    const Cluster &view = cluster;
+    const std::size_t n = cluster.numServers();
+    out.resize(jobs.size());
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        std::size_t id = cursor_;
+        std::size_t probes = 1;
+        while (!view.server(id).hasCapacity()) {
+            if (probes++ == n) {
+                std::fill(out.begin() + k, out.end(), kNoServer);
+                return;
+            }
+            id = id + 1 == n ? 0 : id + 1;
+        }
+        cursor_ = id + 1 == n ? 0 : id + 1;
+        cluster.addJob(id, jobs[k].type);
+        out[k] = id;
+    }
 }
 
 void

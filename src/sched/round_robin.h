@@ -22,6 +22,16 @@ class RoundRobinScheduler : public Scheduler
 
     std::size_t placeJob(Cluster &cluster, const Job &job) override;
 
+    /**
+     * The per-job decisions in one pass: the cursor walks with a
+     * compare wrap and each job is applied as it is placed. Once a
+     * full sweep finds no free core, the rest of the batch gets
+     * kNoServer and the cursor stays, as n more probes per job would
+     * leave it.
+     */
+    void placeJobs(Cluster &cluster, std::span<const Job> jobs,
+                   std::vector<std::size_t> &out) override;
+
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
 

@@ -314,26 +314,32 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
 }
 
 void
-ShardedDriver::placeEvac(Shard &shard)
+ShardedDriver::placeEvac(Shard &shard, std::span<const std::size_t> routed,
+                         const std::vector<WorkloadType> &types,
+                         const std::vector<Seconds> &dues)
 {
+    shard.evacBatch.clear();
     shard.evacFailTypes.clear();
     shard.evacFailDue.clear();
-    if (shard.evacBatch.empty())
+    if (routed.empty())
         return;
+    shard.evacBatch.reserve(routed.size());
+    for (const std::size_t j : routed)
+        shard.evacBatch.push_back(Job{0, types[j], 0.0});
     shard.scheduler->placeJobs(shard.cluster, shard.evacBatch,
                                shard.evacPlacements);
     checkPlacements(*shard.scheduler, shard.evacBatch.size(),
                     shard.evacPlacements, shard.cluster.numServers());
-    for (std::size_t k = 0; k < shard.evacBatch.size(); ++k) {
+    for (std::size_t k = 0; k < routed.size(); ++k) {
         const std::size_t id = shard.evacPlacements[k];
         const WorkloadType type = shard.evacBatch[k].type;
+        const Seconds due = dues[routed[k]];
         if (id == kNoServer) {
             shard.evacFailTypes.push_back(type);
-            shard.evacFailDue.push_back(shard.evacDue[k]);
+            shard.evacFailDue.push_back(due);
             continue;
         }
-        shard.departures.schedule(shard.evacDue[k],
-                                  DepartureRing::pack(id, type));
+        shard.departures.schedule(due, DepartureRing::pack(id, type));
         ++shard.migratedThisInterval;
     }
 }
@@ -350,8 +356,13 @@ ShardedDriver::evacuateRefugees()
     // Gather this interval's refugees in shard order (determinism:
     // the drain order inside each shard is fixed, and shard order
     // fixes the cross-shard order).
+    std::size_t refugees = 0;
+    for (const Shard &shard : shards_)
+        refugees += shard.evacBatch.size();
     std::vector<WorkloadType> types;
     std::vector<Seconds> dues;
+    types.reserve(refugees);
+    dues.reserve(refugees);
     for (Shard &shard : shards_) {
         for (std::size_t k = 0; k < shard.evacBatch.size(); ++k) {
             types.push_back(shard.evacBatch[k].type);
@@ -365,24 +376,29 @@ ShardedDriver::evacuateRefugees()
     ThreadPool &pool = globalPool();
     std::vector<WorkloadType> nextTypes;
     std::vector<Seconds> nextDues;
+    // Shard s places routed[start[s] .. start[s + 1]): the indices,
+    // in routing order, of the refugees the waterfill gave it.
+    std::vector<std::size_t> routed;
+    std::vector<std::size_t> start(shards_.size() + 1);
     for (std::size_t round = 0;
          round <= config_.evacRetries && !types.empty(); ++round) {
         // Waterfill the refugees over the surviving capacity
         // estimates. Estimates are never re-credited after a failed
         // placement, so the retry loop cannot ping-pong a job
-        // between two shards that both refuse it.
-        for (Shard &shard : shards_) {
-            shard.evacBatch.clear();
-            shard.evacDue.clear();
-        }
+        // between two shards that both refuse it. A first pass on a
+        // copy of the estimates, emitting nothing, gives each shard's
+        // share (what its estimate drops by), so the second writes
+        // each refugee's index straight into its shard's slice.
+        std::vector<std::size_t> left = freeEst_;
+        waterfill(left, types.size(), [](std::size_t) {});
+        for (std::size_t s = 0; s < shards_.size(); ++s)
+            start[s + 1] = start[s] + (freeEst_[s] - left[s]);
+        routed.resize(start.back());
+        std::vector<std::size_t> fill(start.begin(), start.end() - 1);
         std::size_t next = 0;
         const std::size_t assigned =
-            waterfill(freeEst_, types.size(), [&](std::size_t s) {
-                shards_[s].evacBatch.push_back(
-                    Job{0, types[next], 0.0});
-                shards_[s].evacDue.push_back(dues[next]);
-                ++next;
-            });
+            waterfill(freeEst_, types.size(),
+                      [&](std::size_t s) { routed[fill[s]++] = next++; });
         // Every shard is out of estimated capacity past `assigned`;
         // those refugees go straight to the next round.
         nextTypes.assign(types.begin() +
@@ -397,7 +413,11 @@ ShardedDriver::evacuateRefugees()
         parallelFor(pool, 0, shards_.size(), 1,
                     [&](std::size_t begin, std::size_t end) {
                         for (std::size_t s = begin; s < end; ++s)
-                            placeEvac(shards_[s]);
+                            placeEvac(shards_[s],
+                                      std::span<const std::size_t>(
+                                          routed.data() + start[s],
+                                          start[s + 1] - start[s]),
+                                      types, dues);
                     });
 
         // Collect this round's placement failures (shard order) for

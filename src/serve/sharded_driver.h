@@ -50,6 +50,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -299,10 +300,10 @@ class ShardedDriver
         /** Newly failed servers' drained jobs (this interval), and
          *  later each retry round's refugees routed to this shard. */
         std::vector<Job> evacBatch;
-        /** Parallel to evacBatch: the boundary time of the departure
-         *  bucket each refugee keeps (the evacuation rule). Every
-         *  shard drains at the same boundaries, so the destination
-         *  files it back into the same bucket. */
+        /** Parallel to the drained evacBatch: the boundary time of
+         *  the departure bucket each refugee keeps (the evacuation
+         *  rule). Every shard drains at the same boundaries, so the
+         *  destination files it back into the same bucket. */
         std::vector<Seconds> evacDue;
         std::vector<std::size_t> evacPlacements;
         /** Refugees this shard's scheduler could not place in the
@@ -335,9 +336,12 @@ class ShardedDriver
      *  capacity, parallel batched placement, bounded retries, shed
      *  on exhaustion. Serial orchestration (shard order). */
     void evacuateRefugees();
-    /** Place one round's refugees routed to this shard, filing each
-     *  into its kept departure bucket. */
-    void placeEvac(Shard &shard);
+    /** Place one round's refugees routed to this shard — indices
+     *  into the round's `types` and `dues` — filing each into its
+     *  kept departure bucket. */
+    void placeEvac(Shard &shard, std::span<const std::size_t> routed,
+                   const std::vector<WorkloadType> &types,
+                   const std::vector<Seconds> &dues);
     /** beginInterval (clean mode only — faultPhase already ran it in
      *  degraded mode) + batch placement + departure records. */
     void placeBatch(Shard &shard, Seconds now);

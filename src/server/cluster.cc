@@ -58,12 +58,6 @@ Cluster::Cluster(std::size_t num_servers, const ServerSpec &spec,
 }
 
 void
-Cluster::markPowerDirty(std::size_t id)
-{
-    powerDirty_[id >> 6] |= std::uint64_t{1} << (id & 63);
-}
-
-void
 Cluster::markAllPowerDirty()
 {
     for (std::uint64_t &word : powerDirty_)
@@ -125,41 +119,6 @@ Cluster::server(std::size_t id)
     totalPowerCache_.reset();
     markPowerDirty(id);
     return servers_[id];
-}
-
-const Server &
-Cluster::server(std::size_t id) const
-{
-    if (id >= servers_.size())
-        panic("Cluster::server out of range");
-    return servers_[id];
-}
-
-void
-Cluster::addJob(std::size_t server_id, WorkloadType type)
-{
-    if (server_id >= servers_.size())
-        panic("Cluster::addJob out of range");
-    totalPowerCache_.reset();
-    markPowerDirty(server_id);
-    servers_[server_id].addJob(type);
-    ++active_[workloadIndex(type)];
-    ++busyCores_;
-}
-
-void
-Cluster::removeJob(std::size_t server_id, WorkloadType type)
-{
-    if (server_id >= servers_.size())
-        panic("Cluster::removeJob out of range");
-    totalPowerCache_.reset();
-    markPowerDirty(server_id);
-    servers_[server_id].removeJob(type);
-    auto &count = active_[workloadIndex(type)];
-    if (count == 0)
-        panic("Cluster::removeJob underflow");
-    --count;
-    --busyCores_;
 }
 
 Watts

@@ -19,6 +19,7 @@
 #include "server/server_spec.h"
 #include "thermal/thermal_params.h"
 #include "thermal/thermal_soa.h"
+#include "util/logging.h"
 #include "util/units.h"
 #include "workload/workload.h"
 
@@ -107,14 +108,49 @@ class Cluster
      */
     void setHealth(std::size_t server_id, ServerHealth health);
 
+    /** Mutable access: marks the server's power stale, since the
+     *  caller may change its job mix. Panics out of range. */
     Server &server(std::size_t id);
-    const Server &server(std::size_t id) const;
 
-    /** Occupy a core on a server; updates cluster aggregates. */
-    void addJob(std::size_t server_id, WorkloadType type);
+    /** Read-only access; panics out of range. */
+    const Server &
+    server(std::size_t id) const
+    {
+        if (id >= servers_.size()) [[unlikely]]
+            panic("Cluster::server out of range");
+        return servers_[id];
+    }
 
-    /** Release a core on a server; updates cluster aggregates. */
-    void removeJob(std::size_t server_id, WorkloadType type);
+    /** Occupy a core on a server; updates cluster aggregates. Panics
+     *  out of range or when the server has no capacity. */
+    void
+    addJob(std::size_t server_id, WorkloadType type)
+    {
+        if (server_id >= servers_.size()) [[unlikely]]
+            panic("Cluster::addJob out of range");
+        totalPowerCache_.reset();
+        markPowerDirty(server_id);
+        servers_[server_id].addJob(type);
+        ++active_[workloadIndex(type)];
+        ++busyCores_;
+    }
+
+    /** Release a core on a server; updates cluster aggregates. Panics
+     *  out of range or when no such job is running. */
+    void
+    removeJob(std::size_t server_id, WorkloadType type)
+    {
+        if (server_id >= servers_.size()) [[unlikely]]
+            panic("Cluster::removeJob out of range");
+        totalPowerCache_.reset();
+        markPowerDirty(server_id);
+        servers_[server_id].removeJob(type);
+        auto &count = active_[workloadIndex(type)];
+        if (count == 0) [[unlikely]]
+            panic("Cluster::removeJob underflow");
+        --count;
+        --busyCores_;
+    }
 
     /**
      * Instantaneous total electrical power.
@@ -187,7 +223,12 @@ class Cluster
 
   private:
     /** Mark one server's gathered power stale. */
-    void markPowerDirty(std::size_t id);
+    void
+    markPowerDirty(std::size_t id)
+    {
+        powerDirty_[id >> 6] |= std::uint64_t{1} << (id & 63);
+    }
+
     void markAllPowerDirty();
     /** Re-gather stale entries of the SoA power array. */
     void refreshPowerArray();

@@ -9,27 +9,6 @@ Server::Server(std::size_t id, const ServerSpec &spec, ThermalSoA &soa)
     : id_(id), spec_(spec), soa_(&soa)
 {}
 
-void
-Server::addJob(WorkloadType type)
-{
-    if (!hasCapacity())
-        panic("Server::addJob on a full server");
-    ++counts_[workloadIndex(type)];
-    ++busyCores_;
-    powerCacheModel_ = nullptr;
-}
-
-void
-Server::removeJob(WorkloadType type)
-{
-    auto &count = counts_[workloadIndex(type)];
-    if (count == 0)
-        panic("Server::removeJob with no such job running");
-    --count;
-    --busyCores_;
-    powerCacheModel_ = nullptr;
-}
-
 Watts
 Server::power(const PowerModel &model) const
 {

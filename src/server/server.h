@@ -17,6 +17,7 @@
 #include "server/server_spec.h"
 #include "thermal/pcm_kernel.h"
 #include "thermal/thermal_soa.h"
+#include "util/logging.h"
 #include "util/units.h"
 #include "workload/workload.h"
 
@@ -97,11 +98,30 @@ class Server
     /** Running jobs per workload type. */
     const CoreCounts &coreCounts() const { return counts_; }
 
-    /** Occupy one core with a job of the given type. */
-    void addJob(WorkloadType type);
+    /** Occupy one core with a job of the given type.
+     *  Panics unless the server has capacity. */
+    void
+    addJob(WorkloadType type)
+    {
+        if (!hasCapacity()) [[unlikely]]
+            panic("Server::addJob on a full server");
+        ++counts_[workloadIndex(type)];
+        ++busyCores_;
+        powerCacheModel_ = nullptr;
+    }
 
-    /** Release one core of the given type. */
-    void removeJob(WorkloadType type);
+    /** Release one core of the given type.
+     *  Panics when no such job is running. */
+    void
+    removeJob(WorkloadType type)
+    {
+        auto &count = counts_[workloadIndex(type)];
+        if (count == 0) [[unlikely]]
+            panic("Server::removeJob with no such job running");
+        --count;
+        --busyCores_;
+        powerCacheModel_ = nullptr;
+    }
 
     /**
      * Instantaneous power under the given model, including any

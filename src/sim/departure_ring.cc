@@ -51,7 +51,7 @@ DepartureRing::DepartureRing(Seconds interval, std::size_t servers)
     : dt_(interval), invDt_(1.0 / interval),
       maxTime_(std::min(static_cast<double>(kMaxBucket) * interval,
                         std::numeric_limits<double>::max())),
-      servers_(servers)
+      servers_(servers), slots_(kMinSlots), mask_(kMinSlots - 1)
 {
     if (!(interval > 0.0 && std::isfinite(interval)))
         fatal("DepartureRing requires a positive interval");
@@ -78,13 +78,68 @@ DepartureRing::badTime(Seconds time)
           why);
 }
 
+std::int64_t
+DepartureRing::exactBucket(Seconds time, std::int64_t b) const
+{
+    while (at(b - 1) >= time)
+        --b;
+    while (at(b) < time)
+        ++b;
+    return b;
+}
+
 void
 DepartureRing::restart(Seconds resume)
 {
-    window_.clear();
+    slots_.assign(kMinSlots, {});
+    mask_ = kMinSlots - 1;
     overflow_.clear();
     size_ = 0;
+    inRing_ = 0;
     base_ = bucketOf(resume);
+    end_ = base_;
+}
+
+void
+DepartureRing::fileFar(std::uint64_t b, Record record)
+{
+    if (b - base_ >= kWindow) {
+        overflow_[b].push_back(record);
+        return;
+    }
+    grow(b - base_);
+    fileInRing(b, record);
+}
+
+void
+DepartureRing::grow(std::uint64_t ahead)
+{
+    std::size_t n = slots_.size();
+    while (n <= ahead)
+        n *= 2;
+    std::vector<std::vector<Record>> wider(n);
+    for (std::uint64_t b = base_; b < end_; ++b)
+        wider[b & (n - 1)] = std::move(slots_[b & mask_]);
+    slots_.swap(wider);
+    mask_ = n - 1;
+}
+
+void
+DepartureRing::handOff()
+{
+    while (!overflow_.empty() &&
+           overflow_.begin()->first - base_ < kWindow) {
+        auto node = overflow_.extract(overflow_.begin());
+        const std::uint64_t b = node.key();
+        if (b - base_ >= slots_.size())
+            grow(b - base_);
+        std::vector<Record> &slot = slots_[b & mask_];
+        slot.swap(node.mapped());
+        inRing_ += slot.size();
+        end_ = std::max(end_, b + 1);
+        if (node.mapped().capacity() != 0)
+            recycle(node.mapped());
+    }
 }
 
 std::vector<std::uint32_t>
@@ -123,7 +178,8 @@ DepartureRing::loadState(Deserializer &in, Seconds resume)
     std::uint64_t prev = 0;
     for (std::size_t i = 0; i < buckets; ++i) {
         const std::uint64_t b = in.getU64();
-        if (b < base_ || b > kMaxBucket || (i > 0 && b <= prev))
+        if (b < base_ || b > static_cast<std::uint64_t>(kMaxBucket) ||
+            (i > 0 && b <= prev))
             fatal("snapshot departure ledger: bucket " + str(b) +
                   " is out of drain order (resume bucket " +
                   str(base_) + ", previous " + str(prev) + ")");
@@ -223,45 +279,50 @@ evacuateServers(DepartureRing &ring, Cluster &cluster,
     dues.clear();
     if (servers.empty())
         return;
-    // Pair p = (position of the server in `servers`) * K + type.
+    // Pair p = (position of the server in `servers`) * K + type. A
+    // pair holds one record per running job, so the cluster's counts
+    // lay out each pair's slice of `grouped`; the pass over the ring
+    // fills the slices in drain order and counts what each pair
+    // holds, past the end of its slice too.
+    const Cluster &view = cluster;
+    const std::size_t pairs = servers.size() * kNumWorkloads;
+    std::vector<std::size_t> start(pairs + 1, 0);
     constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> position(ring.servers(), kNone);
-    for (std::size_t i = 0; i < servers.size(); ++i)
+    for (std::size_t i = 0; i < servers.size(); ++i) {
         position[servers[i]] = static_cast<std::uint32_t>(i);
-    std::vector<std::pair<std::size_t, std::uint64_t>> taken;
+        const CoreCounts &counts = view.server(servers[i]).coreCounts();
+        for (std::size_t t = 0; t < kNumWorkloads; ++t)
+            start[i * kNumWorkloads + t + 1] = counts[t];
+    }
+    for (std::size_t p = 1; p <= pairs; ++p)
+        start[p] += start[p - 1];
+    std::vector<std::uint64_t> grouped(start.back());
+    std::vector<std::size_t> held(pairs, 0);
     ring.removeIf([&](std::uint64_t b, DepartureRing::Record record) {
         const std::uint32_t i =
             position[DepartureRing::serverOf(record)];
         if (i == kNone)
             return false;
-        taken.emplace_back(i * kNumWorkloads + record % kNumWorkloads,
-                           b);
+        const std::size_t p = i * kNumWorkloads + record % kNumWorkloads;
+        if (start[p] + held[p] < start[p + 1])
+            grouped[start[p] + held[p]] = b;
+        ++held[p];
         return true;
     });
-    // Group the buckets per pair, each group in drain order.
-    std::vector<std::size_t> start(servers.size() * kNumWorkloads + 1,
-                                   0);
-    for (const auto &[pair, b] : taken)
-        ++start[pair + 1];
-    for (std::size_t p = 1; p < start.size(); ++p)
-        start[p] += start[p - 1];
-    std::vector<std::uint64_t> grouped(taken.size());
-    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-    for (const auto &[pair, b] : taken)
-        grouped[fill[pair]++] = b;
 
-    const Cluster &view = cluster;
+    refugees.reserve(grouped.size());
+    dues.reserve(grouped.size());
     for (std::size_t i = 0; i < servers.size(); ++i) {
         const std::size_t from = servers[i];
         for (const WorkloadType type : kAllWorkloads) {
             const std::size_t p = i * kNumWorkloads + workloadIndex(type);
-            const std::size_t count =
-                view.server(from).coreCounts()[workloadIndex(type)];
-            if (count != start[p + 1] - start[p])
+            const std::size_t count = start[p + 1] - start[p];
+            if (count != held[p])
                 panic("evacuation: server " + str(from) + " runs " +
                       str(count) + " type-" + str(workloadIndex(type)) +
                       " jobs but the departure ring holds " +
-                      str(start[p + 1] - start[p]));
+                      str(held[p]));
             for (std::size_t k = start[p]; k < start[p + 1]; ++k) {
                 cluster.removeJob(from, type);
                 refugees.push_back(Job{0, type, 0.0});

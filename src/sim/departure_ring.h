@@ -22,12 +22,16 @@
  *    sorted.
  *
  * Memory scales with the number of pending records, whatever their
- * due times: the ring stays anchored at its drain position, the
- * kWindow buckets from there on are dense, and records further out
+ * due times. In-window buckets live in a flat power-of-two array of
+ * slots, bucket b in slot b & mask: it starts at kMinSlots and
+ * doubles, up to kWindow, when a record is filed further ahead than
+ * it reaches. Records kWindow or more buckets past the drain position
  * wait in an overflow ordered by bucket until the window reaches
  * them. A due time that is not finite, negative, or in a bucket whose
- * index reaches 2^53 is a fatal. Drained bucket storage is recycled
- * through a spare pool, so the steady state performs no allocation.
+ * index reaches 2^53 is a fatal. A drained bucket hands its storage
+ * to a spare pool and an empty slot takes a spare on its first
+ * filing, so the steady state performs no allocation. (DESIGN.md
+ * §8b.)
  *
  * Which job an evacuation or a migration moves is a rule over this
  * ring (evacuateServers, migrateRecords); DESIGN.md §11 and §16
@@ -40,7 +44,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
@@ -110,7 +113,7 @@ class DepartureRing
     {
         const std::uint64_t limit = bucketAfter(now);
         while (base_ < limit) {
-            if (window_.empty()) {
+            if (inRing_ == 0) {
                 // Jump over the empty stretch to the first overflow
                 // bucket or to `limit`, whichever comes first.
                 std::uint64_t next = limit;
@@ -119,12 +122,13 @@ class DepartureRing
                 advanceTo(next);
                 continue;
             }
-            std::vector<Record> &front = window_.front();
-            for (const Record record : front)
+            std::vector<Record> &slot = slots_[base_ & mask_];
+            for (const Record record : slot)
                 fn(record);
-            size_ -= front.size();
-            recycle(std::move(front));
-            window_.pop_front();
+            inRing_ -= slot.size();
+            size_ -= slot.size();
+            if (slot.capacity() != 0)
+                recycle(slot);
             advanceTo(base_ + 1);
         }
     }
@@ -139,21 +143,22 @@ class DepartureRing
     Seconds
     boundary(std::uint64_t b) const
     {
-        return static_cast<double>(b) * dt_;
+        return at(static_cast<std::int64_t>(b));
     }
 
     /**
      * Visit every non-empty pending bucket in drain order as
-     * fn(index, records). fn may rewrite records in place but not
-     * schedule.
+     * fn(index, records), then every overflow bucket (one a removeIf
+     * emptied included). fn may rewrite records in place but not add,
+     * remove or schedule.
      */
     template <typename Fn>
     void
     forEachBucket(Fn &&fn)
     {
-        for (std::size_t i = 0; i < window_.size(); ++i)
-            if (!window_[i].empty())
-                fn(base_ + i, window_[i]);
+        for (std::uint64_t b = base_; b < end_; ++b)
+            if (!slots_[b & mask_].empty())
+                fn(b, slots_[b & mask_]);
         for (auto &[b, bucket] : overflow_)
             fn(b, bucket);
     }
@@ -162,9 +167,9 @@ class DepartureRing
     void
     forEachBucket(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < window_.size(); ++i)
-            if (!window_[i].empty())
-                fn(base_ + i, std::as_const(window_[i]));
+        for (std::uint64_t b = base_; b < end_; ++b)
+            if (!slots_[b & mask_].empty())
+                fn(b, std::as_const(slots_[b & mask_]));
         for (const auto &[b, bucket] : overflow_)
             fn(b, bucket);
     }
@@ -182,7 +187,12 @@ class DepartureRing
             for (const Record record : bucket)
                 if (!pred(b, record))
                     bucket[kept++] = record;
-            size_ -= bucket.size() - kept;
+            const std::size_t removed = bucket.size() - kept;
+            size_ -= removed;
+            // Slot buckets lie within kWindow of the drain position,
+            // overflow buckets beyond it.
+            if (b - base_ < kWindow)
+                inRing_ -= removed;
             bucket.resize(kept);
         });
     }
@@ -219,38 +229,54 @@ class DepartureRing
 
     /**
      * Smallest b with double(b) * dt >= time. The cast-then-multiply
-     * form matches the drivers' boundary expression bit for bit; the
-     * multiply-by-1/dt guess is only a guess — the correction loops
-     * (one iteration in practice) make the result exact.
+     * form matches the drivers' boundary expression bit for bit. The
+     * multiply-by-1/dt guess, moved up one bucket when its boundary
+     * lies below `time`, is exact unless the product rounded across a
+     * boundary; the check sends that case to the correction loops.
+     * Indices stay below 2^53 + 2, so the signed conversions give the
+     * unsigned ones' values.
      * @throws FatalError as schedule() does.
      */
     std::uint64_t
     bucketOf(Seconds time) const
     {
-        if (!(time >= 0.0 && time <= maxTime_))
+        if (!(time >= 0.0 && time <= maxTime_)) [[unlikely]]
             badTime(time);
-        auto b = std::min(static_cast<std::uint64_t>(time * invDt_),
-                          kMaxBucket);
-        while (b > 0 && boundary(b - 1) >= time)
-            --b;
-        while (boundary(b) < time)
-            ++b;
-        return b;
+        std::int64_t b =
+            std::min(static_cast<std::int64_t>(time * invDt_), kMaxBucket);
+        b += at(b) < time;
+        // at(-1) < 0 <= time, so b = 0 needs no test of its own.
+        if (at(b) < time || at(b - 1) >= time) [[unlikely]]
+            b = exactBucket(time, b);
+        return static_cast<std::uint64_t>(b);
     }
 
   private:
     /** Largest bucket index: every index up to it is an exact
      *  double, so the boundary expression stays strictly monotone. */
-    static constexpr std::uint64_t kMaxBucket =
-        (std::uint64_t{1} << 53) - 1;
-    /** Dense buckets from the drain position on; later ones wait in
-     *  the overflow. */
+    static constexpr std::int64_t kMaxBucket =
+        (std::int64_t{1} << 53) - 1;
+    /** Slots of a new ring. */
+    static constexpr std::size_t kMinSlots = 16;
+    /** Dense buckets from the drain position on (the most slots);
+     *  later ones wait in the overflow. */
     static constexpr std::uint64_t kWindow = 4096;
     /** Spare vectors kept beyond this are freed. */
     static constexpr std::size_t kMaxSpare = 64;
 
     /** Names why `time` has no bucket. */
     [[noreturn]] static void badTime(Seconds time);
+
+    /** double(b) * dt, converted through a signed integer. */
+    Seconds
+    at(std::int64_t b) const
+    {
+        return static_cast<double>(b) * dt_;
+    }
+
+    /** bucketOf()'s correction loops, from any start in
+     *  [0, kMaxBucket]. */
+    std::int64_t exactBucket(Seconds time, std::int64_t b) const;
 
     /** Reset to an empty ring whose next drained bucket is the one of
      *  `resume` (checkpoint restore). */
@@ -259,12 +285,34 @@ class DepartureRing
     void
     file(std::uint64_t b, Record record)
     {
-        if (b - base_ < kWindow)
-            bucketAt(b).push_back(record);
+        if (b - base_ < slots_.size()) [[likely]]
+            fileInRing(b, record);
         else
-            overflow_[b].push_back(record);
+            fileFar(b, record);
         ++size_;
     }
+
+    /** File into bucket b, which the slots reach. */
+    void
+    fileInRing(std::uint64_t b, Record record)
+    {
+        std::vector<Record> &slot = slots_[b & mask_];
+        if (slot.capacity() == 0) [[unlikely]]
+            takeSpare(slot);
+        slot.push_back(record);
+        ++inRing_;
+        end_ = std::max(end_, b + 1);
+    }
+
+    /** File into bucket b, which the slots do not reach: double them
+     *  until they do, or, kWindow or more buckets out, file into the
+     *  overflow. */
+    void fileFar(std::uint64_t b, Record record);
+
+    /** Widen the slots to the next power of two past `ahead` buckets
+     *  from the drain position; every in-window bucket moves to its
+     *  slot under the new mask. */
+    void grow(std::uint64_t ahead);
 
     /** Smallest bucket whose boundary lies after `now`: every bucket
      *  before it can only hold records due by `now`. */
@@ -274,54 +322,45 @@ class DepartureRing
         if (!(now >= 0.0))
             return 0;
         if (!(now < maxTime_))
-            return kMaxBucket + 1;
+            return static_cast<std::uint64_t>(kMaxBucket) + 1;
         const std::uint64_t b = bucketOf(now);
-        return boundary(b) > now ? b : b + 1;
+        return b + (boundary(b) <= now);
     }
 
-    /** The storage for in-window bucket b, growing the window as
-     *  needed. */
-    std::vector<Record> &
-    bucketAt(std::uint64_t b)
-    {
-        const auto i = static_cast<std::size_t>(b - base_);
-        while (window_.size() <= i)
-            window_.push_back(takeSpare());
-        return window_[i];
-    }
-
-    /** Make bucket b the front and move the overflow buckets the
-     *  window now covers into it. Overflow records were all filed
-     *  before their bucket entered the window, so they keep going
-     *  first. */
+    /** Make bucket b the front and hand over the overflow buckets the
+     *  window now covers. */
     void
     advanceTo(std::uint64_t b)
     {
         base_ = b;
-        while (!overflow_.empty() &&
-               overflow_.begin()->first - base_ < kWindow) {
-            auto node = overflow_.extract(overflow_.begin());
-            bucketAt(node.key()).swap(node.mapped());
-            recycle(std::move(node.mapped()));
-        }
+        end_ = std::max(end_, b);
+        if (!overflow_.empty() &&
+            overflow_.begin()->first - base_ < kWindow) [[unlikely]]
+            handOff();
     }
 
+    /** Move every overflow bucket the window covers into its slot.
+     *  Overflow records were all filed before their bucket entered
+     *  the window, so they keep going first. */
+    void handOff();
+
     void
-    recycle(std::vector<Record> &&bucket)
+    recycle(std::vector<Record> &bucket)
     {
         bucket.clear();
         if (spare_.size() < kMaxSpare)
             spare_.push_back(std::move(bucket));
+        else
+            std::vector<Record>().swap(bucket);
     }
 
-    std::vector<Record>
-    takeSpare()
+    void
+    takeSpare(std::vector<Record> &slot)
     {
         if (spare_.empty())
-            return {};
-        std::vector<Record> v = std::move(spare_.back());
+            return;
+        slot.swap(spare_.back());
         spare_.pop_back();
-        return v;
     }
 
     Seconds dt_;
@@ -330,14 +369,20 @@ class DepartureRing
      *  schedulable time. */
     Seconds maxTime_;
     std::size_t servers_;
-    /** Buckets base_ .. base_ + window_.size() - 1 (< kWindow). */
-    std::deque<std::vector<Record>> window_;
+    /** In-window bucket b lives in slots_[b & mask_]; a power of two
+     *  from kMinSlots to kWindow slots. */
+    std::vector<std::vector<Record>> slots_;
+    std::size_t mask_;
     /** Buckets at base_ + kWindow and beyond, by index. */
     std::map<std::uint64_t, std::vector<Record>> overflow_;
     /** The next bucket to drain. */
     std::uint64_t base_ = 0;
+    /** One past the last in-window bucket that can be non-empty. */
+    std::uint64_t end_ = 0;
     std::vector<std::vector<Record>> spare_;
+    /** Records pending in all, and in the slots. */
     std::size_t size_ = 0;
+    std::size_t inRing_ = 0;
 };
 
 /**

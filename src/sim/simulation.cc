@@ -27,11 +27,13 @@ namespace {
  */
 struct DriverObs
 {
+    obs::PhaseId phaseDepartures;
     obs::PhaseId phaseFault;
     obs::PhaseId phaseArrivals;
     obs::PhaseId phasePlacementBegin;
     obs::PhaseId phasePlacementEvac;
     obs::PhaseId phasePlacement;
+    obs::PhaseId phaseLedger;
     obs::PhaseId phaseThermal;
     obs::PhaseId phaseCheckpoint;
     obs::CounterHandle intervals;
@@ -54,11 +56,13 @@ struct DriverObs
     void registerAll(obs::Observability &o)
     {
         obs::PhaseProfiler &prof = o.profiler();
+        phaseDepartures = prof.phase("departures");
         phaseFault = prof.phase("fault");
         phaseArrivals = prof.phase("arrivals");
         phasePlacementBegin = prof.phase("placement.begin");
         phasePlacementEvac = prof.phase("placement.evac");
         phasePlacement = prof.phase("placement");
+        phaseLedger = prof.phase("ledger");
         phaseThermal = prof.phase("thermal");
         phaseCheckpoint = prof.phase("checkpoint");
 
@@ -251,10 +255,13 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
             static_cast<double>(interval) * config.interval;
 
         // 1. Complete jobs due by now.
-        departures.drain(now, [&](DepartureRing::Record record) {
-            cluster.removeJob(DepartureRing::serverOf(record),
-                              DepartureRing::typeOf(record));
-        });
+        {
+            obs::ScopedPhase timer(prof, dobs.phaseDepartures);
+            departures.drain(now, [&](DepartureRing::Record record) {
+                cluster.removeJob(DepartureRing::serverOf(record),
+                                  DepartureRing::typeOf(record));
+            });
+        }
 
         // 1b. Apply fault events due at this boundary (server
         // outages/repairs, cooling derates, stochastic draws,
@@ -285,12 +292,15 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         // keeps its departure bucket (evacuateServers); jobs with
         // nowhere to go are lost.
         if (!evacuating.empty()) {
-            obs::ScopedPhase timer(prof, dobs.phasePlacementEvac);
-            evacuateServers(departures, cluster, evacuating, refugees,
-                            refugee_dues);
-            scheduler.placeJobs(cluster, refugees, placements);
-            checkPlacements(scheduler, refugees.size(), placements,
-                            config.numServers);
+            {
+                obs::ScopedPhase timer(prof, dobs.phasePlacementEvac);
+                evacuateServers(departures, cluster, evacuating,
+                                refugees, refugee_dues);
+                scheduler.placeJobs(cluster, refugees, placements);
+                checkPlacements(scheduler, refugees.size(), placements,
+                                config.numServers);
+            }
+            obs::ScopedPhase timer(prof, dobs.phaseLedger);
             for (std::size_t k = 0; k < refugees.size(); ++k) {
                 const std::size_t to = placements[k];
                 if (to == kNoServer) {
@@ -342,13 +352,16 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
             generator.arrivalsFor(interval, active, arrivals);
         }
         {
-            obs::ScopedPhase timer(prof, dobs.phasePlacement);
             // One batch call decides (and applies) every placement;
             // the departure records below are driver-local and cannot
             // influence decisions.
+            obs::ScopedPhase timer(prof, dobs.phasePlacement);
             scheduler.placeJobs(cluster, arrivals, placements);
             checkPlacements(scheduler, arrivals.size(), placements,
                             config.numServers);
+        }
+        {
+            obs::ScopedPhase timer(prof, dobs.phaseLedger);
             for (std::size_t k = 0; k < arrivals.size(); ++k) {
                 const Job &job = arrivals[k];
                 const std::size_t id = placements[k];

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "fault/fault_plan.h"
+#include "reference/scratch_path.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -124,7 +125,7 @@ TEST(FaultPlan, CtorRejectsUnsortedEvents)
 
 TEST(FaultPlan, LoadFileRoundTripsAndRejectsMissing)
 {
-    const std::string path = testing::TempDir() + "vmt_plan.txt";
+    const std::string path = reference::scratchPath("plan.txt");
     {
         std::ofstream out(path);
         out << "0.25 server-down 7\n1 cooling-derate 2\n";
@@ -134,9 +135,9 @@ TEST(FaultPlan, LoadFileRoundTripsAndRejectsMissing)
     EXPECT_EQ(plan.events()[0].serverId, 7u);
     std::remove(path.c_str());
 
-    EXPECT_THROW(FaultPlan::loadFile(testing::TempDir() +
-                                     "vmt_no_such_plan.txt"),
-                 FatalError);
+    EXPECT_THROW(
+        FaultPlan::loadFile(reference::scratchPath("no_such_plan.txt")),
+        FatalError);
 }
 
 TEST(FaultConfig, EnabledReflectsEveryActivationPath)

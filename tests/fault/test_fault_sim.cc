@@ -22,6 +22,7 @@
 #include "core/vmt_preserve.h"
 #include "core/vmt_ta.h"
 #include "core/vmt_wa.h"
+#include "reference/scratch_path.h"
 #include "sched/coolest_first.h"
 #include "sched/round_robin.h"
 #include "sched/switchover.h"
@@ -299,7 +300,7 @@ TEST(FaultSim, FaultedRunIsBitwiseIdenticalAcrossThreadCounts)
 TEST(FaultSim, CheckpointResumeReproducesAFaultedRunBitwise)
 {
     const std::string path =
-        testing::TempDir() + "vmt_fault_resume.snap";
+        reference::scratchPath("fault_resume.snap");
     std::remove(path.c_str());
 
     SimConfig config = shortRun(20, 0.2);

@@ -15,7 +15,9 @@
 
 #include "common.h"
 #include "core/vmt_wa.h"
+#include "fault/fault_plan.h"
 #include "obs/observability.h"
+#include "reference/scratch_path.h"
 #include "sim/simulation.h"
 #include "state/sim_snapshot.h"
 #include "util/logging.h"
@@ -35,7 +37,7 @@ class ThreadCountGuard
 std::string
 tempSnapshotPath(const char *name)
 {
-    const std::string path = testing::TempDir() + name;
+    const std::string path = reference::scratchPath(name);
     std::remove(path.c_str());
     return path;
 }
@@ -137,6 +139,60 @@ TEST(ObsSim, AttachingObservabilityDoesNotPerturbTheResult)
                           observed.meanAirTemp);
     EXPECT_EQ(reference.placedJobs, observed.placedJobs);
     EXPECT_EQ(reference.peakCoolingLoad, observed.peakCoolingLoad);
+}
+
+TEST(ObsSim, DeparturesAndLedgerPhasesAreEnteredEachInterval)
+{
+    // Two servers fail at hour 1: one interval evacuates.
+    SimConfig plain = shortRun(100, 2.0);
+    plain.faults.plan =
+        FaultPlan::parse("1 server-down 3\n1 server-down 7\n");
+    VmtWaScheduler a = waScheduler();
+    const SimResult reference = runSimulation(plain, a);
+    ASSERT_GT(reference.evacuatedJobs, 0u);
+
+    obs::Observability bundle;
+    SimConfig instrumented = plain;
+    instrumented.obs = &bundle;
+    VmtWaScheduler b = waScheduler();
+    runSimulation(instrumented, b);
+
+    // The drain, the scheduler call and the arrivals' records once
+    // per interval; the refugees' records once more in the interval
+    // that evacuates.
+    const std::uint64_t intervals = reference.coolingLoad.size();
+    obs::PhaseProfiler &prof = bundle.profiler();
+    EXPECT_EQ(prof.calls(prof.phase("departures")), intervals);
+    EXPECT_EQ(prof.calls(prof.phase("placement")), intervals);
+    EXPECT_EQ(prof.calls(prof.phase("placement.evac")), 1u);
+    EXPECT_EQ(prof.calls(prof.phase("ledger")), intervals + 1);
+
+    // The non-profile metrics and the telemetry are those of the run
+    // without observability.
+    obs::MetricsRegistry &m = bundle.metrics();
+    EXPECT_EQ(m.counterValue(m.counter("sim.intervals_total")),
+              intervals);
+    EXPECT_EQ(m.counterValue(m.counter("sim.jobs.placed_total")),
+              reference.placedJobs);
+    EXPECT_EQ(m.counterValue(m.counter("sim.jobs.dropped_total")),
+              reference.droppedJobs);
+    EXPECT_EQ(m.counterValue(m.counter("sim.jobs.evacuated_total")),
+              reference.evacuatedJobs);
+    EXPECT_EQ(m.counterValue(m.counter("sim.jobs.lost_total")),
+              reference.lostJobs);
+    EXPECT_EQ(m.gaugeValue(m.gauge("sim.peak_cooling_load_watts")),
+              reference.peakCoolingLoad);
+    EXPECT_EQ(m.gaugeValue(m.gauge("sim.max_air_temp_celsius")),
+              reference.maxAirTemp);
+    expectSeriesIdentical("coolingLoad",
+                          bundle.telemetry().coolingLoad(),
+                          reference.coolingLoad);
+    expectSeriesIdentical("meanAirTemp",
+                          bundle.telemetry().meanAirTemp(),
+                          reference.meanAirTemp);
+    expectSeriesIdentical("meltFraction",
+                          bundle.telemetry().meltFraction(),
+                          reference.meanMeltFraction);
 }
 
 TEST(ObsSim, NonProfileMetricsIdenticalAcrossThreadCounts)

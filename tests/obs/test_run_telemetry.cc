@@ -13,6 +13,7 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/run_telemetry.h"
+#include "reference/scratch_path.h"
 #include "state/serializer.h"
 #include "util/logging.h"
 #include "util/units.h"
@@ -113,7 +114,7 @@ TEST(RunTelemetry, WriteJsonlRoundTripsThroughDisk)
     RunTelemetry telemetry;
     recordGoldenRun(telemetry);
     const std::string path =
-        testing::TempDir() + "vmt_trace_events.jsonl";
+        reference::scratchPath("trace_events.jsonl");
     telemetry.writeJsonl(path);
     EXPECT_EQ(readFile(path), telemetry.eventLog());
     std::remove(path.c_str());

@@ -22,10 +22,9 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "fault/fault_plan.h"
 #include "reference/digest.h"
+#include "reference/scratch_path.h"
 #include "reference/snapshot_mutator.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
@@ -221,8 +220,7 @@ TEST(ServeDigests, OutputsMatchThePinnedDigestsAtOneAndFourThreads)
             setGlobalThreadCount(threads);
             ServeConfig config = c.config;
             config.checkpointPath =
-                testing::TempDir() + "vmt_serve_digest_" +
-                std::to_string(::getpid()) + "_" + c.name + ".ckpt";
+                reference::scratchPath(std::string(c.name) + ".ckpt");
             SyntheticFeed feed(c.feed);
             const ServeResult result = ShardedDriver(config).run(feed);
             const std::vector<std::uint8_t> snap =

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/observability.h"
+#include "reference/scratch_path.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "util/logging.h"
@@ -177,7 +178,7 @@ TEST(ServeDriver, TelemetryIsBitwiseIdenticalAcrossThreadCounts)
 TEST(ServeDriver, ResumeProducesBitwiseIdenticalTelemetry)
 {
     const std::string ckpt =
-        testing::TempDir() + "vmt_serve_resume.ckpt";
+        reference::scratchPath("serve_resume.ckpt");
 
     // Reference: 20 intervals straight through.
     ServeConfig reference = smallConfig();
@@ -261,7 +262,7 @@ TEST(ServeDriver, FormatV2SnapshotStillResumes)
 TEST(ServeDriver, ResumeRefusesAMismatchedConfig)
 {
     const std::string ckpt =
-        testing::TempDir() + "vmt_serve_mismatch.ckpt";
+        reference::scratchPath("serve_mismatch.ckpt");
     ServeConfig first = smallConfig();
     first.maxIntervals = 4;
     first.checkpointEvery = 2;

@@ -14,9 +14,8 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "fault/fault_plan.h"
+#include "reference/scratch_path.h"
 #include "reference/snapshot_mutator.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
@@ -186,7 +185,7 @@ TEST(ServeFaults, StochasticFaultsAreBitwiseAcrossThreadCounts)
 TEST(ServeFaults, ResumeWithActivePlanIsBitwise)
 {
     const std::string ckpt =
-        testing::TempDir() + "vmt_serve_fault_resume.ckpt";
+        reference::scratchPath("serve_fault_resume.ckpt");
 
     ServeConfig reference = smallConfig();
     reference.faults.plan = halfFleetOutage();
@@ -239,7 +238,7 @@ TEST(ServeFaults, ResumeWithActivePlanIsBitwise)
 TEST(ServeFaults, DegradedRunRefusesCleanSnapshotAndViceVersa)
 {
     const std::string ckpt =
-        testing::TempDir() + "vmt_serve_dgrd_mismatch.ckpt";
+        reference::scratchPath("serve_dgrd_mismatch.ckpt");
     ServeConfig clean = smallConfig();
     clean.maxIntervals = 4;
     clean.checkpointEvery = 4;
@@ -342,7 +341,7 @@ TEST(ServeFaults, DepartureLedgerMatchesTheClusterEveryInterval)
     // (server, type) differ from the cluster's job count — through
     // the outage, the cross-shard evacuation and the repair.
     const std::string ckpt =
-        testing::TempDir() + "vmt_serve_ledger.ckpt";
+        reference::scratchPath("serve_ledger.ckpt");
     ServeConfig config = smallConfig();
     config.faults.plan = halfFleetOutage();
     config.keepTelemetry = false;
@@ -389,20 +388,10 @@ ledgerConfig()
     return config;
 }
 
-/** Scratch snapshot path, unique to the test (@p tag) and the
- *  process, so tests that run at once never share a file. */
-std::string
-scratchPath(const std::string &tag, const char *role)
-{
-    return testing::TempDir() + "vmt_serve_" +
-           std::to_string(::getpid()) + "_" + tag + "_" + role +
-           ".ckpt";
-}
-
 std::vector<std::uint8_t>
 snapshotAfter(std::size_t completed, const std::string &tag)
 {
-    const std::string ckpt = scratchPath(tag, "source");
+    const std::string ckpt = reference::scratchPath(tag + "_source.ckpt");
     ServeConfig config = ledgerConfig();
     config.maxIntervals = completed;
     config.checkpointEvery = completed;
@@ -420,7 +409,7 @@ snapshotAfter(std::size_t completed, const std::string &tag)
 bool
 resumes(const std::vector<std::uint8_t> &image, const std::string &tag)
 {
-    const std::string ckpt = scratchPath(tag, "mutant");
+    const std::string ckpt = reference::scratchPath(tag + "_mutant.ckpt");
     reference::writeBytes(ckpt, image);
     ServeConfig config = ledgerConfig();
     config.resumeFrom = ckpt;

@@ -697,6 +697,26 @@ TEST(DepartureRing, RulesPanicWhenTheRingMissesAJob)
                  "server 1 has no pending type-0 record");
 }
 
+TEST(DepartureRing, EvacuationPanicsWhenTheRingHoldsAnExtraRecord)
+{
+    // A record with no running job behind it overruns its pair's
+    // share of the evacuated records (sized from the cluster's
+    // counts); evacuation still counts every record and names the
+    // pair with the ring's full count.
+    using WT = WorkloadType;
+    Pod pod;
+    pod.add(1, WT::WebSearch, 2.0 * kDt);
+    pod.add(1, WT::WebSearch, 3.0 * kDt);
+    pod.add(1, WT::DataCaching, 2.0 * kDt);
+    pod.cluster.removeJob(1, WT::WebSearch);
+    std::vector<Job> refugees;
+    std::vector<Seconds> dues;
+    EXPECT_DEATH(evacuateServers(pod.ring, pod.cluster, {1}, refugees,
+                                 dues),
+                 "server 1 runs 1 type-0 jobs but the departure ring "
+                 "holds 2");
+}
+
 TEST(DepartureRing, LedgerCheckNamesTheFirstDisagreeingPair)
 {
     Pod pod;

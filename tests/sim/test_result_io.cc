@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "reference/scratch_path.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
 #include "util/atomic_file.h"
@@ -20,11 +21,8 @@ namespace {
 class ResultIoTest : public ::testing::Test
 {
   protected:
-    // One file per test: ctest runs the tests in parallel processes.
-    std::string path_ =
-        ::testing::TempDir() + "vmt_result_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".csv";
+    // One file per test and process.
+    std::string path_ = reference::scratchPath("out.csv");
 
     void TearDown() override { std::remove(path_.c_str()); }
 

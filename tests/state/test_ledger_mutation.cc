@@ -21,6 +21,7 @@
 #include "common.h"
 #include "core/vmt_wa.h"
 #include "fault/fault_plan.h"
+#include "reference/scratch_path.h"
 #include "reference/snapshot_mutator.h"
 #include "state/serializer.h"
 #include "state/sim_snapshot.h"
@@ -54,14 +55,11 @@ waScheduler()
     return VmtWaScheduler(bench::studyVmt(22.0), hotMaskFromPaper());
 }
 
-/** A scratch file private to the running test (ctest runs the tests
- *  of this binary in parallel processes). */
+/** A scratch file private to the running test and process. */
 std::string
 scratchPath(const std::string &what)
 {
-    return testing::TempDir() + "vmt_ledger_" +
-           testing::UnitTest::GetInstance()->current_test_info()->name() +
-           "_" + what + ".snap";
+    return reference::scratchPath(what + ".snap");
 }
 
 /** The snapshot ledgerRun() writes after `completed` intervals. */

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/scratch_path.h"
 #include "state/recovery.h"
 #include "state/snapshot.h"
 #include "util/logging.h"
@@ -62,7 +63,7 @@ TEST(Recovery, PreviousPathIsASibling)
 
 TEST(Recovery, SaveRotatesTwoGenerations)
 {
-    const std::string path = testing::TempDir() + "vmt_rot.snap";
+    const std::string path = reference::scratchPath("rot.snap");
     removeAll(path);
     RecoveryManager manager(path);
 
@@ -89,7 +90,7 @@ TEST(Recovery, SaveRotatesTwoGenerations)
 
 TEST(Recovery, FailedSaveIsCountedAndKeepsTheLastGood)
 {
-    const std::string dir = testing::TempDir() + "vmt_gone_dir";
+    const std::string dir = reference::scratchPath("gone_dir");
     const std::string path = dir + "/ck.snap";
     RecoveryManager manager(path);
 
@@ -101,7 +102,7 @@ TEST(Recovery, FailedSaveIsCountedAndKeepsTheLastGood)
     EXPECT_FALSE(fileExists(path));
 
     // A writable path keeps working after failures elsewhere.
-    const std::string good = testing::TempDir() + "vmt_good.snap";
+    const std::string good = reference::scratchPath("good.snap");
     removeAll(good);
     RecoveryManager working(good);
     EXPECT_TRUE(working.save(stampedSnapshot(7)));
@@ -113,7 +114,7 @@ TEST(Recovery, FailedSaveIsCountedAndKeepsTheLastGood)
 
 TEST(Recovery, RecoverPicksTheNewestValidCandidate)
 {
-    const std::string path = testing::TempDir() + "vmt_rec.snap";
+    const std::string path = reference::scratchPath("rec.snap");
     removeAll(path);
     RecoveryManager manager(path);
     ASSERT_TRUE(manager.save(stampedSnapshot(1)));
@@ -129,7 +130,7 @@ TEST(Recovery, RecoverPicksTheNewestValidCandidate)
 
 TEST(Recovery, CorruptNewestFallsBackToThePreviousGeneration)
 {
-    const std::string path = testing::TempDir() + "vmt_fb.snap";
+    const std::string path = reference::scratchPath("fb.snap");
     removeAll(path);
     RecoveryManager manager(path);
     ASSERT_TRUE(manager.save(stampedSnapshot(1)));
@@ -154,7 +155,7 @@ TEST(Recovery, CorruptNewestFallsBackToThePreviousGeneration)
 
 TEST(Recovery, TruncatedNewestFallsBackToo)
 {
-    const std::string path = testing::TempDir() + "vmt_tr.snap";
+    const std::string path = reference::scratchPath("tr.snap");
     removeAll(path);
     RecoveryManager manager(path);
     ASSERT_TRUE(manager.save(stampedSnapshot(1)));
@@ -175,7 +176,7 @@ TEST(Recovery, TruncatedNewestFallsBackToo)
 
 TEST(Recovery, FatalOnlyWhenNoCandidateValidates)
 {
-    const std::string path = testing::TempDir() + "vmt_none.snap";
+    const std::string path = reference::scratchPath("none.snap");
     removeAll(path);
 
     // Nothing on disk at all.
@@ -194,7 +195,7 @@ TEST(Recovery, FatalOnlyWhenNoCandidateValidates)
 TEST(Recovery, MissingPrimaryRecoversFromPreviousAlone)
 {
     // A crash between the rotate and the commit leaves only .prev.
-    const std::string path = testing::TempDir() + "vmt_prev.snap";
+    const std::string path = reference::scratchPath("prev.snap");
     removeAll(path);
     stampedSnapshot(4).write(previousSnapshotPath(path));
     const RecoveredSnapshot recovered = recoverSnapshot(path);

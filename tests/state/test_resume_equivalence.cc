@@ -19,6 +19,7 @@
 
 #include "common.h"
 #include "core/vmt_wa.h"
+#include "reference/scratch_path.h"
 #include "sched/round_robin.h"
 #include "sim/simulation.h"
 #include "state/serializer.h"
@@ -39,7 +40,7 @@ class ThreadCountGuard
 std::string
 tempSnapshotPath(const char *name)
 {
-    const std::string path = testing::TempDir() + name;
+    const std::string path = reference::scratchPath(name);
     std::remove(path.c_str());
     return path;
 }
@@ -496,8 +497,7 @@ TEST(ResumeMismatch, MissingSnapshotFileIsFatal)
     const SimConfig config = shortRun(20, 0.2);
     VmtWaScheduler sched = waScheduler();
     EXPECT_THROW(tryResume(config, sched,
-                           testing::TempDir() +
-                               "vmt_no_such_snapshot.snap"),
+                           reference::scratchPath("no_such_snapshot.snap")),
                  FatalError);
 }
 

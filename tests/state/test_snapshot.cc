@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/scratch_path.h"
 #include "state/snapshot.h"
 #include "util/atomic_file.h"
 #include "util/logging.h"
@@ -177,7 +178,7 @@ TEST(Snapshot, RejectsTrailingGarbage)
 TEST(Snapshot, WriteIsAtomicAndLeavesNoTempFile)
 {
     const std::string path =
-        testing::TempDir() + "vmt_snapshot_atomic.snap";
+        reference::scratchPath("snapshot_atomic.snap");
     std::remove(path.c_str());
     goldenWriter().write(path);
     EXPECT_TRUE(fileExists(path));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common.h"
+#include "reference/scratch_path.h"
 #include "state/sweep_manifest.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -25,7 +26,7 @@ namespace {
 std::string
 tempManifestPath(const char *name)
 {
-    const std::string path = testing::TempDir() + name;
+    const std::string path = reference::scratchPath(name);
     std::remove(path.c_str());
     return path;
 }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "reference/scratch_path.h"
 #include "util/csv.h"
 #include "util/logging.h"
 
@@ -27,11 +28,8 @@ readAll(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
-    // One file per test: ctest runs the tests in parallel processes.
-    std::string path_ =
-        ::testing::TempDir() + "vmt_csv_test_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".csv";
+    // One file per test and process.
+    std::string path_ = reference::scratchPath("out.csv");
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "reference/scratch_path.h"
 #include "util/logging.h"
 #include "workload/trace_io.h"
 
@@ -17,11 +18,8 @@ namespace {
 class TraceIoTest : public ::testing::Test
 {
   protected:
-    // One file per test: ctest runs the tests in parallel processes.
-    std::string path_ =
-        ::testing::TempDir() + "vmt_trace_test_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".csv";
+    // One file per test and process.
+    std::string path_ = reference::scratchPath("out.csv");
 
     void TearDown() override { std::remove(path_.c_str()); }
 };
