@@ -290,9 +290,8 @@ checkBatchGate()
 /**
  * Splice the `placement_micro` key into BENCH_sim.json, replacing
  * this bench's previous rows in place and leaving every other tool's
- * keys (perf_kernel's `kernel_micro`/`build`, perf_simulator's run
- * sections, perf_serve's `serve`) untouched. Missing file =>
- * standalone object.
+ * keys (perf_kernel's `kernel_micro`, perf_serve's `serve`)
+ * untouched. Missing file => standalone object.
  */
 void
 spliceJson(const std::string &path, const std::vector<Row> &rows)

@@ -1,11 +1,14 @@
 #include "serve/job_feed.h"
 
+#include <algorithm>
 #include <cmath>
+#include <exception>
 #include <sstream>
 #include <utility>
 
 #include "state/serializer.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "workload/job_generator.h"
 
 namespace vmt::serve {
@@ -93,7 +96,7 @@ loadFeedJob(Deserializer &in, const char *section)
 }
 
 SyntheticFeed::SyntheticFeed(const SyntheticFeedParams &params)
-    : params_(params), rng_(params.seed)
+    : params_(params)
 {
     if (!(params.users > 0.0) ||
         !(params.requestsPerUserHour > 0.0))
@@ -119,6 +122,7 @@ SyntheticFeed::SyntheticFeed(const SyntheticFeedParams &params)
                                 : 1.0);
     candidateGap_ = 1.0 / maxRate_;
     keepFloor_ = diurnalRate(0.0) / maxRate_;
+    cur_.rng = Rng(params.seed);
     const WorkloadShares shares = catalogShares();
     double cdf = 0.0;
     for (WorkloadType type : kAllWorkloads) {
@@ -150,26 +154,37 @@ SyntheticFeed::ratePerSecond(Seconds t) const
     return rate;
 }
 
+SyntheticFeed::~SyntheticFeed()
+{
+    try {
+        settle(true);
+    } catch (const std::exception &e) {
+        warn(std::string("SyntheticFeed: a dropped pull-ahead task "
+                         "failed: ") +
+             e.what());
+    }
+}
+
 void
-SyntheticFeed::generateNext()
+SyntheticFeed::generateNext(Cursor &c) const
 {
     // Lewis–Shedler thinning at the constant envelope rate maxRate_:
     // the candidate sequence (and every accept/reject draw) depends
     // only on the seed, never on how callers segment their pulls.
     while (true) {
-        candidateTime_ += rng_.exponential(candidateGap_);
-        const double u = rng_.uniform();
+        c.candidateTime += c.rng.exponential(candidateGap_);
+        const double u = c.rng.uniform();
         // Below the keep floor the candidate is kept whatever the rate
         // (never inside the warm-up ramp, which scales below it).
         if (u < keepFloor_ &&
             !(params_.rampHours > 0.0 &&
-              secondsToHours(candidateTime_) < params_.rampHours))
-            ++floorAccepts_;
-        else if (u >= ratePerSecond(candidateTime_) / maxRate_)
+              secondsToHours(c.candidateTime) < params_.rampHours))
+            ++c.floorAccepts;
+        else if (u >= ratePerSecond(c.candidateTime) / maxRate_)
             continue;
         // Type from the catalog CDF, then duration — one fixed draw
         // order per accepted arrival.
-        const double v = rng_.uniform();
+        const double v = c.rng.uniform();
         std::size_t w = kNumWorkloads - 1;
         for (std::size_t i = 0; i < kNumWorkloads; ++i) {
             if (v < typeCdf_[i]) {
@@ -177,22 +192,79 @@ SyntheticFeed::generateNext()
                 break;
             }
         }
-        pending_ = FeedJob{candidateTime_, kAllWorkloads[w],
-                           rng_.exponential(meanDuration_[w])};
+        c.pending = FeedJob{c.candidateTime, kAllWorkloads[w],
+                            c.rng.exponential(meanDuration_[w])};
         return;
     }
 }
 
 void
+SyntheticFeed::pull(Cursor &c, Seconds end, std::vector<FeedJob> &out,
+                    const std::atomic<bool> *cancel) const
+{
+    if (!c.pending)
+        generateNext(c);
+    while (c.pending->time < end) {
+        if (cancel && (out.size() == out.capacity() ||
+                       cancel->load(std::memory_order_relaxed)))
+            return;
+        out.push_back(*c.pending);
+        ++c.emitted;
+        generateNext(c);
+    }
+}
+
+void
+SyntheticFeed::settle(bool cancel)
+{
+    if (!ahead_.valid())
+        return;
+    if (cancel)
+        cancel_.store(true, std::memory_order_relaxed);
+    ahead_.get();
+}
+
+void
 SyntheticFeed::arrivalsUntil(Seconds end, std::vector<FeedJob> &out)
 {
-    if (!pending_)
-        generateNext();
-    while (pending_->time < end) {
-        out.push_back(*pending_);
-        ++emitted_;
-        generateNext();
+    const std::size_t before = out.size();
+    if (ahead_.valid()) {
+        // What the task pulled is kept only if all of it is due
+        // before `end`: then it is the prefix a serial pull would
+        // return, and its cursor continues the stream from there.
+        settle(false);
+        if (aheadBuf_.empty() || aheadBuf_.back().time < end) {
+            if (out.empty())
+                out.swap(aheadBuf_);
+            else
+                out.insert(out.end(), aheadBuf_.begin(),
+                           aheadBuf_.end());
+            cur_ = aheadCur_;
+            ++adopted_;
+        }
     }
+    pull(cur_, end, out, nullptr);
+
+    const std::optional<Seconds> last = std::exchange(lastEnd_, end);
+    if (!last || !(end > *last) || ThreadPool::insideWorker())
+        return;
+    ThreadPool &pool = globalPool();
+    if (pool.size() <= 1)
+        return;
+    // Guess that the step repeats, and size the task's buffer here
+    // for about as many arrivals as this pull returned, so only this
+    // thread allocates; a task that fills it stops, and the next
+    // pull tops up.
+    aheadEnd_ = end + (end - *last);
+    aheadCur_ = cur_;
+    aheadBuf_.clear();
+    const std::size_t count = out.size() - before;
+    const std::size_t want = count + count / 4 + 64;
+    if (aheadBuf_.capacity() < want)
+        aheadBuf_.reserve(std::max(want, 2 * aheadBuf_.capacity()));
+    cancel_.store(false, std::memory_order_relaxed);
+    ahead_ = pool.submit(
+        [this] { pull(aheadCur_, aheadEnd_, aheadBuf_, &cancel_); });
 }
 
 void
@@ -209,17 +281,19 @@ SyntheticFeed::saveState(Serializer &out) const
     out.putDouble(params_.burstMinutes);
     out.putU64(params_.seed);
 
-    saveRng(out, rng_);
-    out.putDouble(candidateTime_);
-    out.putBool(pending_.has_value());
-    if (pending_)
-        saveFeedJob(out, *pending_);
-    out.putU64(emitted_);
+    saveRng(out, cur_.rng);
+    out.putDouble(cur_.candidateTime);
+    out.putBool(cur_.pending.has_value());
+    if (cur_.pending)
+        saveFeedJob(out, *cur_.pending);
+    out.putU64(cur_.emitted);
 }
 
 void
 SyntheticFeed::loadState(Deserializer &in)
 {
+    settle(true);
+    lastEnd_.reset();
     checkFeedDouble("users", in.getDouble(), params_.users);
     checkFeedDouble("requestsPerUserHour", in.getDouble(),
                     params_.requestsPerUserHour);
@@ -236,15 +310,15 @@ SyntheticFeed::loadState(Deserializer &in)
         fatal("serve feed snapshot does not match the configured "
               "feed (seed differs)");
 
-    loadRng(in, rng_);
-    candidateTime_ = in.getDouble();
-    if (!std::isfinite(candidateTime_) || candidateTime_ < 0.0)
+    loadRng(in, cur_.rng);
+    cur_.candidateTime = in.getDouble();
+    if (!std::isfinite(cur_.candidateTime) || cur_.candidateTime < 0.0)
         fatal("serve snapshot FEED section is corrupt: candidate time " +
-              std::to_string(candidateTime_));
-    pending_.reset();
+              std::to_string(cur_.candidateTime));
+    cur_.pending.reset();
     if (in.getBool())
-        pending_ = loadFeedJob(in, "FEED");
-    emitted_ = in.getU64();
+        cur_.pending = loadFeedJob(in, "FEED");
+    cur_.emitted = in.getU64();
 }
 
 LineFeed::LineFeed(std::istream &in, std::string origin,

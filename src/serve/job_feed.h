@@ -26,8 +26,10 @@
 #define VMT_SERVE_JOB_FEED_H
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <future>
 #include <istream>
 #include <optional>
 #include <string>
@@ -124,6 +126,17 @@ struct SyntheticFeedParams
  * the stream. Each accepted arrival draws a workload type from the
  * Table-I catalog shares and an exponential duration around the
  * workload's mean, from the same seeded Rng.
+ *
+ * The feed works one pull ahead. Each arrivalsUntil(end) call, once
+ * a previous call fixed the step, submits one task to the global
+ * ThreadPool that pulls the next span, to end + (end - previous end),
+ * from a copy of the cursor into a buffer the caller sized. The next
+ * call adopts that buffer and cursor when every arrival in it is due
+ * before its own end, and tops up from there; otherwise it drops
+ * them. Either way it returns the exact stream prefix, and
+ * saveState() writes the cursor as of the last returned pull. A
+ * one-thread pool, or a call from inside a pool worker, pulls
+ * serially.
  */
 class SyntheticFeed : public JobFeed
 {
@@ -132,7 +145,15 @@ class SyntheticFeed : public JobFeed
      *  parameters. */
     explicit SyntheticFeed(const SyntheticFeedParams &params);
 
+    /** Cancels and waits for an in-flight pull-ahead task. */
+    ~SyntheticFeed() override;
+
+    /** The pull-ahead task holds this feed's address. */
+    SyntheticFeed(const SyntheticFeed &) = delete;
+    SyntheticFeed &operator=(const SyntheticFeed &) = delete;
+
     std::string name() const override { return "synthetic"; }
+    /** Rethrows what a pull-ahead task threw. */
     void arrivalsUntil(Seconds end,
                        std::vector<FeedJob> &out) override;
     bool exhausted() const override { return false; }
@@ -145,18 +166,52 @@ class SyntheticFeed : public JobFeed
     double peakRatePerSecond() const { return maxRate_; }
 
     /** Arrivals emitted so far. */
-    std::uint64_t emitted() const { return emitted_; }
+    std::uint64_t emitted() const { return cur_.emitted; }
 
     /** Candidates this instance accepted below the keep floor,
      *  without evaluating the rate (not checkpointed). */
-    std::uint64_t floorAccepts() const { return floorAccepts_; }
+    std::uint64_t floorAccepts() const { return cur_.floorAccepts; }
+
+    /** Pull-ahead tasks whose arrivals a pull returned (not
+     *  checkpointed). */
+    std::uint64_t adopted() const { return adopted_; }
 
     void saveState(Serializer &out) const override;
+    /** Drops an in-flight pull-ahead task first. */
     void loadState(Deserializer &in) override;
 
   private:
-    /** Draw candidates until one survives thinning; fills pending_. */
-    void generateNext();
+    /** Everything a pull advances; a copy continues the same
+     *  stream. */
+    struct Cursor
+    {
+        Rng rng;
+        /** Last candidate arrival time handed to the thinning
+         *  draw. */
+        Seconds candidateTime = 0.0;
+        /** Accepted arrival not yet released (beyond the last
+         *  `end`). */
+        std::optional<FeedJob> pending;
+        std::uint64_t emitted = 0;
+        std::uint64_t floorAccepts = 0;
+    };
+
+    /** Draw candidates until one survives thinning; fills
+     *  c.pending. */
+    void generateNext(Cursor &c) const;
+
+    /**
+     * Append every arrival before @p end to @p out and advance @p c
+     * past them. With @p cancel (the pull-ahead task) it stops
+     * early, between two arrivals, once @p out is full or *cancel is
+     * set: it never allocates, and @p c still continues the stream.
+     */
+    void pull(Cursor &c, Seconds end, std::vector<FeedJob> &out,
+              const std::atomic<bool> *cancel) const;
+
+    /** Wait for the pull-ahead task, if one is in flight, telling it
+     *  to stop first when @p cancel; rethrows what it threw. */
+    void settle(bool cancel);
 
     /** The diurnal rate at a point of the day's shape (0 at the
      *  trough, 1 at the peak), before ramp and burst scaling. */
@@ -184,13 +239,21 @@ class SyntheticFeed : public JobFeed
     /** Catalog-share CDF over kAllWorkloads, summed in that order. */
     std::array<double, kNumWorkloads> typeCdf_{};
     std::array<Seconds, kNumWorkloads> meanDuration_{};
-    Rng rng_;
-    /** Last candidate arrival time handed to the thinning draw. */
-    Seconds candidateTime_ = 0.0;
-    /** Accepted arrival not yet released (beyond the last `end`). */
-    std::optional<FeedJob> pending_;
-    std::uint64_t emitted_ = 0;
-    std::uint64_t floorAccepts_ = 0;
+    /** The cursor as of the last returned pull (what checkpoints). */
+    Cursor cur_;
+    /** The end of the last pull; unset until the first, and after a
+     *  loadState. */
+    std::optional<Seconds> lastEnd_;
+    std::uint64_t adopted_ = 0;
+
+    // The pull-ahead task, which pulls aheadCur_ to aheadEnd_ into
+    // aheadBuf_; the caller touches those three only while no task
+    // is in flight.
+    std::future<void> ahead_;
+    Cursor aheadCur_;
+    std::vector<FeedJob> aheadBuf_;
+    Seconds aheadEnd_ = 0.0;
+    std::atomic<bool> cancel_{false};
 };
 
 /**

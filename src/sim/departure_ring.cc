@@ -103,6 +103,10 @@ DepartureRing::restart(Seconds resume)
 void
 DepartureRing::fileFar(std::uint64_t b, Record record)
 {
+    if (slots_.empty())
+        fatal("DepartureRing: a record is filed after the drain "
+              "passed the last bucket (index 2^53 - 1), so it would "
+              "never drain");
     if (b - base_ >= kWindow) {
         overflow_[b].push_back(record);
         return;

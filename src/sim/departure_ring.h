@@ -28,7 +28,8 @@
  * it reaches. Records kWindow or more buckets past the drain position
  * wait in an overflow ordered by bucket until the window reaches
  * them. A due time that is not finite, negative, or in a bucket whose
- * index reaches 2^53 is a fatal. A drained bucket hands its storage
+ * index reaches 2^53 is a fatal, and so is any filing once a drain
+ * has passed the last bucket. A drained bucket hands its storage
  * to a spare pool and an empty slot takes a spare on its first
  * filing, so the steady state performs no allocation. (DESIGN.md
  * §8b.)
@@ -94,7 +95,8 @@ class DepartureRing
      * File a record due at an absolute time: into its bucket, or the
      * next bucket to drain when it is late.
      * @throws FatalError when the time is NaN, negative, or beyond
-     *         the last representable bucket (infinite included).
+     *         the last representable bucket (infinite included), or
+     *         when a drain has passed that bucket.
      */
     void
     schedule(Seconds due, Record record)
@@ -131,6 +133,8 @@ class DepartureRing
                 recycle(slot);
             advanceTo(base_ + 1);
         }
+        if (base_ > static_cast<std::uint64_t>(kMaxBucket)) [[unlikely]]
+            slots_.clear(); // Every later filing takes fileFar's fatal.
     }
 
     /** True when no records are pending. */
@@ -306,7 +310,8 @@ class DepartureRing
 
     /** File into bucket b, which the slots do not reach: double them
      *  until they do, or, kWindow or more buckets out, file into the
-     *  overflow. */
+     *  overflow. @throws FatalError once a drain has passed the last
+     *  bucket (no slots are left then). */
     void fileFar(std::uint64_t b, Record record);
 
     /** Widen the slots to the next power of two past `ahead` buckets
@@ -370,7 +375,8 @@ class DepartureRing
     Seconds maxTime_;
     std::size_t servers_;
     /** In-window bucket b lives in slots_[b & mask_]; a power of two
-     *  from kMinSlots to kWindow slots. */
+     *  from kMinSlots to kWindow slots, none once a drain has passed
+     *  the last bucket. */
     std::vector<std::vector<Record>> slots_;
     std::size_t mask_;
     /** Buckets at base_ + kWindow and beyond, by index. */

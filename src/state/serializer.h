@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vmt {
@@ -42,8 +43,14 @@ class Serializer
     /** Raw bytes, no length prefix. */
     void putBytes(const void *data, std::size_t size);
 
+    /** Make room for @p size more bytes. */
+    void reserve(std::size_t size) { buf_.reserve(buf_.size() + size); }
+
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
+
+    /** Move the bytes out, leaving the serializer empty. */
+    std::vector<std::uint8_t> release() { return std::exchange(buf_, {}); }
 
   private:
     std::vector<std::uint8_t> buf_;

@@ -43,7 +43,13 @@ SnapshotWriter::section(const std::string &tag)
 std::vector<std::uint8_t>
 SnapshotWriter::encode() const
 {
+    // The header, then per section its 16-byte frame and payload:
+    // one allocation of the final size, moved out.
+    std::size_t size = sizeof(kMagic) + 8;
+    for (const auto &[tag, payload] : sections_)
+        size += 16 + payload.size();
     Serializer out;
+    out.reserve(size);
     out.putBytes(kMagic, sizeof(kMagic));
     out.putU32(kSnapshotFormatVersion);
     out.putU32(static_cast<std::uint32_t>(sections_.size()));
@@ -53,7 +59,7 @@ SnapshotWriter::encode() const
         out.putU32(crc32(payload.bytes().data(), payload.size()));
         out.putBytes(payload.bytes().data(), payload.size());
     }
-    return out.bytes();
+    return out.release();
 }
 
 void

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -185,6 +186,7 @@ class Twin
     }
 
     std::size_t size() const { return flat_.size(); }
+    DepartureRing &flat() { return flat_; }
     std::uint64_t drained() const { return drained_; }
     std::uint64_t roundTrips() const { return roundTrips_; }
 
@@ -298,8 +300,10 @@ runStream(Seconds dt, std::uint64_t seed, std::size_t steps)
     }
 
     // The last representable buckets. Past the last boundary the
-    // next bucket to drain is 2^53, which a late filing joins and no
-    // drain reaches.
+    // next bucket to drain is 2^53, which no drain reaches, so the
+    // production ring refuses any later filing (a late one, or one
+    // due at the last boundary) by name and stays empty; the deque
+    // ring would keep the record pending for ever.
     const Seconds last = t.at(kMaxBucket);
     t.schedule(last);
     t.schedule(std::nextafter(last, 0.0));
@@ -308,10 +312,19 @@ runStream(Seconds dt, std::uint64_t seed, std::size_t steps)
     t.drain(t.at(kMaxBucket - 1));
     t.drain(last);
     EXPECT_EQ(t.size(), 0u);
-    t.schedule(0.0);
-    t.schedule(last);
+    for (const Seconds due : {0.0, last}) {
+        std::string error;
+        try {
+            t.flat().schedule(due, 0);
+        } catch (const FatalError &e) {
+            error = e.what();
+        }
+        EXPECT_NE(error.find("passed the last bucket"), std::string::npos)
+            << "due " << due << ": " << error;
+    }
     t.drain(std::numeric_limits<Seconds>::max());
-    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_TRUE(t.flat().empty());
     EXPECT_GT(t.drained(), steps);
     EXPECT_GT(t.roundTrips(), 0u);
 }
