@@ -167,12 +167,4 @@ printRunSummary(const SimResult &result)
         static_cast<unsigned long long>(result.droppedJobs));
 }
 
-std::string
-buildJson()
-{
-    return std::string("{\"compiler\": \"") + __VERSION__ +
-           "\", \"build_type\": \"" + VMT_BUILD_TYPE +
-           "\", \"flags\": \"" + VMT_BUILD_FLAGS + "\"}";
-}
-
 } // namespace vmt::bench

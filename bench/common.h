@@ -185,13 +185,6 @@ void maybeExportCsv(const std::string &name, const SimResult &result);
  */
 void printHeatmaps(const SimResult &result);
 
-/**
- * The build this binary came from, as the JSON object a perf tool
- * splices into BENCH_sim.json under its own `<rows>_build` key:
- * {"compiler": ..., "build_type": ..., "flags": ...}.
- */
-std::string buildJson();
-
 } // namespace vmt::bench
 
 #endif // VMT_BENCH_COMMON_H

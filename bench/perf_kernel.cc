@@ -3,10 +3,11 @@
  * Isolated thermal kernel throughput: Cluster::stepThermal (the
  * batched SoA kernel, rows `soa`) against the per-object reference
  * fleet from tests/reference/ (rows `scalar`) with no placement churn,
- * across fleet sizes x starting PCM regimes x dt. This is the
- * measurement behind the `kernel_micro` rows in BENCH_sim.json; the
- * end-to-end runs bundle the thermal step with placement and trace
- * bookkeeping, this bench times the step itself.
+ * across fleet sizes x starting PCM regimes x dt, printed to stdout as
+ * `kernel_micro` rows. The end-to-end runs bundle the thermal step
+ * with placement and trace bookkeeping (perfbench's
+ * `thermal.ns_per_server_step` is the end-to-end kernel yardstick);
+ * this bench times the step itself.
  *
  * Scenarios pin the starting regime mix:
  *   solid    idle fleet, wax frozen (one long solid run)
@@ -20,25 +21,18 @@
  * Flags: --check             exit non-zero if SoA is slower than the
  *                            reference on the cluster1000 rows
  *        --threads and the shared bench flags (bench/common.h)
- * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
- *              `kernel_micro` + `kernel_micro_build` keys into
- *              (default ./BENCH_sim.json; see spliceJson below).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "common.h"
 #include "reference/reference_fleet.h"
 #include "server/cluster.h"
 #include "util/flags.h"
-#include "util/json_splice.h"
 
 using namespace vmt;
 
@@ -61,18 +55,6 @@ constexpr Scenario kScenarios[] = {
     {"melting", 1.0, 0.3},
     {"liquid", 1.0, 1.0},
     {"mixed", 0.5, 1.0},
-};
-
-struct Row
-{
-    std::string scenario;
-    std::size_t servers;
-    double dt;
-    std::string kernel;
-    double usPerStep;
-    double stepsPerSec;
-    /** steps/s relative to the reference row of the same point. */
-    double speedup;
 };
 
 /** Build a fleet (Cluster or the reference) and drive it into the
@@ -126,53 +108,6 @@ timeSteps(Fleet &cluster, Seconds dt, std::size_t reps)
     return elapsed.count();
 }
 
-/**
- * Splice the `kernel_micro` + `kernel_micro_build` keys into
- * BENCH_sim.json, replacing this bench's previous rows in place and
- * leaving every other tool's keys untouched (spliceTopLevelJson).
- * Missing file => standalone object.
- */
-void
-spliceJson(const std::string &path, const std::vector<Row> &rows)
-{
-    std::string doc;
-    {
-        std::ifstream in(path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        doc = buffer.str();
-    }
-
-    std::ostringstream micro;
-    micro << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        micro << "    {\"scenario\": \"" << r.scenario
-              << "\", \"servers\": " << r.servers
-              << ", \"dt\": " << r.dt
-              << ", \"kernel\": \"" << r.kernel
-              << "\", \"us_per_step\": " << r.usPerStep
-              << ", \"steps_per_sec\": " << r.stepsPerSec
-              << ", \"speedup\": " << r.speedup << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    micro << "  ]";
-    doc = spliceTopLevelJson(doc, "kernel_micro", micro.str());
-
-    doc = spliceTopLevelJson(doc, "kernel_micro_build",
-                             bench::buildJson());
-
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "[kernel_micro] cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    out << doc;
-    std::printf("[kernel_micro] spliced %zu rows into %s\n",
-                rows.size(), path.c_str());
-}
-
 } // namespace
 
 int
@@ -182,10 +117,6 @@ main(int argc, char **argv)
     const Flags flags(argc, argv);
     const bool check = flags.getBool("check", false);
 
-    std::string json_path = "BENCH_sim.json";
-    if (const char *env = std::getenv("VMT_PERF_JSON"))
-        json_path = env;
-
     const std::vector<std::size_t> fleet_sizes =
         check ? std::vector<std::size_t>{1000}
               : std::vector<std::size_t>{250, 1000};
@@ -193,7 +124,6 @@ main(int argc, char **argv)
         check ? std::vector<double>{60.0}
               : std::vector<double>{60.0, 300.0};
 
-    std::vector<Row> rows;
     bool gate_ok = true;
     for (const Scenario &scenario : kScenarios) {
         for (const std::size_t servers : fleet_sizes) {
@@ -214,17 +144,13 @@ main(int argc, char **argv)
                         static_cast<double>(reps) / seconds;
                     if (scalar_rate == 0.0)
                         scalar_rate = rate;
-                    const double speedup = rate / scalar_rate;
-                    rows.push_back({scenario.name, servers, dt, kernel,
-                                    1e6 * seconds /
-                                        static_cast<double>(reps),
-                                    rate, speedup});
                     std::printf(
                         "[kernel_micro] %-8s servers=%-5zu dt=%-4.0f "
                         "kernel=%-6s %8.2f us/step %10.0f steps/s  "
                         "speedup %.2fx\n",
                         scenario.name, servers, dt, kernel,
-                        rows.back().usPerStep, rate, speedup);
+                        1e6 * seconds / static_cast<double>(reps), rate,
+                        rate / scalar_rate);
                     std::fflush(stdout);
                     return rate;
                 };
@@ -239,8 +165,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (!check)
-        spliceJson(json_path, rows);
     if (check) {
         std::printf("[kernel_micro] perf gate: %s\n",
                     gate_ok ? "PASS (SoA >= reference on cluster1000)"

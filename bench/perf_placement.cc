@@ -2,11 +2,11 @@
  * @file
  * Isolated scheduler hot-path throughput: beginInterval + a batch of
  * placeJobs decisions on a steady-state cluster, across policies x
- * fleet sizes x arrival rates. This is the measurement behind the
- * `placement_micro` rows in BENCH_sim.json: the end-to-end runs
- * bundle placement with thermal stepping and driver bookkeeping; this
- * bench times the scheduler alone (perfbench's
- * `sched.place_ns_per_job` is the end-to-end placement yardstick).
+ * fleet sizes x arrival rates, printed to stdout as `placement_micro`
+ * rows. The end-to-end runs bundle placement with thermal stepping and
+ * driver bookkeeping; this bench times the scheduler alone
+ * (perfbench's `sched.place_ns_per_job` is the end-to-end placement
+ * yardstick).
  *
  * The cluster starts in a warmed steady state with diverse inlet
  * temperatures and melt fractions; each reset-to-steady-state rep
@@ -24,22 +24,15 @@
  *                   (the Scheduler::placeJobs default) for cf, ta and
  *                   wa, best of three; exit non-zero unless the batch
  *                   path is faster and its decisions are identical.
- *                   Writes no JSON.
  *        --threads (bench/common.h)
- * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice
- *              `placement_micro` + `placement_micro_build` keys into
- *              (default ./BENCH_sim.json).
  */
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,7 +43,6 @@
 #include "sched/coolest_first.h"
 #include "server/cluster.h"
 #include "util/flags.h"
-#include "util/json_splice.h"
 
 using namespace vmt;
 
@@ -96,16 +88,6 @@ shapeName(Shape shape)
 {
     return shape == Shape::Runs ? "runs" : "mixed";
 }
-
-struct Row
-{
-    std::string policy;
-    std::size_t servers;
-    std::size_t rate;
-    Shape shape;
-    double usPerInterval;
-    double jobsPerSec;
-};
 
 /** Forwards every call but placeJobs, so a batch is replayed job by
  *  job through the Scheduler::placeJobs default. */
@@ -287,51 +269,6 @@ checkBatchGate()
     return ok;
 }
 
-/**
- * Splice the `placement_micro` key into BENCH_sim.json, replacing
- * this bench's previous rows in place and leaving every other tool's
- * keys (perf_kernel's `kernel_micro`, perf_serve's `serve`)
- * untouched. Missing file => standalone object.
- */
-void
-spliceJson(const std::string &path, const std::vector<Row> &rows)
-{
-    std::string doc;
-    {
-        std::ifstream in(path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        doc = buffer.str();
-    }
-
-    std::ostringstream micro;
-    micro << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        micro << "    {\"policy\": \"" << r.policy
-              << "\", \"servers\": " << r.servers
-              << ", \"rate\": " << r.rate << ", \"arrivals\": \""
-              << shapeName(r.shape)
-              << "\", \"us_per_interval\": " << r.usPerInterval
-              << ", \"jobs_per_sec\": " << r.jobsPerSec << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    micro << "  ]";
-    doc = spliceTopLevelJson(doc, "placement_micro", micro.str());
-    doc = spliceTopLevelJson(doc, "placement_micro_build",
-                             bench::buildJson());
-
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "[placement_micro] cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    out << doc;
-    std::printf("[placement_micro] spliced %zu rows into %s\n",
-                rows.size(), path.c_str());
-}
-
 } // namespace
 
 int
@@ -342,11 +279,6 @@ main(int argc, char **argv)
     if (flags.getBool("check", false))
         return checkBatchGate() ? 0 : 1;
 
-    std::string json_path = "BENCH_sim.json";
-    if (const char *env = std::getenv("VMT_PERF_JSON"))
-        json_path = env;
-
-    std::vector<Row> rows;
     for (const Policy &policy : policies()) {
         for (const std::size_t servers : {250, 1000, 10000}) {
             auto cluster = makeSteadyCluster(servers);
@@ -364,22 +296,16 @@ main(int argc, char **argv)
                         seconds = std::min(
                             seconds,
                             timeIntervals(policy, *cluster, jobs, reps));
-                    const double interval_rate =
-                        static_cast<double>(reps) / seconds;
-                    rows.push_back(
-                        {policy.name, servers, rate, shape,
-                         1e6 * seconds / static_cast<double>(reps),
-                         static_cast<double>(rate) * interval_rate});
                     std::printf("[placement_micro] %-8s servers=%-5zu "
                                 "rate=%-4zu %-5s %9.2f us/interval\n",
                                 policy.name, servers, rate,
                                 shapeName(shape),
-                                rows.back().usPerInterval);
+                                1e6 * seconds /
+                                    static_cast<double>(reps));
                     std::fflush(stdout);
                 }
             }
         }
     }
-    spliceJson(json_path, rows);
     return 0;
 }

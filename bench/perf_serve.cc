@@ -4,8 +4,7 @@
  * driver (vmtserve): for each fleet size, run a fixed number of
  * serving intervals against the synthetic heavy-traffic feed and
  * report sustained arrivals/sec of wall time plus p50/p99
- * per-interval placement latency. These are the `serve` rows in
- * BENCH_sim.json.
+ * per-interval placement latency (the `serve` rows on stdout).
  *
  * A second study prices the fault layer (the `serve_fault` rows):
  * an enabled-but-empty fault plan against the clean baseline (the
@@ -18,19 +17,16 @@
  * median and quartiles of the per-round overhead against the clean
  * run of the same round.
  *
+ * Each row is a single run and goes to stdout only; perfbench's
+ * `serve_10k_outage` workload is the repeated measurement
+ * (`arrivals_per_s`, `serve.place_p50_ms`/`p99_ms`, `fault.*`).
+ *
  * Flags:  --quick   small fleets / short runs (CI smoke)
- * Environment: VMT_PERF_JSON  BENCH_sim.json path to splice the
- *              `serve`, `serve_fault` and `serve_build` keys into
- *              (default ./BENCH_sim.json).
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <chrono>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,23 +35,11 @@
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "util/flags.h"
-#include "util/json_splice.h"
 
 using namespace vmt;
 using namespace vmt::serve;
 
 namespace {
-
-struct Row
-{
-    std::size_t servers;
-    std::size_t shards;
-    std::size_t intervals;
-    std::uint64_t arrivals;
-    double arrivalsPerSec; // Of wall time, the sustained-rate figure.
-    double p50PlacementUs;
-    double p99PlacementUs;
-};
 
 double
 percentileUs(std::vector<double> sorted, double q)
@@ -83,102 +67,6 @@ quantile(std::vector<double> values, double q)
            (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
-/** One `serve_fault` study row, over kFaultRounds rounds. */
-struct FaultRow
-{
-    std::size_t servers;
-    std::string mode; // "empty_plan" | "half_fleet_outage"
-    /** Median over the mode's runs. */
-    double arrivalsPerSec;
-    /** Slowdown vs. the clean run of the same round (%): median and
-     *  quartiles over the rounds. */
-    double overheadPct;
-    double overheadQ1Pct;
-    double overheadQ3Pct;
-    std::uint64_t evacuated;
-    std::uint64_t migrated;
-    std::uint64_t lost;
-};
-
-void
-spliceFaultJson(const std::string &path,
-                const std::vector<FaultRow> &rows)
-{
-    std::string doc;
-    {
-        std::ifstream in(path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        doc = buffer.str();
-    }
-    std::ostringstream value;
-    value << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const FaultRow &r = rows[i];
-        value << "    {\"servers\": " << r.servers
-              << ", \"mode\": \"" << r.mode << "\""
-              << ", \"runs\": " << kFaultRounds
-              << ", \"arrivals_per_sec\": " << r.arrivalsPerSec
-              << ", \"overhead_pct\": " << r.overheadPct
-              << ", \"overhead_pct_q1\": " << r.overheadQ1Pct
-              << ", \"overhead_pct_q3\": " << r.overheadQ3Pct
-              << ", \"evacuated\": " << r.evacuated
-              << ", \"migrated\": " << r.migrated
-              << ", \"lost\": " << r.lost << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    value << "  ]";
-    doc = spliceTopLevelJson(doc, "serve_fault", value.str());
-    doc = spliceTopLevelJson(doc, "serve_build", bench::buildJson());
-
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "[serve_fault] cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    out << doc;
-    std::printf("[serve_fault] spliced %zu rows into %s\n",
-                rows.size(), path.c_str());
-}
-
-void
-spliceJson(const std::string &path, const std::vector<Row> &rows)
-{
-    std::string doc;
-    {
-        std::ifstream in(path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        doc = buffer.str();
-    }
-    std::ostringstream value;
-    value << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        value << "    {\"servers\": " << r.servers
-              << ", \"shards\": " << r.shards
-              << ", \"intervals\": " << r.intervals
-              << ", \"arrivals\": " << r.arrivals
-              << ", \"arrivals_per_sec\": " << r.arrivalsPerSec
-              << ", \"p50_placement_us\": " << r.p50PlacementUs
-              << ", \"p99_placement_us\": " << r.p99PlacementUs
-              << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    value << "  ]";
-    doc = spliceTopLevelJson(doc, "serve", value.str());
-
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "[serve] cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    out << doc;
-    std::printf("[serve] spliced %zu rows into %s\n", rows.size(),
-                path.c_str());
-}
-
 } // namespace
 
 int
@@ -188,16 +76,11 @@ main(int argc, char **argv)
     const Flags flags(argc, argv, {"quick"});
     const bool quick = flags.getBool("quick", false);
 
-    std::string json_path = "BENCH_sim.json";
-    if (const char *env = std::getenv("VMT_PERF_JSON"))
-        json_path = env;
-
     const std::vector<std::size_t> fleets =
         quick ? std::vector<std::size_t>{500}
               : std::vector<std::size_t>{1000, 10000};
     const std::size_t intervals = quick ? 20 : 60;
 
-    std::vector<Row> rows;
     for (const std::size_t servers : fleets) {
         ServeConfig config;
         config.numServers = servers;
@@ -223,28 +106,15 @@ main(int argc, char **argv)
                 std::chrono::steady_clock::now() - start)
                 .count();
 
-        Row row;
-        row.servers = servers;
-        row.shards = result.shards;
-        row.intervals = result.completedIntervals;
-        row.arrivals = result.arrivals;
-        row.arrivalsPerSec =
-            static_cast<double>(result.arrivals) / wall;
-        row.p50PlacementUs =
-            percentileUs(result.placementSeconds, 0.50);
-        row.p99PlacementUs =
-            percentileUs(result.placementSeconds, 0.99);
-        rows.push_back(row);
         std::printf("[serve] servers=%-6zu shards=%-3zu "
                     "intervals=%-3zu %10.0f arrivals/s  placement "
                     "p50 %8.1f us  p99 %8.1f us\n",
-                    servers, row.shards, row.intervals,
-                    row.arrivalsPerSec, row.p50PlacementUs,
-                    row.p99PlacementUs);
+                    servers, result.shards, result.completedIntervals,
+                    static_cast<double>(result.arrivals) / wall,
+                    percentileUs(result.placementSeconds, 0.50),
+                    percentileUs(result.placementSeconds, 0.99));
         std::fflush(stdout);
     }
-
-    spliceJson(json_path, rows);
 
     // ------------------------------------------------------------
     // The fault-layer study: what does degraded mode cost when
@@ -331,31 +201,21 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<FaultRow> fault_rows;
     for (const Mode &mode : modes) {
-        FaultRow row;
-        row.servers = fault_servers;
-        row.mode = mode.name;
-        row.arrivalsPerSec = quantile(mode.rates, 0.5);
-        row.overheadPct = quantile(mode.overheads, 0.5);
-        row.overheadQ1Pct = quantile(mode.overheads, 0.25);
-        row.overheadQ3Pct = quantile(mode.overheads, 0.75);
-        row.evacuated = mode.last.evacuatedJobs;
-        row.migrated = mode.last.migratedJobs;
-        row.lost = mode.last.lostJobs;
-        fault_rows.push_back(row);
         std::printf("[serve_fault] servers=%-6zu %-17s %10.0f "
                     "arrivals/s  overhead %+5.1f%% (quartiles "
                     "%+.1f, %+.1f; %zu rounds)  evacuated %llu "
                     "(migrated %llu, lost %llu)\n",
-                    fault_servers, mode.name, row.arrivalsPerSec,
-                    row.overheadPct, row.overheadQ1Pct,
-                    row.overheadQ3Pct, kFaultRounds,
-                    static_cast<unsigned long long>(row.evacuated),
-                    static_cast<unsigned long long>(row.migrated),
-                    static_cast<unsigned long long>(row.lost));
+                    fault_servers, mode.name, quantile(mode.rates, 0.5),
+                    quantile(mode.overheads, 0.5),
+                    quantile(mode.overheads, 0.25),
+                    quantile(mode.overheads, 0.75), kFaultRounds,
+                    static_cast<unsigned long long>(
+                        mode.last.evacuatedJobs),
+                    static_cast<unsigned long long>(
+                        mode.last.migratedJobs),
+                    static_cast<unsigned long long>(
+                        mode.last.lostJobs));
     }
-
-    spliceFaultJson(json_path, fault_rows);
     return 0;
 }

@@ -55,6 +55,19 @@ isProfileMetric(const std::string &name)
     return name.rfind("profile.", 0) == 0;
 }
 
+/** Slots a snapshot carries: the deterministic (non-`profile.`) ones.
+ *  Wall-clock phase timings stay out, so a build that adds or drops a
+ *  phase still resumes an instrumented snapshot of the build before. */
+template <typename Slots>
+std::size_t
+savedCount(const Slots &slots)
+{
+    return static_cast<std::size_t>(
+        std::count_if(slots.begin(), slots.end(), [](const auto &slot) {
+            return !isProfileMetric(slot.name);
+        }));
+}
+
 } // namespace
 
 std::string
@@ -436,14 +449,18 @@ void
 MetricsRegistry::saveState(Serializer &out) const
 {
     std::lock_guard<std::mutex> lock(registerMutex_);
-    out.putSize(counters_.size());
+    out.putSize(savedCount(counters_));
     for (const CounterSlot &slot : counters_)
-        out.putU64(slot.value.load(std::memory_order_relaxed));
-    out.putSize(gauges_.size());
+        if (!isProfileMetric(slot.name))
+            out.putU64(slot.value.load(std::memory_order_relaxed));
+    out.putSize(savedCount(gauges_));
     for (const GaugeSlot &slot : gauges_)
-        out.putDouble(slot.value.load(std::memory_order_relaxed));
-    out.putSize(histograms_.size());
+        if (!isProfileMetric(slot.name))
+            out.putDouble(slot.value.load(std::memory_order_relaxed));
+    out.putSize(savedCount(histograms_));
     for (const HistogramSlot &slot : histograms_) {
+        if (isProfileMetric(slot.name))
+            continue;
         out.putSize(slot.buckets.size());
         for (const auto &bucket : slot.buckets)
             out.putU64(bucket.load(std::memory_order_relaxed));
@@ -464,14 +481,18 @@ MetricsRegistry::loadState(Deserializer &in)
                   std::to_string(snap) + ", run " +
                   std::to_string(now) + ")");
     };
-    check("counters", in.getSize(), counters_.size());
+    check("counters", in.getSize(), savedCount(counters_));
     for (CounterSlot &slot : counters_)
-        slot.value.store(in.getU64(), std::memory_order_relaxed);
-    check("gauges", in.getSize(), gauges_.size());
+        if (!isProfileMetric(slot.name))
+            slot.value.store(in.getU64(), std::memory_order_relaxed);
+    check("gauges", in.getSize(), savedCount(gauges_));
     for (GaugeSlot &slot : gauges_)
-        slot.value.store(in.getDouble(), std::memory_order_relaxed);
-    check("histograms", in.getSize(), histograms_.size());
+        if (!isProfileMetric(slot.name))
+            slot.value.store(in.getDouble(), std::memory_order_relaxed);
+    check("histograms", in.getSize(), savedCount(histograms_));
     for (HistogramSlot &slot : histograms_) {
+        if (isProfileMetric(slot.name))
+            continue;
         check("histogram buckets", in.getSize(), slot.buckets.size());
         for (auto &bucket : slot.buckets)
             bucket.store(in.getU64(), std::memory_order_relaxed);

@@ -148,12 +148,14 @@ class MetricsRegistry
     /** Atomic CSV dump. @throws FatalError naming @p path. */
     void writeCsv(const std::string &path) const;
 
-    /** Serialize every metric value (not the registrations, which are
-     *  code-driven) into a snapshot section payload. */
+    /** Serialize every non-`profile.` metric value (not the
+     *  registrations, which are code-driven) into a snapshot section
+     *  payload. */
     void saveState(Serializer &out) const;
 
-    /** Restore values saved by saveState(). The same registrations
-     *  must already exist; any shape mismatch is fatal. */
+    /** Restore values saved by saveState(). The same non-`profile.`
+     *  registrations must already exist; any shape mismatch among
+     *  them is fatal. `profile.` metrics keep this process's values. */
     void loadState(Deserializer &in);
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "state/resume_check.h"
 #include "state/serializer.h"
 #include "util/logging.h"
 
@@ -101,11 +102,8 @@ void
 IngressQueue::loadState(Deserializer &in)
 {
     const std::size_t capacity = in.getSize();
-    if (capacity != ring_.size())
-        fatal("serve snapshot ingress capacity " +
-              std::to_string(capacity) +
-              " does not match the configured " +
-              std::to_string(ring_.size()));
+    ResumeCheck("serve snapshot").u64("ingress capacity", capacity,
+                                      ring_.size());
     if (count_ != 0)
         fatal("IngressQueue::loadState on a non-empty queue");
     const std::size_t pending = in.getSize();

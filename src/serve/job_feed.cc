@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "state/resume_check.h"
 #include "state/serializer.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -25,18 +26,7 @@ badLine(const std::string &origin, std::size_t line,
           why);
 }
 
-/** Exact-equality config check for feed snapshots (resume must use
- *  the configuration that produced the checkpoint). */
-void
-checkFeedDouble(const char *what, double snap, double now)
-{
-    if (!(snap == now))
-        fatal("serve feed snapshot does not match the configured "
-              "feed (" +
-              std::string(what) + ": snapshot " +
-              std::to_string(snap) + ", run " + std::to_string(now) +
-              ")");
-}
+constexpr ResumeCheck check{"serve feed snapshot"};
 
 void
 saveRng(Serializer &out, const Rng &rng)
@@ -294,21 +284,16 @@ SyntheticFeed::loadState(Deserializer &in)
 {
     settle(true);
     lastEnd_.reset();
-    checkFeedDouble("users", in.getDouble(), params_.users);
-    checkFeedDouble("requestsPerUserHour", in.getDouble(),
-                    params_.requestsPerUserHour);
-    checkFeedDouble("diurnalTrough", in.getDouble(),
-                    params_.diurnalTrough);
-    checkFeedDouble("rampHours", in.getDouble(), params_.rampHours);
-    checkFeedDouble("burstPeriodHours", in.getDouble(),
-                    params_.burstPeriodHours);
-    checkFeedDouble("burstFactor", in.getDouble(),
-                    params_.burstFactor);
-    checkFeedDouble("burstMinutes", in.getDouble(),
-                    params_.burstMinutes);
-    if (in.getU64() != params_.seed)
-        fatal("serve feed snapshot does not match the configured "
-              "feed (seed differs)");
+    check.real("users", in.getDouble(), params_.users);
+    check.real("requestsPerUserHour", in.getDouble(),
+               params_.requestsPerUserHour);
+    check.real("diurnalTrough", in.getDouble(), params_.diurnalTrough);
+    check.real("rampHours", in.getDouble(), params_.rampHours);
+    check.real("burstPeriodHours", in.getDouble(),
+               params_.burstPeriodHours);
+    check.real("burstFactor", in.getDouble(), params_.burstFactor);
+    check.real("burstMinutes", in.getDouble(), params_.burstMinutes);
+    check.u64("seed", in.getU64(), params_.seed);
 
     loadRng(in, cur_.rng);
     cur_.candidateTime = in.getDouble();
@@ -467,12 +452,7 @@ LineFeed::saveState(Serializer &out) const
 void
 LineFeed::loadState(Deserializer &in)
 {
-    const std::uint64_t cores = in.getU64();
-    if (cores != static_cast<std::uint64_t>(totalCores_))
-        fatal("serve feed snapshot does not match the configured "
-              "feed (totalCores: snapshot " +
-              std::to_string(cores) + ", run " +
-              std::to_string(totalCores_) + ")");
+    check.u64("totalCores", in.getU64(), totalCores_);
     skipEvents_ = in.getU64();
     if (pendingEvent_ || eventsConsumed_ != 0)
         fatal("LineFeed::loadState on a feed that already consumed "

@@ -7,6 +7,7 @@
 #include "core/policy_factory.h"
 #include "serve/waterfill.h"
 #include "state/recovery.h"
+#include "state/resume_check.h"
 #include "state/snapshot.h"
 #include "thermal/pcm.h"
 #include "util/logging.h"
@@ -16,34 +17,7 @@ namespace vmt::serve {
 
 namespace {
 
-/** Fatal with a consistent prefix for config/snapshot disagreements. */
-[[noreturn]] void
-mismatch(const std::string &what)
-{
-    fatal("serve snapshot does not match the configured run (" +
-          what + "); resume requires the exact configuration and "
-                 "feed that produced the checkpoint");
-}
-
-void
-checkU64(const char *what, std::uint64_t snap, std::uint64_t now)
-{
-    if (snap != now)
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " +
-                 std::to_string(now));
-}
-
-void
-checkDouble(const char *what, double snap, double now)
-{
-    // Exact comparison on purpose: bitwise-identical resume needs
-    // the exact same constants, not merely close ones.
-    if (!(snap == now))
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " +
-                 std::to_string(now));
-}
+constexpr ResumeCheck check{"serve snapshot"};
 
 /**
  * The serving driver's metric/phase handles, resolved once per run.
@@ -1077,39 +1051,39 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
 
     Deserializer conf = reader.section("SCON");
     const std::size_t completed = conf.getSize();
-    checkU64("server count", conf.getSize(), config_.numServers);
-    checkU64("pod size", conf.getSize(), config_.podSize);
-    checkDouble("interval", conf.getDouble(), config_.interval);
-    checkU64("seed", conf.getU64(), config_.seed);
-    checkDouble("power scale", conf.getDouble(), config_.powerScale);
-    checkDouble("overheat temp", conf.getDouble(),
-                config_.overheatTemp);
-    checkU64("queue capacity", conf.getSize(),
-             config_.queueCapacity);
-    checkU64("admission budget", conf.getSize(),
-             config_.admissionBudget);
+    check.u64("server count", conf.getSize(), config_.numServers);
+    check.u64("pod size", conf.getSize(), config_.podSize);
+    check.real("interval", conf.getDouble(), config_.interval);
+    check.u64("seed", conf.getU64(), config_.seed);
+    check.real("power scale", conf.getDouble(), config_.powerScale);
+    check.real("overheat temp", conf.getDouble(),
+               config_.overheatTemp);
+    check.u64("queue capacity", conf.getSize(),
+              config_.queueCapacity);
+    check.u64("admission budget", conf.getSize(),
+              config_.admissionBudget);
     const auto admit = static_cast<AdmitPolicy>(conf.getU8());
     if (admit != config_.admit)
-        mismatch(std::string("admission policy: snapshot ") +
-                 admitPolicyName(admit) + ", run " +
-                 admitPolicyName(config_.admit));
+        check.fail(std::string("admission policy: snapshot ") +
+                   admitPolicyName(admit) + ", run " +
+                   admitPolicyName(config_.admit));
     const std::string scheduler_name = conf.getString();
     if (scheduler_name != shards_.front().scheduler->name())
-        mismatch("scheduler: snapshot '" + scheduler_name +
-                 "', run '" + shards_.front().scheduler->name() +
-                 "'");
-    checkDouble("grouping value", conf.getDouble(), config_.gv);
-    checkDouble("wax threshold", conf.getDouble(),
-                config_.waxThreshold);
+        check.fail("scheduler: snapshot '" + scheduler_name +
+                   "', run '" + shards_.front().scheduler->name() +
+                   "'");
+    check.real("grouping value", conf.getDouble(), config_.gv);
+    check.real("wax threshold", conf.getDouble(),
+               config_.waxThreshold);
     const std::uint8_t integrator = conf.getU8();
     if (integrator != kClosedFormIntegratorTag)
-        mismatch(std::string("PCM integrator: snapshot ") +
-                 integratorTagName(integrator) + ", run " +
-                 integratorTagName(kClosedFormIntegratorTag));
+        check.fail(std::string("PCM integrator: snapshot ") +
+                   integratorTagName(integrator) + ", run " +
+                   integratorTagName(kClosedFormIntegratorTag));
     const std::string feed_name = conf.getString();
     if (feed_name != feed.name())
-        mismatch("feed: snapshot '" + feed_name + "', run '" +
-                 feed.name() + "'");
+        check.fail("feed: snapshot '" + feed_name + "', run '" +
+                   feed.name() + "'");
     conf.expectEnd();
 
     Deserializer feed_state = reader.section("FEED");
@@ -1135,7 +1109,7 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     ingr.expectEnd();
 
     Deserializer shrd = reader.section("SHRD");
-    checkU64("shard count", shrd.getSize(), shards_.size());
+    check.u64("shard count", shrd.getSize(), shards_.size());
     const Seconds resume_time =
         static_cast<double>(completed) * config_.interval;
     for (Shard &shard : shards_) {
@@ -1156,58 +1130,58 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     // is missing) and vice versa.
     if (degraded_ != reader.has("DGRD")) {
         if (degraded_)
-            mismatch("snapshot carries no degraded-mode state but "
-                     "the run configures faults/brownout/deadline");
-        mismatch("snapshot carries degraded-mode state but the run "
-                 "configures none");
+            check.fail("snapshot carries no degraded-mode state but "
+                       "the run configures faults/brownout/deadline");
+        check.fail("snapshot carries degraded-mode state but the run "
+                   "configures none");
     }
     if (degraded_) {
         Deserializer dgrd = reader.section("DGRD");
         if (dgrd.getBool() != config_.faults.enable)
-            mismatch("fault-engine enable flag");
+            check.fail("fault-engine enable flag");
         const FaultPlan &plan = config_.faults.plan;
-        checkU64("fault plan size", dgrd.getSize(), plan.size());
+        check.u64("fault plan size", dgrd.getSize(), plan.size());
         for (const FaultEvent &event : plan.events()) {
-            checkDouble("fault event time", dgrd.getDouble(),
-                        event.time);
-            checkU64("fault event type", dgrd.getU8(),
-                     static_cast<std::uint8_t>(event.type));
-            checkU64("fault event server", dgrd.getSize(),
-                     event.serverId);
-            checkDouble("fault event supply rise", dgrd.getDouble(),
-                        event.supplyRise);
+            check.real("fault event time", dgrd.getDouble(),
+                       event.time);
+            check.u64("fault event type", dgrd.getU8(),
+                      static_cast<std::uint8_t>(event.type));
+            check.u64("fault event server", dgrd.getSize(),
+                      event.serverId);
+            check.real("fault event supply rise", dgrd.getDouble(),
+                       event.supplyRise);
         }
-        checkU64("fault seed", dgrd.getU64(), config_.faults.seed);
-        checkDouble("fault mtbf", dgrd.getDouble(),
-                    config_.faults.mtbf);
-        checkDouble("fault mtbf ref temp", dgrd.getDouble(),
-                    config_.faults.mtbfRefTemp);
-        checkDouble("fault mtbf doubling delta", dgrd.getDouble(),
-                    config_.faults.mtbfDoublingDelta);
-        checkDouble("fault repair time", dgrd.getDouble(),
-                    config_.faults.repairTime);
-        checkDouble("fault critical temp", dgrd.getDouble(),
-                    config_.faults.criticalTemp);
-        checkDouble("fault critical release", dgrd.getDouble(),
-                    config_.faults.criticalRelease);
-        checkDouble("brownout air watermark", dgrd.getDouble(),
-                    config_.brownout.maxAirTemp);
-        checkDouble("brownout release", dgrd.getDouble(),
-                    config_.brownout.release);
-        checkDouble("brownout melt watermark", dgrd.getDouble(),
-                    config_.brownout.maxMelt);
-        checkDouble("brownout melt release", dgrd.getDouble(),
-                    config_.brownout.meltRelease);
-        checkDouble("brownout step", dgrd.getDouble(),
-                    config_.brownout.step);
-        checkDouble("brownout floor", dgrd.getDouble(),
-                    config_.brownout.floor);
-        checkU64("brownout hold", dgrd.getSize(),
-                 config_.brownout.holdIntervals);
-        checkDouble("max queue age", dgrd.getDouble(),
-                    config_.maxQueueAge);
-        checkU64("evac retries", dgrd.getSize(),
-                 config_.evacRetries);
+        check.u64("fault seed", dgrd.getU64(), config_.faults.seed);
+        check.real("fault mtbf", dgrd.getDouble(),
+                   config_.faults.mtbf);
+        check.real("fault mtbf ref temp", dgrd.getDouble(),
+                   config_.faults.mtbfRefTemp);
+        check.real("fault mtbf doubling delta", dgrd.getDouble(),
+                   config_.faults.mtbfDoublingDelta);
+        check.real("fault repair time", dgrd.getDouble(),
+                   config_.faults.repairTime);
+        check.real("fault critical temp", dgrd.getDouble(),
+                   config_.faults.criticalTemp);
+        check.real("fault critical release", dgrd.getDouble(),
+                   config_.faults.criticalRelease);
+        check.real("brownout air watermark", dgrd.getDouble(),
+                   config_.brownout.maxAirTemp);
+        check.real("brownout release", dgrd.getDouble(),
+                   config_.brownout.release);
+        check.real("brownout melt watermark", dgrd.getDouble(),
+                   config_.brownout.maxMelt);
+        check.real("brownout melt release", dgrd.getDouble(),
+                   config_.brownout.meltRelease);
+        check.real("brownout step", dgrd.getDouble(),
+                   config_.brownout.step);
+        check.real("brownout floor", dgrd.getDouble(),
+                   config_.brownout.floor);
+        check.u64("brownout hold", dgrd.getSize(),
+                  config_.brownout.holdIntervals);
+        check.real("max queue age", dgrd.getDouble(),
+                   config_.maxQueueAge);
+        check.u64("evac retries", dgrd.getSize(),
+                  config_.evacRetries);
 
         evacuated_ = dgrd.getU64();
         migrated_ = dgrd.getU64();

@@ -5,6 +5,7 @@
 
 #include "fault/fault_engine.h"
 #include "obs/observability.h"
+#include "state/resume_check.h"
 #include "state/snapshot.h"
 #include "thermal/pcm.h"
 #include "util/logging.h"
@@ -13,32 +14,7 @@ namespace vmt {
 
 namespace {
 
-/** Fatal with a consistent prefix for config/snapshot disagreements. */
-[[noreturn]] void
-mismatch(const std::string &what)
-{
-    fatal("snapshot does not match the configured run (" + what +
-          "); resume requires the exact configuration that produced "
-          "the checkpoint");
-}
-
-void
-checkU64(const char *what, std::uint64_t snap, std::uint64_t now)
-{
-    if (snap != now)
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " + std::to_string(now));
-}
-
-void
-checkDouble(const char *what, double snap, double now)
-{
-    // Exact comparison on purpose: bitwise-identical resume needs the
-    // exact same constants, not merely close ones.
-    if (!(snap == now))
-        mismatch(std::string(what) + ": snapshot " +
-                 std::to_string(snap) + ", run " + std::to_string(now));
-}
+constexpr ResumeCheck check{"snapshot"};
 
 void
 saveSeries(Serializer &out, const TimeSeries &series)
@@ -80,14 +56,14 @@ loadHeatmap(Deserializer &in, std::optional<Heatmap> &map,
 {
     const bool present = in.getBool();
     if (present != map.has_value())
-        mismatch(std::string(what) +
-                 " heatmap recording on/off differs");
+        check.fail(std::string(what) +
+                   " heatmap recording on/off differs");
     if (!present)
         return;
     const std::size_t rows = in.getSize();
     const std::size_t cols = in.getSize();
     if (rows != map->rows() || cols != map->cols())
-        mismatch(std::string(what) + " heatmap dimensions differ");
+        check.fail(std::string(what) + " heatmap dimensions differ");
     for (std::size_t row = 0; row < rows; ++row)
         for (std::size_t col = 0; col < cols; ++col)
             map->at(row, col) = in.getDouble();
@@ -204,37 +180,37 @@ loadSnapshot(SimState &state, const std::string &path)
 
     Deserializer conf = reader.section("CONF");
     const std::size_t completed = conf.getSize();
-    checkU64("run length", conf.getSize(), state.numIntervals);
+    check.u64("run length", conf.getSize(), state.numIntervals);
     if (completed > state.numIntervals)
         fatal("snapshot claims " + std::to_string(completed) +
               " completed intervals of " +
               std::to_string(state.numIntervals));
-    checkU64("server count", conf.getSize(), config.numServers);
-    checkU64("seed", conf.getU64(), config.seed);
-    checkDouble("interval", conf.getDouble(), config.interval);
-    checkDouble("power scale", conf.getDouble(), config.powerScale);
-    checkDouble("inlet stddev", conf.getDouble(), config.inletStddev);
-    checkDouble("cooling capacity", conf.getDouble(),
-                config.coolingCapacity);
-    checkDouble("cooling overload rise", conf.getDouble(),
-                config.coolingOverloadRise);
-    checkDouble("overheat temp", conf.getDouble(), config.overheatTemp);
-    checkU64("migration budget", conf.getSize(),
-             config.migrationBudget);
-    checkU64("peak window", conf.getSize(), config.peakWindow);
+    check.u64("server count", conf.getSize(), config.numServers);
+    check.u64("seed", conf.getU64(), config.seed);
+    check.real("interval", conf.getDouble(), config.interval);
+    check.real("power scale", conf.getDouble(), config.powerScale);
+    check.real("inlet stddev", conf.getDouble(), config.inletStddev);
+    check.real("cooling capacity", conf.getDouble(),
+               config.coolingCapacity);
+    check.real("cooling overload rise", conf.getDouble(),
+               config.coolingOverloadRise);
+    check.real("overheat temp", conf.getDouble(), config.overheatTemp);
+    check.u64("migration budget", conf.getSize(),
+              config.migrationBudget);
+    check.u64("peak window", conf.getSize(), config.peakWindow);
     if (conf.getBool() != config.modelRecirculation)
-        mismatch("recirculation modelling on/off differs");
+        check.fail("recirculation modelling on/off differs");
     if (conf.getBool() != config.recordHeatmaps)
-        mismatch("heatmap recording on/off differs");
+        check.fail("heatmap recording on/off differs");
     const std::uint8_t integrator = conf.getU8();
     if (integrator != kClosedFormIntegratorTag)
-        mismatch(std::string("PCM integrator: snapshot ") +
-                 integratorTagName(integrator) + ", run " +
-                 integratorTagName(kClosedFormIntegratorTag));
+        check.fail(std::string("PCM integrator: snapshot ") +
+                   integratorTagName(integrator) + ", run " +
+                   integratorTagName(kClosedFormIntegratorTag));
     const std::string scheduler_name = conf.getString();
     if (scheduler_name != state.scheduler.name())
-        mismatch("scheduler: snapshot '" + scheduler_name +
-                 "', run '" + state.scheduler.name() + "'");
+        check.fail("scheduler: snapshot '" + scheduler_name +
+                   "', run '" + state.scheduler.name() + "'");
     conf.expectEnd();
 
     Deserializer genr = reader.section("GENR");
@@ -289,36 +265,36 @@ loadSnapshot(SimState &state, const std::string &path)
         Deserializer falt = reader.section("FALT");
         const FaultConfig &fc = config.faults;
         if (falt.getBool() != fc.enable)
-            mismatch("fault layer enable flag differs");
-        checkU64("fault seed", falt.getU64(), fc.seed);
-        checkDouble("fault mtbf", falt.getDouble(), fc.mtbf);
-        checkDouble("fault mtbf reference temp", falt.getDouble(),
-                    fc.mtbfRefTemp);
-        checkDouble("fault mtbf doubling delta", falt.getDouble(),
-                    fc.mtbfDoublingDelta);
-        checkDouble("fault repair time", falt.getDouble(),
-                    fc.repairTime);
-        checkDouble("fault critical temp", falt.getDouble(),
-                    fc.criticalTemp);
-        checkDouble("fault critical release", falt.getDouble(),
-                    fc.criticalRelease);
-        checkU64("fault plan length", falt.getSize(),
-                 fc.plan.size());
+            check.fail("fault layer enable flag differs");
+        check.u64("fault seed", falt.getU64(), fc.seed);
+        check.real("fault mtbf", falt.getDouble(), fc.mtbf);
+        check.real("fault mtbf reference temp", falt.getDouble(),
+                   fc.mtbfRefTemp);
+        check.real("fault mtbf doubling delta", falt.getDouble(),
+                   fc.mtbfDoublingDelta);
+        check.real("fault repair time", falt.getDouble(),
+                   fc.repairTime);
+        check.real("fault critical temp", falt.getDouble(),
+                   fc.criticalTemp);
+        check.real("fault critical release", falt.getDouble(),
+                   fc.criticalRelease);
+        check.u64("fault plan length", falt.getSize(),
+                  fc.plan.size());
         for (std::size_t i = 0; i < fc.plan.size(); ++i) {
             const FaultEvent &event = fc.plan.events()[i];
-            checkDouble("fault event time", falt.getDouble(),
-                        event.time);
-            checkU64("fault event type", falt.getU8(),
-                     static_cast<std::uint8_t>(event.type));
-            checkU64("fault event server", falt.getSize(),
-                     event.serverId);
-            checkDouble("fault event supply rise", falt.getDouble(),
-                        event.supplyRise);
+            check.real("fault event time", falt.getDouble(),
+                       event.time);
+            check.u64("fault event type", falt.getU8(),
+                      static_cast<std::uint8_t>(event.type));
+            check.u64("fault event server", falt.getSize(),
+                      event.serverId);
+            check.real("fault event supply rise", falt.getDouble(),
+                       event.supplyRise);
         }
         const bool engine_active = falt.getBool();
         if (engine_active != (state.faults != nullptr))
-            mismatch("fault engine active in one run but not the "
-                     "other");
+            check.fail("fault engine active in one run but not the "
+                       "other");
         if (state.faults)
             state.faults->loadState(falt, state.cluster);
         loadSeries(falt, result.aliveServers, completed,

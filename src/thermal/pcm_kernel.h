@@ -1,15 +1,15 @@
 /**
  * @file
  * Shared PCM step kernels: the constant-derivation and per-step
- * arithmetic used by both the per-object Pcm class and the batched
- * ThermalSoA kernel.
+ * arithmetic used by both the batched ThermalSoA kernel and the
+ * per-object Pcm in tests/reference/.
  *
  * Bitwise-identity contract: every helper here is the *single source*
  * of the expression it computes. Pcm delegates to these functions, and
  * ThermalSoA evaluates the same functions (or loop bodies with
  * identical statement shapes), so the per-object model (and the
- * per-object reference fleet built on it in tests/reference/) and the
- * batched kernel produce bit-for-bit equal doubles from equal inputs.
+ * per-object reference fleet built on it) and the batched kernel
+ * produce bit-for-bit equal doubles from equal inputs.
  * Any change to a formula below changes both paths together; the
  * `ctest -L kernel` lockstep suite pins the invariant.
  */
@@ -77,7 +77,7 @@ pcmIsMelting(double h, Celsius air_temp, Celsius melt,
 
 /**
  * Analytic step of the enthalpy ODE dH/dt = G (T_air - T(H)) against
- * a constant air temperature (see Pcm for the physics): exponential
+ * a constant air temperature (physics in thermal/pcm.h): exponential
  * relaxation toward the regime equilibrium in the sensible regimes,
  * linear accumulation on the latent plateau, regime crossings walked
  * in drive order with the crossing time solved in closed form.

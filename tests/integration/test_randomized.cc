@@ -9,9 +9,9 @@
 #include <map>
 
 #include "reference/event_queue.h"
+#include "reference/pcm.h"
 #include "sched/block_min_group.h"
 #include "sched/scheduler.h"
-#include "thermal/pcm.h"
 #include "reference/server_thermal.h"
 #include "thermal/wax_state_estimator.h"
 #include "util/rng.h"

@@ -248,20 +248,28 @@ TEST(ObsSim, CheckpointResumeReproducesMetricsAndEventLog)
     VmtWaScheduler b = waScheduler();
     runSimulation(saving, b);
 
-    obs::Observability resumed_obs;
-    SimConfig resuming = base;
-    resuming.obs = &resumed_obs;
-    CheckpointOptions options;
-    options.resumeFrom = path;
-    attachCheckpointing(resuming, options);
-    VmtWaScheduler c = waScheduler();
-    runSimulation(resuming, c);
+    // The second leg resumes with one more wall-clock phase than the
+    // writer had, as a build that adds a phase does: the snapshot
+    // carries no profile.* values, so it still resumes.
+    for (const bool extra_phase : {false, true}) {
+        SCOPED_TRACE(extra_phase ? "extra phase" : "same phases");
+        obs::Observability resumed_obs;
+        if (extra_phase)
+            resumed_obs.profiler().phase("extra");
+        SimConfig resuming = base;
+        resuming.obs = &resumed_obs;
+        CheckpointOptions options;
+        options.resumeFrom = path;
+        attachCheckpointing(resuming, options);
+        VmtWaScheduler c = waScheduler();
+        runSimulation(resuming, c);
 
-    expectMetricsIdentical(
-        reference.metrics().snapshotValues(false),
-        resumed_obs.metrics().snapshotValues(false));
-    EXPECT_EQ(reference.telemetry().eventLog(),
-              resumed_obs.telemetry().eventLog());
+        expectMetricsIdentical(
+            reference.metrics().snapshotValues(false),
+            resumed_obs.metrics().snapshotValues(false));
+        EXPECT_EQ(reference.telemetry().eventLog(),
+                  resumed_obs.telemetry().eventLog());
+    }
     std::remove(path.c_str());
 }
 

@@ -20,8 +20,8 @@
 #ifndef VMT_TESTS_REFERENCE_SERVER_THERMAL_H
 #define VMT_TESTS_REFERENCE_SERVER_THERMAL_H
 
-#include "thermal/pcm.h"
-#include "thermal/rc_node.h"
+#include "reference/pcm.h"
+#include "reference/rc_node.h"
 #include "thermal/thermal_params.h"
 #include "util/units.h"
 

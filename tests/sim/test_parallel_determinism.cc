@@ -17,10 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "reference/rc_node.h"
 #include "sched/round_robin.h"
 #include "server/cluster.h"
 #include "sim/datacenter_sim.h"
-#include "thermal/rc_node.h"
 #include "util/thread_pool.h"
 
 namespace vmt {

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/pcm.h"
 #include "reference/substep_pcm.h"
-#include "thermal/pcm.h"
 #include "util/logging.h"
 
 namespace vmt {

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "thermal/rc_node.h"
+#include "reference/rc_node.h"
 #include "reference/server_thermal.h"
 #include "util/logging.h"
 
