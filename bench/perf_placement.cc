@@ -22,8 +22,11 @@
  * Flags: --check    perf gate: on the 1000-server cluster with `runs`
  *                   batches, time placeJobs against a per-job replay
  *                   (the Scheduler::placeJobs default) for cf, ta and
- *                   wa, best of three; exit non-zero unless the batch
- *                   path is faster and its decisions are identical.
+ *                   wa, and for wa on `mixed` batches with every
+ *                   unmelted server full (hot jobs that reach cascade
+ *                   step (3) find it exhausted), best of three; exit
+ *                   non-zero unless the batch path is faster and its
+ *                   decisions are identical on every leg.
  *        --threads (bench/common.h)
  */
 
@@ -34,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -145,6 +149,27 @@ makeSteadyCluster(std::size_t servers)
 }
 
 /**
+ * The steady cluster with every unmelted server filled to capacity:
+ * VMT-WA's cascade step (3) (any server below the melted threshold)
+ * fails for every hot job that reaches it, as in a serving outage
+ * that fills the surviving pods.
+ */
+std::unique_ptr<Cluster>
+makeFullFleetCluster(std::size_t servers)
+{
+    auto cluster = makeSteadyCluster(servers);
+    const double threshold = bench::studyVmt(22.0).waxThreshold;
+    for (std::size_t id = 0; id < servers; ++id) {
+        const Server &srv = std::as_const(*cluster).server(id);
+        if (srv.estimatedMeltFraction() >= threshold)
+            continue;
+        for (std::size_t c = srv.busyCores(); c < srv.cores(); ++c)
+            cluster->addJob(id, kAllWorkloads[c % kNumWorkloads]);
+    }
+    return cluster;
+}
+
+/**
  * The deterministic arrival batch for one point: `rate` jobs split
  * over the workloads by catalog load share (remainder to the first
  * types), as one same-type run per workload in catalog order
@@ -224,44 +249,59 @@ timeIntervals(const Policy &policy, Cluster &cluster,
 }
 
 /**
- * The CI gate: on the 1000-server cluster with 2048-job `runs`
- * batches, each of cf, ta and wa must place faster through placeJobs
- * than through a per-job replay (best of three, alternating), with
- * identical decisions.
+ * One leg of the CI gate: the policy places `jobs` on `cluster`
+ * faster through placeJobs than through a per-job replay (best of
+ * three, alternating), with identical decisions.
+ */
+bool
+checkLeg(const Policy &policy, const char *label, Cluster &cluster,
+         const std::vector<Job> &jobs)
+{
+    constexpr std::size_t kReps = 100;
+    std::vector<std::size_t> batch_out;
+    std::vector<std::size_t> replay_out;
+    double batch = 1e300;
+    double replay = 1e300;
+    for (int round = 0; round < 3; ++round) {
+        batch = std::min(batch, timeIntervals(policy, cluster, jobs,
+                                              kReps, false, &batch_out));
+        replay = std::min(replay, timeIntervals(policy, cluster, jobs,
+                                                kReps, true,
+                                                &replay_out));
+    }
+    const bool same = batch_out == replay_out;
+    std::printf("[placement_check] %-3s %-16s batch %8.2f us/interval  "
+                "per-job %8.2f us/interval  %.2fx  decisions %s\n",
+                policy.name, label, 1e6 * batch / kReps,
+                1e6 * replay / kReps, replay / batch,
+                same ? "identical" : "DIFFER");
+    return same && batch < replay;
+}
+
+/**
+ * The CI gate, on 1000 servers and 2048-job batches: cf, ta and wa
+ * with `runs` batches on the steady cluster (the batch runs), and wa
+ * with `mixed` batches on the full-fleet cluster (the per-job path,
+ * where a batch skips the step (3) scans it has already seen fail).
  */
 bool
 checkBatchGate()
 {
     constexpr std::size_t kServers = 1000;
     constexpr std::size_t kRate = 2048;
-    constexpr std::size_t kReps = 100;
     auto cluster = makeSteadyCluster(kServers);
-    const std::vector<Job> jobs = makeArrivals(kRate, Shape::Runs);
+    const std::vector<Job> runs = makeArrivals(kRate, Shape::Runs);
     bool ok = true;
     for (const Policy &policy : policies()) {
         const std::string name = policy.name;
-        if (name != "cf" && name != "ta" && name != "wa")
-            continue;
-        std::vector<std::size_t> batch_out;
-        std::vector<std::size_t> replay_out;
-        double batch = 1e300;
-        double replay = 1e300;
-        for (int round = 0; round < 3; ++round) {
-            batch = std::min(batch, timeIntervals(policy, *cluster, jobs,
-                                                  kReps, false,
-                                                  &batch_out));
-            replay = std::min(replay,
-                              timeIntervals(policy, *cluster, jobs, kReps,
-                                            true, &replay_out));
+        if (name == "cf" || name == "ta" || name == "wa")
+            ok = checkLeg(policy, "runs", *cluster, runs) && ok;
+        if (name == "wa") {
+            auto full = makeFullFleetCluster(kServers);
+            ok = checkLeg(policy, "mixed full-fleet", *full,
+                          makeArrivals(kRate, Shape::Mixed)) &&
+                 ok;
         }
-        const bool same = batch_out == replay_out;
-        const bool faster = batch < replay;
-        std::printf("[placement_check] %-3s batch %8.2f us/interval  "
-                    "per-job %8.2f us/interval  %.2fx  decisions %s\n",
-                    policy.name, 1e6 * batch / kReps,
-                    1e6 * replay / kReps, replay / batch,
-                    same ? "identical" : "DIFFER");
-        ok = ok && same && faster;
     }
     std::printf("[placement_check] perf gate: %s\n",
                 ok ? "PASS (batch faster, same decisions)"

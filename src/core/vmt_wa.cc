@@ -147,14 +147,20 @@ VmtWaScheduler::placeHot(Cluster &cluster, Watts watts)
         }
     }
 
-    // (3) Any server below the melted threshold with capacity.
-    for (std::size_t probes = 0; probes < n; ++probes) {
-        const std::size_t cand = anyCursor_;
-        anyCursor_ = (anyCursor_ + 1) % n;
-        const Server &srv = std::as_const(cluster).server(cand);
-        if (srv.hasCapacity() &&
-            srv.estimatedMeltFraction() < config_.waxThreshold)
-            return cand;
+    // (3) Any server below the melted threshold with capacity. Once a
+    // full scan fails, every later one in the same call fails too and
+    // also ends where it began: the call only takes cores and melt
+    // estimates are frozen (DESIGN.md §14, "Exhausted scans").
+    if (!anyExhausted_) {
+        for (std::size_t probes = 0; probes < n; ++probes) {
+            const std::size_t cand = anyCursor_;
+            anyCursor_ = (anyCursor_ + 1) % n;
+            const Server &srv = std::as_const(cluster).server(cand);
+            if (srv.hasCapacity() &&
+                srv.estimatedMeltFraction() < config_.waxThreshold)
+                return cand;
+        }
+        anyExhausted_ = true;
     }
 
     // (4) Any remaining server.
@@ -195,14 +201,21 @@ VmtWaScheduler::placeCold(Cluster &cluster, Watts watts)
 }
 
 std::size_t
+VmtWaScheduler::placeOne(Cluster &cluster, WorkloadType type)
+{
+    const Watts watts = cluster.powerModel().corePower(type);
+    return hotMask_[workloadIndex(type)] ? placeHot(cluster, watts)
+                                         : placeCold(cluster, watts);
+}
+
+std::size_t
 VmtWaScheduler::placeJob(Cluster &cluster, const Job &job)
 {
     if (!initialized_)
         beginInterval(cluster, 0.0);
-    const Watts watts = cluster.powerModel().corePower(job.type);
-    return hotMask_[workloadIndex(job.type)]
-               ? placeHot(cluster, watts)
-               : placeCold(cluster, watts);
+    // The caller may have freed cores since the last call.
+    anyExhausted_ = false;
+    return placeOne(cluster, job.type);
 }
 
 void
@@ -254,8 +267,9 @@ VmtWaScheduler::placeJobs(Cluster &cluster, std::span<const Job> jobs,
 {
     if (!initialized_ && !jobs.empty())
         beginInterval(cluster, 0.0);
+    anyExhausted_ = false;
     const auto place_one = [&](const Job &job) {
-        return VmtWaScheduler::placeJob(cluster, job);
+        return placeOne(cluster, job.type);
     };
     const auto place_run = [&](WorkloadType type, std::size_t k) {
         if (hotMask_[workloadIndex(type)])

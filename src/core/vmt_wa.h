@@ -94,6 +94,8 @@ class VmtWaScheduler : public Scheduler
     void loadState(Deserializer &in) override;
 
   private:
+    /** The cascade for one job; leaves anyExhausted_ as it is. */
+    std::size_t placeOne(Cluster &cluster, WorkloadType type);
     std::size_t placeHot(Cluster &cluster, Watts watts);
     std::size_t placeCold(Cluster &cluster, Watts watts);
     void placeHotRun(Cluster &cluster, WorkloadType type, std::size_t k,
@@ -131,6 +133,10 @@ class VmtWaScheduler : public Scheduler
     std::vector<std::size_t> hotMelted_;
     std::size_t meltedCursor_ = 0;
     std::size_t anyCursor_ = 0;
+    /** Hot step (3) has failed a full scan in the current placeJob or
+     *  placeJobs call; cleared on entry to both, since cores freed
+     *  between calls (evacuation, migration) can make it succeed. */
+    bool anyExhausted_ = false;
 };
 
 } // namespace vmt

@@ -167,8 +167,7 @@ DepartureRing::saveState(Serializer &out) const
     forEachBucket([&](std::uint64_t b, const std::vector<Record> &bucket) {
         out.putU64(b);
         out.putSize(bucket.size());
-        for (const Record record : bucket)
-            out.putU32(record);
+        out.putU32s(bucket);
     });
 }
 

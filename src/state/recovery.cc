@@ -47,18 +47,9 @@ RecoveryManager::save(const SnapshotWriter &writer)
     // and neither retained generation has been touched.
     const std::vector<std::uint8_t> image = writer.encode();
     const std::string temp = atomicTempPath(path_);
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return fail("checkpoint: cannot open " + temp);
-        out.write(reinterpret_cast<const char *>(image.data()),
-                  static_cast<std::streamsize>(image.size()));
-        out.flush();
-        if (!out) {
-            std::remove(temp.c_str());
-            return fail("checkpoint: write failed for " + temp);
-        }
-    }
+    std::string why;
+    if (!stageFile(temp, image.data(), image.size(), &why))
+        return fail("checkpoint: " + why);
 
     // Rotate the current last-good snapshot to the .prev generation.
     // A rotation failure is not fatal to the save — a fresh snapshot

@@ -8,41 +8,14 @@
 namespace vmt {
 
 void
-Serializer::putU8(std::uint8_t value)
+Serializer::putU32s(std::span<const std::uint32_t> values)
 {
-    buf_.push_back(value);
-}
-
-void
-Serializer::putBool(bool value)
-{
-    putU8(value ? 1 : 0);
-}
-
-void
-Serializer::putU32(std::uint32_t value)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        buf_.push_back(static_cast<std::uint8_t>(value >> shift));
-}
-
-void
-Serializer::putU64(std::uint64_t value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        buf_.push_back(static_cast<std::uint8_t>(value >> shift));
-}
-
-void
-Serializer::putSize(std::size_t value)
-{
-    putU64(static_cast<std::uint64_t>(value));
-}
-
-void
-Serializer::putDouble(double value)
-{
-    putU64(std::bit_cast<std::uint64_t>(value));
+    if constexpr (std::endian::native == std::endian::little) {
+        putBytes(values.data(), values.size_bytes());
+    } else {
+        for (const std::uint32_t value : values)
+            putU32(value);
+    }
 }
 
 void
@@ -141,17 +114,42 @@ Deserializer::expectEnd() const
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: table[0] is the byte-at-a-time table, and
+ * table[k][i] is the CRC of byte i followed by k zero bytes, so one
+ * step folds eight bytes with eight independent lookups.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables table{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t crc = i;
         for (int bit = 0; bit < 8; ++bit)
             crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-        table[i] = crc;
+        table[0][i] = crc;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = table[k - 1][i];
+            table[k][i] = (prev >> 8) ^ table[0][prev & 0xFFu];
+        }
     }
     return table;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+/** Four bytes as a little-endian word, on any host. */
+inline std::uint32_t
+loadLittle32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -159,11 +157,19 @@ makeCrcTable()
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table =
-        makeCrcTable();
+    const CrcTables &t = kCrcTables;
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFFu];
+    std::size_t i = 0;
+    for (; size - i >= 8; i += 8) {
+        const std::uint32_t lo = loadLittle32(data + i) ^ crc;
+        const std::uint32_t hi = loadLittle32(data + i + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; i < size; ++i)
+        crc = (crc >> 8) ^ t[0][(crc ^ data[i]) & 0xFFu];
     return crc ^ 0xFFFFFFFFu;
 }
 

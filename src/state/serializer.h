@@ -17,27 +17,39 @@
 #ifndef VMT_STATE_SERIALIZER_H
 #define VMT_STATE_SERIALIZER_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace vmt {
 
-/** Append-only little-endian byte-stream writer. */
+/**
+ * Append-only little-endian byte-stream writer. The fixed-width puts
+ * are inline and append each value's bytes in one step.
+ */
 class Serializer
 {
   public:
-    void putU8(std::uint8_t value);
+    void putU8(std::uint8_t value) { buf_.push_back(value); }
     /** Bools are one byte, 0 or 1. */
-    void putBool(bool value);
-    void putU32(std::uint32_t value);
-    void putU64(std::uint64_t value);
+    void putBool(bool value) { buf_.push_back(value ? 1 : 0); }
+    void putU32(std::uint32_t value) { putLittle(value); }
+    void putU64(std::uint64_t value) { putLittle(value); }
     /** size_t is always widened to 64 bits on disk. */
-    void putSize(std::size_t value);
+    void putSize(std::size_t value) { putU64(value); }
     /** IEEE-754 bit pattern, little-endian (exact round-trip). */
-    void putDouble(double value);
+    void putDouble(double value)
+    {
+        putLittle(std::bit_cast<std::uint64_t>(value));
+    }
+    /** Each value as putU32 writes it, in one append on a
+     *  little-endian host. */
+    void putU32s(std::span<const std::uint32_t> values);
     /** 64-bit length prefix followed by the raw bytes. */
     void putString(const std::string &value);
     /** Raw bytes, no length prefix. */
@@ -53,6 +65,20 @@ class Serializer
     std::vector<std::uint8_t> release() { return std::exchange(buf_, {}); }
 
   private:
+    /** Append the little-endian bytes of an unsigned integer. */
+    template <typename T>
+    void putLittle(T value)
+    {
+        std::uint8_t bytes[sizeof(T)];
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(bytes, &value, sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+        }
+        buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 

@@ -19,6 +19,15 @@ namespace vmt {
 std::string atomicTempPath(const std::string &path);
 
 /**
+ * Write a whole buffer to `temp_path` and close it. The stream is
+ * checked after close(), so an error raised by the final flush counts
+ * as a failed stage. Returns false on failure with the reason in
+ * @p error (when non-null) and removes the partial file.
+ */
+bool stageFile(const std::string &temp_path, const void *data,
+               std::size_t size, std::string *error);
+
+/**
  * Atomically move the staged temp file over the destination.
  * @throws FatalError when the rename fails; the temp file is removed
  *         and the destination left untouched.

@@ -15,7 +15,10 @@
  *  - Batch runs (DESIGN.md §14): the policies' placeJobs overrides
  *    against a per-job replay through the Scheduler::placeJobs
  *    default, on a type-major churn stream and on whole 300-server
- *    simulations, fault-free and under an outage.
+ *    simulations, fault-free and under an outage; VMT-WA's also on a
+ *    serving-shaped stream (types in runs of one or two, cores freed
+ *    between two calls of one interval), where it skips cascade
+ *    step (3) once a sweep of it has failed.
  *
  * The expected values are FNV-1a digests (tests/reference/digest.h)
  * recorded by running these exact streams and simulations under the
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -567,6 +571,265 @@ TEST(PlacementBatchLockstep, TypeMajorRunsMatchAPerJobReplay)
         EXPECT_GT(batch.unplaced, 0u);
         EXPECT_GT(batch.hotInlets, 0u);
     }
+}
+
+/**
+ * Hot jobs of one VMT-WA placeJobs call that its cascade step (4)
+ * decided: kNoServer, or a melted server outside the hot group (steps
+ * (0)-(2) place inside the group, step (3) only on unmelted servers).
+ * Every such job found step (3) exhausted; two in one call mean the
+ * later one skipped the scan.
+ */
+std::size_t
+stepFourHotJobs(const Cluster &cluster, const Scheduler &wa,
+                std::span<const Job> jobs,
+                const std::vector<std::size_t> &out)
+{
+    const HotMask hot = hotMaskFromPaper();
+    const double threshold = bench::studyVmt(22.0).waxThreshold;
+    const std::size_t group = wa.hotGroupSize().value();
+    std::size_t count = 0;
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        if (!hot[workloadIndex(jobs[k].type)])
+            continue;
+        const std::size_t id = out[k];
+        count += id == kNoServer ||
+                 (id >= group &&
+                  cluster.server(id).estimatedMeltFraction() >=
+                      threshold);
+    }
+    return count;
+}
+
+/** `jobs` arrivals as the serving feed delivers them: random types
+ *  in runs of one or two, so every run takes the per-job path. */
+void
+makeServingBatch(Rng &rng, std::size_t jobs, std::size_t step,
+                 std::vector<Job> &batch)
+{
+    batch.clear();
+    while (batch.size() < jobs) {
+        const WorkloadType type =
+            kAllWorkloads[rng.below(kNumWorkloads)];
+        const std::size_t run = std::min<std::size_t>(
+            1 + rng.below(2), jobs - batch.size());
+        for (std::size_t j = 0; j < run; ++j)
+            batch.push_back(Job{step, type, 0.0});
+    }
+}
+
+/** Everything one serving-shaped stream decides and leaves behind. */
+struct ServeStream
+{
+    std::vector<std::size_t> decisions;
+    std::vector<std::uint8_t> cluster;
+    std::vector<std::uint8_t> scheduler;
+    std::size_t skips = 0;       // calls where a hot job skipped (3)
+    std::size_t secondCalls = 0; // calls after a core came back
+    std::size_t unplaced = 0;    // kNoServer decisions
+};
+
+/**
+ * VMT-WA on the churn stream with serving batches: the 48-server
+ * fleet alternates 40-step fill and drain phases, and in half the
+ * intervals one core on an unmelted server is freed after the
+ * arrivals and a second batch follows, as `vmtsim` frees cores by
+ * migration between two placeJobs calls of one interval.
+ */
+ServeStream
+runServeStream(bool per_job, std::uint64_t seed, std::size_t steps)
+{
+    ThreadCountGuard guard;
+    setGlobalThreadCount(1);
+    Cluster cluster(kServers, ServerSpec{}, ServerThermalParams{},
+                    PowerModel({}, 1.0));
+    VmtWaScheduler wa(bench::studyVmt(22.0), hotMaskFromPaper());
+    PerJob replay(wa);
+    Scheduler &sched =
+        per_job ? static_cast<Scheduler &>(replay) : wa;
+    const double threshold = bench::studyVmt(22.0).waxThreshold;
+
+    ServeStream trace;
+    Rng rng(seed);
+    const Seconds dts[3] = {30.0, 60.0, 300.0};
+    std::vector<Job> batch;
+    std::vector<std::size_t> out;
+    const auto place = [&](std::size_t jobs, std::size_t step) {
+        makeServingBatch(rng, jobs, step, batch);
+        sched.placeJobs(cluster, batch, out);
+        EXPECT_EQ(out.size(), batch.size());
+        trace.decisions.insert(trace.decisions.end(), out.begin(),
+                               out.end());
+        trace.unplaced += static_cast<std::size_t>(
+            std::count(out.begin(), out.end(), kNoServer));
+        trace.skips += stepFourHotJobs(cluster, wa, batch, out) >= 2;
+    };
+    Seconds now = 0.0;
+    for (std::size_t step = 0; step < steps; ++step) {
+        const bool draining = (step / 40) % 2 == 1;
+        for (std::size_t id = 0; id < kServers; ++id) {
+            if (rng.below(draining ? 2 : 12) != 0)
+                continue;
+            for (const WorkloadType type : kAllWorkloads) {
+                const std::size_t idx = workloadIndex(type);
+                const std::size_t leave = rng.below(
+                    std::as_const(cluster).server(id).coreCounts()[idx] +
+                    1);
+                for (std::size_t j = 0; j < leave; ++j)
+                    cluster.removeJob(id, type);
+            }
+        }
+        const std::size_t churn = 1 + rng.below(3);
+        for (std::size_t k = 0; k < churn; ++k)
+            mutate(rng, cluster);
+
+        sched.beginInterval(cluster, now);
+        place(1 + rng.below(draining ? 40 : 160), step);
+
+        const std::size_t freed = rng.below(kServers);
+        const Server &srv = std::as_const(cluster).server(freed);
+        if (rng.below(2) == 0 && srv.busyCores() > 0 &&
+            srv.estimatedMeltFraction() < threshold) {
+            for (const WorkloadType type : kAllWorkloads) {
+                if (srv.coreCounts()[workloadIndex(type)] > 0) {
+                    cluster.removeJob(freed, type);
+                    break;
+                }
+            }
+            place(1 + rng.below(6), step);
+            ++trace.secondCalls;
+        }
+
+        const Seconds dt = dts[rng.below(3)];
+        cluster.stepThermal(dt, 38.0);
+        now += dt;
+    }
+    Serializer cluster_bytes;
+    cluster.saveState(cluster_bytes);
+    trace.cluster = cluster_bytes.bytes();
+    Serializer sched_bytes;
+    sched.saveState(sched_bytes);
+    trace.scheduler = sched_bytes.bytes();
+    return trace;
+}
+
+TEST(PlacementBatchLockstep, ServingBatchesMatchAPerJobReplay)
+{
+    const ServeStream batch = runServeStream(false, 0x5E4BEull, 1200);
+    const ServeStream replay = runServeStream(true, 0x5E4BEull, 1200);
+    EXPECT_EQ(batch.decisions.size(), replay.decisions.size());
+    EXPECT_EQ(firstMismatch(batch.decisions, replay.decisions),
+              batch.decisions.size());
+    EXPECT_TRUE(batch.cluster == replay.cluster);
+    // The scheduler bytes carry anyCursor_, which every step (3) scan
+    // and its skip must leave where the per-job scans leave it.
+    EXPECT_TRUE(batch.scheduler == replay.scheduler);
+    // The stream fills the fleet until hot jobs skip step (3), and
+    // frees cores between two calls of one interval.
+    EXPECT_GT(batch.skips, 50u);
+    EXPECT_GT(batch.secondCalls, 200u);
+    EXPECT_GT(batch.unplaced, 0u);
+}
+
+/**
+ * Capacity that comes back between two calls of one interval must be
+ * found: servers 0-11 are frozen and full, servers 12-19 melted and
+ * half full; the hot group is within the frozen ones. The first call's hot jobs exhaust step (3) and take step (4)
+ * on the melted half; a core freed on frozen server 3 must take the
+ * second call's hot job, where step (4) would pick the melted server
+ * at the cursor.
+ */
+TEST(PlacementBatchLockstep, SecondCallInAnIntervalFindsAFreedCore)
+{
+    ThreadCountGuard guard;
+    setGlobalThreadCount(1);
+    const VmtConfig config = bench::studyVmt(22.0);
+    const HotMask hot = hotMaskFromPaper();
+    const auto first_of = [&](bool want_hot) {
+        for (const WorkloadType type : kAllWorkloads)
+            if (hot[workloadIndex(type)] == want_hot)
+                return type;
+        return kAllWorkloads[0];
+    };
+    const WorkloadType hot_type = first_of(true);
+    const WorkloadType cold_type = first_of(false);
+    constexpr std::size_t kFleet = 20;
+    constexpr std::size_t kFrozen = 12;
+    constexpr std::size_t kFreed = 3;
+
+    const auto make_cluster = [&] {
+        auto cluster = std::make_unique<Cluster>(
+            kFleet, ServerSpec{}, ServerThermalParams{},
+            PowerModel({}, 1.0));
+        const std::size_t cores = cluster->server(0).cores();
+        for (std::size_t id = 0; id < kFrozen; ++id)
+            cluster->setBaseInlet(id, 18.0);
+        for (std::size_t id = kFrozen; id < kFleet; ++id) {
+            cluster->setBaseInlet(id, 45.0);
+            for (std::size_t c = 0; c < cores; ++c)
+                cluster->addJob(id, hot_type);
+        }
+        for (int i = 0; i < 600; ++i)
+            cluster->stepThermal(60.0, 38.0);
+        for (std::size_t id = 0; id < kFrozen; ++id)
+            for (std::size_t c = 0; c < cores; ++c)
+                cluster->addJob(id, cold_type);
+        for (std::size_t id = kFrozen; id < kFleet; ++id)
+            for (std::size_t c = 0; c < cores / 2; ++c)
+                cluster->removeJob(id, hot_type);
+        return cluster;
+    };
+
+    std::vector<Job> first;
+    // Five hot jobs leave the cursor inside the melted half.
+    for (std::size_t k = 0; k < 7; ++k)
+        first.push_back(Job{k, k % 3 == 2 ? cold_type : hot_type, 0.0});
+    const std::vector<Job> second = {Job{7, hot_type, 0.0}};
+
+    std::vector<std::vector<std::size_t>> decisions[2];
+    std::vector<std::uint8_t> cluster_bytes[2];
+    std::vector<std::uint8_t> sched_bytes[2];
+    for (const bool per_job : {false, true}) {
+        SCOPED_TRACE(per_job ? "per-job replay" : "placeJobs");
+        const auto cluster = make_cluster();
+        for (std::size_t id = 0; id < kFleet; ++id) {
+            const Server &srv = std::as_const(*cluster).server(id);
+            if (id < kFrozen) {
+                ASSERT_LT(srv.estimatedMeltFraction(),
+                          config.waxThreshold);
+                ASSERT_FALSE(srv.hasCapacity());
+            } else {
+                ASSERT_GE(srv.estimatedMeltFraction(),
+                          config.waxThreshold);
+                ASSERT_GE(srv.airTemp(), config.physicalMeltTemp);
+            }
+        }
+        VmtWaScheduler wa(config, hot);
+        PerJob replay(wa);
+        Scheduler &sched =
+            per_job ? static_cast<Scheduler &>(replay) : wa;
+        std::vector<std::size_t> out;
+        sched.beginInterval(*cluster, 0.0);
+        ASSERT_LE(wa.hotGroupSize().value(), kFrozen);
+        sched.placeJobs(*cluster, first, out);
+        EXPECT_GE(stepFourHotJobs(*cluster, wa, first, out), 2u);
+        decisions[per_job].push_back(out);
+
+        cluster->removeJob(kFreed, cold_type);
+        sched.placeJobs(*cluster, second, out);
+        EXPECT_EQ(out, std::vector<std::size_t>{kFreed});
+        decisions[per_job].push_back(out);
+
+        Serializer cbytes;
+        cluster->saveState(cbytes);
+        cluster_bytes[per_job] = cbytes.bytes();
+        Serializer sbytes;
+        sched.saveState(sbytes);
+        sched_bytes[per_job] = sbytes.bytes();
+    }
+    EXPECT_EQ(decisions[0], decisions[1]);
+    EXPECT_TRUE(cluster_bytes[0] == cluster_bytes[1]);
+    EXPECT_TRUE(sched_bytes[0] == sched_bytes[1]);
 }
 
 /** The 12-hour 300-server study run, optionally under an outage of a

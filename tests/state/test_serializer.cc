@@ -3,18 +3,24 @@
  * Byte-level contract of Serializer/Deserializer: the on-disk
  * encoding is little-endian and field-exact, doubles round-trip
  * bitwise, and every malformed read path throws FatalError instead of
- * returning garbage.
+ * returning garbage. The slicing-by-8 CRC-32 must equal the
+ * byte-at-a-time reference (tests/reference/crc32_bytewise.h).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "reference/crc32_bytewise.h"
 #include "state/serializer.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace vmt {
 namespace {
@@ -44,6 +50,78 @@ TEST(Serializer, EncodesDoubleAsIeeeBits)
     const std::vector<std::uint8_t> expected = {
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F};
     EXPECT_EQ(out.bytes(), expected);
+}
+
+/** The bytes one put writes into an empty Serializer. */
+template <typename Put>
+std::vector<std::uint8_t>
+bytesOf(Put put)
+{
+    Serializer out;
+    put(out);
+    return out.bytes();
+}
+
+TEST(Serializer, EncodesBoundaryIntegers)
+{
+    using Bytes = std::vector<std::uint8_t>;
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putU8(0); }), Bytes{0});
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putU8(0xFF); }),
+              Bytes{0xFF});
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putBool(true); }),
+              Bytes{1});
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putU32(0); }),
+              Bytes(4, 0x00));
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putU32(UINT32_MAX); }),
+              Bytes(4, 0xFF));
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putU64(0); }),
+              Bytes(8, 0x00));
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putU64(UINT64_MAX); }),
+              Bytes(8, 0xFF));
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putSize(0); }),
+              Bytes(8, 0x00));
+    EXPECT_EQ(bytesOf([](Serializer &s) { s.putSize(SIZE_MAX); }),
+              Bytes(8, 0xFF));
+}
+
+TEST(Serializer, EncodesBoundaryDoubles)
+{
+    using Bytes = std::vector<std::uint8_t>;
+    const auto encoded = [](double value) {
+        return bytesOf([value](Serializer &s) { s.putDouble(value); });
+    };
+    EXPECT_EQ(encoded(0.0), Bytes(8, 0x00));
+    // Only the sign bit: the top byte.
+    EXPECT_EQ(encoded(-0.0),
+              (Bytes{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}));
+    EXPECT_EQ(encoded(std::numeric_limits<double>::max()),
+              (Bytes{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEF, 0x7F}));
+    // The smallest subnormal is the bit pattern 1.
+    EXPECT_EQ(encoded(std::numeric_limits<double>::denorm_min()),
+              (Bytes{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+    // A quiet NaN with payload 0x12345, bit for bit.
+    const double nan =
+        std::bit_cast<double>(std::uint64_t{0x7FF8000000012345ull});
+    EXPECT_EQ(encoded(nan),
+              (Bytes{0x45, 0x23, 0x01, 0x00, 0x00, 0x00, 0xF8, 0x7F}));
+}
+
+TEST(Serializer, PutU32sMatchesOnePutPerValue)
+{
+    const std::vector<std::uint32_t> values = {
+        0u, 1u, 0x01020304u, 0x80000000u, UINT32_MAX, 0xDEADBEEFu};
+    for (std::size_t n = 0; n <= values.size(); ++n) {
+        SCOPED_TRACE(n);
+        const std::span<const std::uint32_t> head(values.data(), n);
+        Serializer each;
+        each.putU8(0xA5); // an odd offset, as inside a payload
+        for (const std::uint32_t value : head)
+            each.putU32(value);
+        Serializer bulk;
+        bulk.putU8(0xA5);
+        bulk.putU32s(head);
+        EXPECT_EQ(bulk.bytes(), each.bytes());
+    }
 }
 
 TEST(Serializer, SizeWidensTo64Bits)
@@ -153,6 +231,41 @@ TEST(Crc32, MatchesKnownAnswer)
     const char *data = "123456789";
     EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(data), 9),
               0xCBF43926u);
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceOnEveryShortLength)
+{
+    std::vector<std::uint8_t> data(64);
+    Rng rng(0xC3C32ull);
+    for (std::uint8_t &byte : data)
+        byte = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t size = 0; size <= data.size(); ++size) {
+        SCOPED_TRACE(size);
+        EXPECT_EQ(crc32(data.data(), size),
+                  reference::crc32Bytewise(data.data(), size));
+    }
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceOnLargeUnalignedBuffers)
+{
+    // Seeded buffers up to 1 MiB (plus the offset), read from every
+    // offset in an 8-byte word.
+    Rng rng(0x5EED32ull);
+    for (const std::size_t size :
+         {std::size_t{65}, std::size_t{1000}, std::size_t{4099},
+          std::size_t{65536}, std::size_t{1} << 20}) {
+        std::vector<std::uint8_t> data(size + 8);
+        for (std::uint8_t &byte : data)
+            byte = static_cast<std::uint8_t>(rng.below(256));
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+            SCOPED_TRACE(std::to_string(size) + " bytes at offset " +
+                         std::to_string(offset));
+            const std::size_t length = size - (offset % 3);
+            EXPECT_EQ(
+                crc32(data.data() + offset, length),
+                reference::crc32Bytewise(data.data() + offset, length));
+        }
+    }
 }
 
 TEST(Crc32, EmptyBufferIsZero)
