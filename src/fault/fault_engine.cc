@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "server/cluster.h"
-#include "state/serializer.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -144,11 +143,7 @@ FaultEngine::saveState(Serializer &out, const Cluster &cluster) const
 {
     out.putSize(cursor_);
     out.putDouble(supplyRise_);
-    const RngState rng = rng_.state();
-    for (std::uint64_t word : rng.s)
-        out.putU64(word);
-    out.putBool(rng.hasSpare);
-    out.putDouble(rng.spare);
+    field(out, rng_);
     out.putSize(repairs_.size());
     for (const Repair &repair : repairs_) {
         out.putDouble(repair.due);
@@ -161,18 +156,14 @@ FaultEngine::saveState(Serializer &out, const Cluster &cluster) const
 }
 
 void
-FaultEngine::loadState(Deserializer &in, Cluster &cluster)
+FaultEngine::loadState(Restore &io, Cluster &cluster)
 {
+    Deserializer &in = io.in;
     cursor_ = in.getSize();
     if (cursor_ > config_.plan.size())
         fatal("fault snapshot: plan cursor out of range");
     supplyRise_ = in.getDouble();
-    RngState rng;
-    for (std::uint64_t &word : rng.s)
-        word = in.getU64();
-    rng.hasSpare = in.getBool();
-    rng.spare = in.getDouble();
-    rng_.setState(rng);
+    field(io, rng_);
     repairs_.clear();
     const std::size_t num_repairs = in.getSize();
     for (std::size_t i = 0; i < num_repairs; ++i) {

@@ -27,14 +27,13 @@
 
 #include "fault/fault_plan.h"
 #include "reliability/failure_model.h"
+#include "state/fields.h"
 #include "util/rng.h"
 #include "util/units.h"
 
 namespace vmt {
 
 class Cluster;
-class Serializer;
-class Deserializer;
 
 /** Applies scripted and stochastic faults at interval boundaries. */
 class FaultEngine
@@ -71,15 +70,13 @@ class FaultEngine
 
     /**
      * Serialize the engine's dynamic state (plan cursor, derate,
-     * Rng, repair queue, per-server health) into the snapshot FALT
-     * section. loadState re-applies health through
-     * Cluster::setHealth so the cluster aggregates stay consistent.
+     * Rng, repair queue, per-server health) into a snapshot section
+     * (vmtsim's FALT, each vmtserve shard's slot in DGRD). loadState
+     * re-applies health through Cluster::setHealth so the cluster
+     * aggregates stay consistent.
      */
     void saveState(Serializer &out, const Cluster &cluster) const;
-    void loadState(Deserializer &in, Cluster &cluster);
-
-    /** The configuration the engine was built with. */
-    const FaultConfig &config() const { return config_; }
+    void loadState(Restore &io, Cluster &cluster);
 
   private:
     /** One pending stochastic repair. */
@@ -104,6 +101,38 @@ class FaultEngine
     /** Stochastic hazard model; meaningful only when mtbf > 0. */
     FailureModel failureModel_;
 };
+
+/**
+ * The fault configuration a snapshot echoes (state/fields.h): the
+ * stochastic and thermal parameters, seed first, and the plan event by
+ * event. vmtsim's FALT and vmtserve's DGRD echo the enable flag, these
+ * parameters and the plan in different orders; each keeps its own.
+ */
+template <typename IO>
+void
+echoFaultParams(IO &io, const FaultConfig &config)
+{
+    echo(io, "fault seed", config.seed);
+    echo(io, "fault mtbf", config.mtbf);
+    echo(io, "fault mtbf reference temp", config.mtbfRefTemp);
+    echo(io, "fault mtbf doubling delta", config.mtbfDoublingDelta);
+    echo(io, "fault repair time", config.repairTime);
+    echo(io, "fault critical temp", config.criticalTemp);
+    echo(io, "fault critical release", config.criticalRelease);
+}
+
+template <typename IO>
+void
+echoFaultPlan(IO &io, const FaultPlan &plan)
+{
+    echo(io, "fault plan length", plan.size());
+    for (const FaultEvent &event : plan.events()) {
+        echo(io, "fault event time", event.time);
+        echo(io, "fault event type", event.type);
+        echo(io, "fault event server", event.serverId);
+        echo(io, "fault event supply rise", event.supplyRise);
+    }
+}
 
 } // namespace vmt
 

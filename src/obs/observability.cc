@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "state/snapshot.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -59,18 +60,19 @@ Observability::saveState(Serializer &out) const
 }
 
 void
-Observability::loadState(Deserializer &in, std::size_t completed)
+Observability::restoreState(const SnapshotReader &reader,
+                            std::size_t completed)
 {
+    if (!reader.has("OBSV")) {
+        warn("snapshot has no OBSV section; telemetry and metrics for "
+             "the completed prefix are zero-filled");
+        telemetry_.padMissing(completed);
+        return;
+    }
+    Deserializer in = reader.section("OBSV");
     registry_.loadState(in);
     telemetry_.loadState(in, completed);
-}
-
-void
-Observability::acceptMissingState(std::size_t completed)
-{
-    warn("snapshot has no OBSV section; telemetry and metrics for "
-         "the completed prefix are zero-filled");
-    telemetry_.padMissing(completed);
+    in.expectEnd();
 }
 
 void

@@ -28,7 +28,7 @@
 namespace vmt {
 
 class Serializer;
-class Deserializer;
+class SnapshotReader;
 
 namespace obs {
 
@@ -81,15 +81,15 @@ class Observability
     /** Serialize metric values + telemetry (snapshot OBSV payload). */
     void saveState(Serializer &out) const;
 
-    /** Restore a state saved after @p completed intervals. */
-    void loadState(Deserializer &in, std::size_t completed);
-
     /**
-     * Resume path for snapshots without an OBSV section (written
-     * before this layer, or by a run without observability): warn and
-     * zero-pad the telemetry prefix so the series stay aligned.
+     * Restore the state @p reader's OBSV section saved after
+     * @p completed intervals. A snapshot without the section (written
+     * before this layer, or by a run without observability) resumes
+     * anyway: warn and zero-pad the telemetry prefix so the series
+     * stay aligned.
      */
-    void acceptMissingState(std::size_t completed);
+    void restoreState(const SnapshotReader &reader,
+                      std::size_t completed);
 
     /** Write Prometheus text to @p path and CSV to `path + ".csv"`,
      *  both atomically. @throws FatalError naming the failing path. */

@@ -6,8 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "state/resume_check.h"
-#include "state/serializer.h"
+#include "state/fields.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "workload/job_generator.h"
@@ -28,30 +27,20 @@ badLine(const std::string &origin, std::size_t line,
 
 constexpr ResumeCheck check{"serve feed snapshot"};
 
+/** The shape parameters a FEED section echoes: a resume under
+ *  different ones would silently change the remaining stream. */
+template <typename IO>
 void
-saveRng(Serializer &out, const Rng &rng)
+echoParams(IO &io, const SyntheticFeedParams &params)
 {
-    const RngState state = rng.state();
-    for (std::uint64_t word : state.s)
-        out.putU64(word);
-    out.putBool(state.hasSpare);
-    out.putDouble(state.spare);
-}
-
-void
-loadRng(Deserializer &in, Rng &rng)
-{
-    RngState state;
-    for (std::uint64_t &word : state.s)
-        word = in.getU64();
-    // xoshiro256** never leaves the all-zero state, where every
-    // uniform draw is 0 and the exponential draws never return.
-    if ((state.s[0] | state.s[1] | state.s[2] | state.s[3]) == 0)
-        fatal("serve snapshot FEED section is corrupt: all-zero RNG "
-              "state");
-    state.hasSpare = in.getBool();
-    state.spare = in.getDouble();
-    rng.setState(state);
+    echo(io, "users", params.users);
+    echo(io, "requestsPerUserHour", params.requestsPerUserHour);
+    echo(io, "diurnalTrough", params.diurnalTrough);
+    echo(io, "rampHours", params.rampHours);
+    echo(io, "burstPeriodHours", params.burstPeriodHours);
+    echo(io, "burstFactor", params.burstFactor);
+    echo(io, "burstMinutes", params.burstMinutes);
+    echo(io, "seed", params.seed);
 }
 
 } // namespace
@@ -260,18 +249,8 @@ SyntheticFeed::arrivalsUntil(Seconds end, std::vector<FeedJob> &out)
 void
 SyntheticFeed::saveState(Serializer &out) const
 {
-    // Parameter echo: a resume under different shape parameters would
-    // silently change the remaining stream, so refuse it instead.
-    out.putDouble(params_.users);
-    out.putDouble(params_.requestsPerUserHour);
-    out.putDouble(params_.diurnalTrough);
-    out.putDouble(params_.rampHours);
-    out.putDouble(params_.burstPeriodHours);
-    out.putDouble(params_.burstFactor);
-    out.putDouble(params_.burstMinutes);
-    out.putU64(params_.seed);
-
-    saveRng(out, cur_.rng);
+    echoParams(out, params_);
+    field(out, cur_.rng);
     out.putDouble(cur_.candidateTime);
     out.putBool(cur_.pending.has_value());
     if (cur_.pending)
@@ -284,18 +263,9 @@ SyntheticFeed::loadState(Deserializer &in)
 {
     settle(true);
     lastEnd_.reset();
-    check.real("users", in.getDouble(), params_.users);
-    check.real("requestsPerUserHour", in.getDouble(),
-               params_.requestsPerUserHour);
-    check.real("diurnalTrough", in.getDouble(), params_.diurnalTrough);
-    check.real("rampHours", in.getDouble(), params_.rampHours);
-    check.real("burstPeriodHours", in.getDouble(),
-               params_.burstPeriodHours);
-    check.real("burstFactor", in.getDouble(), params_.burstFactor);
-    check.real("burstMinutes", in.getDouble(), params_.burstMinutes);
-    check.u64("seed", in.getU64(), params_.seed);
-
-    loadRng(in, cur_.rng);
+    Restore io{in, check, "serve snapshot FEED"};
+    echoParams(io, params_);
+    field(io, cur_.rng);
     cur_.candidateTime = in.getDouble();
     if (!std::isfinite(cur_.candidateTime) || cur_.candidateTime < 0.0)
         fatal("serve snapshot FEED section is corrupt: candidate time " +

@@ -287,9 +287,6 @@ class LineFeed : public JobFeed
                        std::vector<FeedJob> &out) override;
     bool exhausted() const override;
 
-    /** Events fully consumed so far (the checkpoint cursor). */
-    std::uint64_t eventsConsumed() const { return eventsConsumed_; }
-
     void saveState(Serializer &out) const override;
     void loadState(Deserializer &in) override;
 

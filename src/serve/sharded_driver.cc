@@ -6,9 +6,8 @@
 
 #include "core/policy_factory.h"
 #include "serve/waterfill.h"
+#include "state/fields.h"
 #include "state/recovery.h"
-#include "state/resume_check.h"
-#include "state/snapshot.h"
 #include "thermal/pcm.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -168,6 +167,17 @@ admitPolicyName(AdmitPolicy policy)
     return policy == AdmitPolicy::Queue ? "queue" : "shed";
 }
 
+ShardedDriver::Totals
+ShardedDriver::Totals::since(const Totals &earlier) const
+{
+    return {arrivals - earlier.arrivals,   admitted - earlier.admitted,
+            shed - earlier.shed,           requeued - earlier.requeued,
+            placed - earlier.placed,       dropped - earlier.dropped,
+            completed - earlier.completed, evacuated - earlier.evacuated,
+            migrated - earlier.migrated,   lost - earlier.lost,
+            expired - earlier.expired};
+}
+
 ShardedDriver::Shard::Shard(std::size_t num_servers,
                             const ServeConfig &config,
                             const PowerModel &power)
@@ -237,12 +247,11 @@ ShardedDriver::drainDepartures(Shard &shard, Seconds now)
     });
 }
 
-void
+std::size_t
 ShardedDriver::faultPhase(Shard &shard, Seconds now)
 {
     shard.evacBatch.clear();
     shard.evacDue.clear();
-    shard.evacuatedThisInterval = 0;
     shard.migratedThisInterval = 0;
 
     std::vector<std::size_t> evacuating;
@@ -272,7 +281,6 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
     // migrated job finishes in the interval it would have.
     evacuateServers(shard.departures, shard.cluster, evacuating,
                     shard.evacBatch, shard.evacDue);
-    shard.evacuatedThisInterval = shard.evacBatch.size();
 
     // Routing capacity for refugees and admissions: free cores on Up
     // servers only — totalCores - busyCores would credit dead and
@@ -284,7 +292,7 @@ ShardedDriver::faultPhase(Shard &shard, Seconds now)
         if (srv.health() == ServerHealth::Up)
             free += srv.freeCores();
     }
-    shard.schedulableFree = free;
+    return free;
 }
 
 void
@@ -321,12 +329,6 @@ ShardedDriver::placeEvac(Shard &shard, std::span<const std::size_t> routed,
 void
 ShardedDriver::evacuateRefugees()
 {
-    // The post-evacuation capacity estimates double as the
-    // admission router's input, so they are (re)seeded every
-    // degraded interval even when nothing failed.
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        freeEst_[s] = shards_[s].schedulableFree;
-
     // Gather this interval's refugees in shard order (determinism:
     // the drain order inside each shard is fixed, and shard order
     // fixes the cross-shard order).
@@ -342,7 +344,7 @@ ShardedDriver::evacuateRefugees()
             types.push_back(shard.evacBatch[k].type);
             dues.push_back(shard.evacDue[k]);
         }
-        evacuated_ += shard.evacuatedThisInterval;
+        totals_.evacuated += shard.evacBatch.size();
     }
     if (types.empty())
         return;
@@ -409,18 +411,14 @@ ShardedDriver::evacuateRefugees()
 
     // Out of retries (or capacity): the stragglers are lost. Their
     // departure records left the ring with the evacuation.
-    lost_ += types.size();
+    totals_.lost += types.size();
     for (Shard &shard : shards_)
-        migrated_ += shard.migratedThisInterval;
+        totals_.migrated += shard.migratedThisInterval;
 }
 
 void
 ShardedDriver::placeBatch(Shard &shard, Seconds now)
 {
-    // In degraded mode faultPhase already refreshed the policy state
-    // this boundary (it must run before the refugee drain).
-    if (!degraded_)
-        shard.scheduler->beginInterval(shard.cluster, now);
     if (shard.batch.empty())
         return;
     // One batch call decides (and applies) every placement; the
@@ -458,20 +456,15 @@ ShardedDriver::admit(Seconds now)
     // charging them against the budget. The ring is not time-sorted
     // once re-queues happen, so it checks every popped entry.
     if (config_.maxQueueAge > 0.0)
-        expired_ += ingress_.dropExpired(now - config_.maxQueueAge,
-                                         budget);
+        totals_.expired +=
+            ingress_.dropExpired(now - config_.maxQueueAge, budget);
 
     // Pop the budget's worth (all of it without one) and route it to
-    // shards by a deterministic waterfill over free cores. Degraded
-    // runs use the post-evacuation schedulable-free estimates, which
-    // do not count failed servers' cores.
+    // shards by a deterministic waterfill over the post-evacuation
+    // schedulable-free estimates, which do not count failed servers'
+    // cores.
     const std::size_t depth = ingress_.size();
     const std::size_t take = budget > 0 ? std::min(budget, depth) : depth;
-    if (!degraded_) {
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            freeEst_[s] = shards_[s].cluster.totalCores() -
-                          shards_[s].cluster.busyCores();
-    }
     std::size_t next = 0;
     const std::size_t routed =
         waterfill(freeEst_, take, [&](std::size_t s) {
@@ -480,18 +473,18 @@ ShardedDriver::admit(Seconds now)
                 Job{nextJobId_++, job.type, job.duration});
         });
     ingress_.pop(routed);
-    admitted_ += routed;
+    totals_.admitted += routed;
 
     // What the fleet cannot hold re-queues behind the entries the pop
     // left (queue policy), or sheds with the rest of the ring (shed
     // policy: backlog never carries across intervals).
     if (config_.admit == AdmitPolicy::Shed) {
-        shed_ += ingress_.clear();
+        totals_.shed += ingress_.clear();
         return;
     }
     if (take < depth)
         ingress_.rotate(take - routed);
-    requeued_ += take - routed;
+    totals_.requeued += take - routed;
 }
 
 ServeResult
@@ -508,14 +501,7 @@ ShardedDriver::run(JobFeed &feed,
     result.shards = shards_.size();
     result.degraded = degraded_;
 
-    std::size_t completed = 0;
-    if (!config_.resumeFrom.empty())
-        completed = loadCheckpoint(feed, config_.resumeFrom);
-    result.resumedIntervals = completed;
-    if (config_.maxIntervals > 0 && completed > config_.maxIntervals)
-        fatal("serve snapshot has more completed intervals than the "
-              "configured run length");
-
+    // Register the metrics before a resume restores their values.
     obs::Observability *const o = config_.obs;
     ServeObs sobs;
     obs::PhaseProfiler *prof = nullptr;
@@ -526,26 +512,15 @@ ShardedDriver::run(JobFeed &feed,
         prof = &o->profiler();
         o->beginRun(result.schedulerName, config_.numServers,
                     config_.maxIntervals, config_.interval);
-        // Counters restart at zero in a fresh process; seed them with
-        // the snapshot's totals so scrapes continue monotonically.
-        if (completed > 0) {
-            obs::MetricsRegistry &m = o->metrics();
-            m.inc(sobs.intervals, completed);
-            m.inc(sobs.arrivals, arrivals_);
-            m.inc(sobs.admitted, admitted_);
-            m.inc(sobs.shed, shed_);
-            m.inc(sobs.requeued, requeued_);
-            m.inc(sobs.placed, placed_);
-            m.inc(sobs.dropped, dropped_);
-            m.inc(sobs.completed, completedJobs_);
-            if (degraded_) {
-                m.inc(sobs.evacuated, evacuated_);
-                m.inc(sobs.migrated, migrated_);
-                m.inc(sobs.lost, lost_);
-                m.inc(sobs.expired, expired_);
-            }
-        }
     }
+
+    std::size_t completed = 0;
+    if (!config_.resumeFrom.empty())
+        completed = loadCheckpoint(feed, config_.resumeFrom);
+    result.resumedIntervals = completed;
+    if (config_.maxIntervals > 0 && completed > config_.maxIntervals)
+        fatal("serve snapshot has more completed intervals than the "
+              "configured run length");
 
     std::ofstream telemetry_out;
     if (!config_.telemetryOut.empty()) {
@@ -584,17 +559,7 @@ ShardedDriver::run(JobFeed &feed,
 
     // Totals as of the last recorded interval, so the telemetry line
     // carries per-interval deltas (restored totals on resume).
-    std::uint64_t prev_arrivals = arrivals_;
-    std::uint64_t prev_admitted = admitted_;
-    std::uint64_t prev_shed = shed_;
-    std::uint64_t prev_requeued = requeued_;
-    std::uint64_t prev_placed = placed_;
-    std::uint64_t prev_dropped = dropped_;
-    std::uint64_t prev_completed = completedJobs_;
-    std::uint64_t prev_evacuated = evacuated_;
-    std::uint64_t prev_migrated = migrated_;
-    std::uint64_t prev_lost = lost_;
-    std::uint64_t prev_expired = expired_;
+    Totals prev = totals_;
 
     for (std::size_t interval = completed;; ++interval) {
         if (config_.maxIntervals > 0 &&
@@ -609,9 +574,9 @@ ShardedDriver::run(JobFeed &feed,
         // 1. Complete departures due by now, one task per shard —
         // shards share no mutable state, and the serial reductions
         // below run in shard order, so results are bitwise identical
-        // at any thread count. Degraded mode appends the per-shard
-        // fault boundary work (engine step, supply-rise push,
-        // refugee drain, capacity estimate) to the same fan-out.
+        // at any thread count. The per-shard boundary work (engine
+        // step, supply-rise push, policy refresh, refugee drain,
+        // capacity estimate) joins the same fan-out.
         {
             obs::ScopedPhase timer(prof, sobs.phaseDepartures);
             parallelFor(pool, 0, shards_.size(), 1,
@@ -623,18 +588,16 @@ ShardedDriver::run(JobFeed &feed,
                                 shard.unplacedThisInterval = 0;
                                 shard.batch.clear();
                                 drainDepartures(shard, now);
-                                if (degraded_)
-                                    faultPhase(shard, now);
+                                freeEst_[s] = faultPhase(shard, now);
                             }
                         });
         }
 
-        // 1b. Cross-shard migration of evacuated jobs (degraded
-        // mode): waterfill refugees over surviving capacity, place
-        // in parallel batches, retry the failures a bounded number
-        // of rounds, shed the rest.
-        if (degraded_)
-            evacuateRefugees();
+        // 1b. Cross-shard migration of evacuated jobs: waterfill
+        // refugees over surviving capacity, place in parallel
+        // batches, retry the failures a bounded number of rounds,
+        // shed the rest. Admission routes over what they leave.
+        evacuateRefugees();
 
         // 2. Ingest the feed's arrivals due before the next boundary
         // into the bounded ring; overflow is shed, not queued.
@@ -645,8 +608,8 @@ ShardedDriver::run(JobFeed &feed,
         }
         {
             obs::ScopedPhase timer(prof, sobs.phaseAdmit);
-            arrivals_ += feedBuf_.size();
-            shed_ += feedBuf_.size() - ingress_.pushAll(feedBuf_);
+            totals_.arrivals += feedBuf_.size();
+            totals_.shed += feedBuf_.size() - ingress_.pushAll(feedBuf_);
             peakQueueDepth_ =
                 std::max(peakQueueDepth_, ingress_.size());
 
@@ -654,7 +617,7 @@ ShardedDriver::run(JobFeed &feed,
             admit(now);
         }
 
-        // 4. Per-shard policy refresh + batched placement.
+        // 4. Per-shard batched placement.
         const auto place_start =
             timing ? std::chrono::steady_clock::now()
                    : std::chrono::steady_clock::time_point{};
@@ -713,17 +676,14 @@ ShardedDriver::run(JobFeed &feed,
                 std::max(max_shard_melt, sample.meanMeltFraction);
             overheated_ += sample.serversAboveThreshold;
             in_flight += shard.cluster.busyCores();
-            placed_ += shard.placedThisInterval;
-            dropped_ += shard.unplacedThisInterval;
-            completedJobs_ += shard.completedThisInterval;
+            totals_.placed += shard.placedThisInterval;
+            totals_.dropped += shard.unplacedThisInterval;
+            totals_.completed += shard.completedThisInterval;
             hot_group += shard.scheduler->hotGroupSize().value_or(0);
-            if (degraded_) {
-                failed_servers += shard.cluster.numServers() -
-                                  shard.cluster.aliveServers();
-                if (shard.faults)
-                    quarantined_servers +=
-                        shard.faults->quarantinedServers();
-            }
+            failed_servers += shard.cluster.numServers() -
+                              shard.cluster.aliveServers();
+            if (shard.faults)
+                quarantined_servers += shard.faults->quarantinedServers();
         }
         const auto total_servers =
             static_cast<double>(config_.numServers);
@@ -740,9 +700,10 @@ ShardedDriver::run(JobFeed &feed,
         if (brownout_)
             brownout_->observe(max_air, max_shard_melt);
         const Kelvin supply_rise =
-            (degraded_ && shards_.front().faults)
-                ? shards_.front().faults->supplyRise()
-                : 0.0;
+            shards_.front().faults ? shards_.front().faults->supplyRise()
+                                   : 0.0;
+        const Totals delta = totals_.since(prev);
+        prev = totals_;
 
         // 6. Telemetry: one JSONL line per interval, a pure function
         // of simulation state (no wall clock), so a resumed run
@@ -753,20 +714,13 @@ ShardedDriver::run(JobFeed &feed,
         if (telemetry_out.is_open() || config_.keepTelemetry) {
             line = "{\"type\":\"serve\",\"interval\":" +
                    std::to_string(interval) +
-                   ",\"arrivals\":" +
-                   std::to_string(arrivals_ - prev_arrivals) +
-                   ",\"admitted\":" +
-                   std::to_string(admitted_ - prev_admitted) +
-                   ",\"shed\":" +
-                   std::to_string(shed_ - prev_shed) +
-                   ",\"requeued\":" +
-                   std::to_string(requeued_ - prev_requeued) +
-                   ",\"placed\":" +
-                   std::to_string(placed_ - prev_placed) +
-                   ",\"dropped\":" +
-                   std::to_string(dropped_ - prev_dropped) +
-                   ",\"completed\":" +
-                   std::to_string(completedJobs_ - prev_completed) +
+                   ",\"arrivals\":" + std::to_string(delta.arrivals) +
+                   ",\"admitted\":" + std::to_string(delta.admitted) +
+                   ",\"shed\":" + std::to_string(delta.shed) +
+                   ",\"requeued\":" + std::to_string(delta.requeued) +
+                   ",\"placed\":" + std::to_string(delta.placed) +
+                   ",\"dropped\":" + std::to_string(delta.dropped) +
+                   ",\"completed\":" + std::to_string(delta.completed) +
                    ",\"queue\":" + std::to_string(ingress_.size()) +
                    ",\"inflight\":" + std::to_string(in_flight) +
                    ",\"cooling_w\":" +
@@ -782,14 +736,10 @@ ShardedDriver::run(JobFeed &feed,
                     ",\"failed\":" + std::to_string(failed_servers) +
                     ",\"quarantined\":" +
                     std::to_string(quarantined_servers) +
-                    ",\"evacuated\":" +
-                    std::to_string(evacuated_ - prev_evacuated) +
-                    ",\"migrated\":" +
-                    std::to_string(migrated_ - prev_migrated) +
-                    ",\"lost\":" +
-                    std::to_string(lost_ - prev_lost) +
-                    ",\"expired\":" +
-                    std::to_string(expired_ - prev_expired) +
+                    ",\"evacuated\":" + std::to_string(delta.evacuated) +
+                    ",\"migrated\":" + std::to_string(delta.migrated) +
+                    ",\"lost\":" + std::to_string(delta.lost) +
+                    ",\"expired\":" + std::to_string(delta.expired) +
                     ",\"supply_rise_k\":" +
                     obs::formatMetricNumber(supply_rise) +
                     ",\"brownout\":" +
@@ -813,13 +763,13 @@ ShardedDriver::run(JobFeed &feed,
         if (o) {
             obs::MetricsRegistry &m = o->metrics();
             m.inc(sobs.intervals);
-            m.inc(sobs.arrivals, arrivals_ - prev_arrivals);
-            m.inc(sobs.admitted, admitted_ - prev_admitted);
-            m.inc(sobs.shed, shed_ - prev_shed);
-            m.inc(sobs.requeued, requeued_ - prev_requeued);
-            m.inc(sobs.placed, placed_ - prev_placed);
-            m.inc(sobs.dropped, dropped_ - prev_dropped);
-            m.inc(sobs.completed, completedJobs_ - prev_completed);
+            m.inc(sobs.arrivals, delta.arrivals);
+            m.inc(sobs.admitted, delta.admitted);
+            m.inc(sobs.shed, delta.shed);
+            m.inc(sobs.requeued, delta.requeued);
+            m.inc(sobs.placed, delta.placed);
+            m.inc(sobs.dropped, delta.dropped);
+            m.inc(sobs.completed, delta.completed);
             m.set(sobs.queueDepth,
                   static_cast<double>(ingress_.size()));
             m.set(sobs.inFlight, static_cast<double>(in_flight));
@@ -828,10 +778,10 @@ ShardedDriver::run(JobFeed &feed,
             m.set(sobs.meanAirTemp, mean_air);
             m.set(sobs.meltFraction, melt);
             if (degraded_) {
-                m.inc(sobs.evacuated, evacuated_ - prev_evacuated);
-                m.inc(sobs.migrated, migrated_ - prev_migrated);
-                m.inc(sobs.lost, lost_ - prev_lost);
-                m.inc(sobs.expired, expired_ - prev_expired);
+                m.inc(sobs.evacuated, delta.evacuated);
+                m.inc(sobs.migrated, delta.migrated);
+                m.inc(sobs.lost, delta.lost);
+                m.inc(sobs.expired, delta.expired);
                 m.set(sobs.failedServers,
                       static_cast<double>(failed_servers));
                 m.set(sobs.quarantinedServers,
@@ -851,24 +801,10 @@ ShardedDriver::run(JobFeed &feed,
             telem.meltFraction = melt;
             // Mirrors the batch driver's naming: evacuatedJobs are
             // the successfully re-placed refugees.
-            telem.evacuatedJobs = migrated_ - prev_migrated;
-            telem.lostJobs = (shed_ - prev_shed) +
-                             (lost_ - prev_lost) +
-                             (expired_ - prev_expired);
+            telem.evacuatedJobs = delta.migrated;
+            telem.lostJobs = delta.shed + delta.lost + delta.expired;
             o->telemetry().record(telem);
         }
-
-        prev_arrivals = arrivals_;
-        prev_admitted = admitted_;
-        prev_shed = shed_;
-        prev_requeued = requeued_;
-        prev_placed = placed_;
-        prev_dropped = dropped_;
-        prev_completed = completedJobs_;
-        prev_evacuated = evacuated_;
-        prev_migrated = migrated_;
-        prev_lost = lost_;
-        prev_expired = expired_;
 
         completed = interval + 1;
 
@@ -895,32 +831,30 @@ ShardedDriver::run(JobFeed &feed,
     }
 
     result.completedIntervals = completed;
-    result.arrivals = arrivals_;
-    result.admitted = admitted_;
-    result.shed = shed_;
-    result.requeued = requeued_;
-    result.placed = placed_;
-    result.droppedJobs = dropped_;
-    result.completedJobs = completedJobs_;
-    result.evacuatedJobs = evacuated_;
-    result.migratedJobs = migrated_;
-    result.lostJobs = lost_;
-    result.expiredJobs = expired_;
+    result.arrivals = totals_.arrivals;
+    result.admitted = totals_.admitted;
+    result.shed = totals_.shed;
+    result.requeued = totals_.requeued;
+    result.placed = totals_.placed;
+    result.droppedJobs = totals_.dropped;
+    result.completedJobs = totals_.completed;
+    result.evacuatedJobs = totals_.evacuated;
+    result.migratedJobs = totals_.migrated;
+    result.lostJobs = totals_.lost;
+    result.expiredJobs = totals_.expired;
     result.brownoutIntervals = brownoutIntervals_;
     if (brownout_)
         result.maxBrownoutLevel = brownout_->maxLevel();
     result.finalQueueDepth = ingress_.size();
     result.peakQueueDepth = peakQueueDepth_;
-    std::size_t in_flight = 0;
     for (const Shard &shard : shards_) {
-        in_flight += shard.cluster.busyCores();
+        result.finalInFlight += shard.cluster.busyCores();
         result.failedServers += shard.cluster.numServers() -
                                 shard.cluster.aliveServers();
         if (shard.faults)
             result.quarantinedServers +=
                 shard.faults->quarantinedServers();
     }
-    result.finalInFlight = in_flight;
     result.peakCoolingLoad = peakCoolingLoad_;
     result.peakPower = peakPower_;
     result.maxAirTemp = maxAirTemp_;
@@ -937,51 +871,106 @@ ShardedDriver::run(JobFeed &feed,
     return result;
 }
 
+namespace {
+
+/** SCON: the completed-interval count, then the reconstruction
+ *  parameters, so a resume under a different configuration or feed
+ *  is refused. */
+template <typename IO>
+void
+configFields(IO &io, const ServeConfig &config,
+             const std::string &scheduler, const std::string &feed,
+             std::size_t &completed)
+{
+    field(io, completed);
+    echo(io, "server count", config.numServers);
+    echo(io, "pod size", config.podSize);
+    echo(io, "interval", config.interval);
+    echo(io, "seed", config.seed);
+    echo(io, "power scale", config.powerScale);
+    echo(io, "overheat temp", config.overheatTemp);
+    echo(io, "queue capacity", config.queueCapacity);
+    echo(io, "admission budget", config.admissionBudget);
+    echo(io, "admission policy", config.admit, admitPolicyName);
+    echo(io, "scheduler", scheduler);
+    echo(io, "grouping value", config.gv);
+    echo(io, "wax threshold", config.waxThreshold);
+    echo(io, "PCM integrator", kClosedFormIntegratorTag,
+         integratorTagName);
+    echo(io, "feed", feed);
+}
+
+} // namespace
+
+/** INGR: the ring contents plus the cumulative accounting, so totals
+ *  (and the telemetry deltas derived from them) survive a resume. */
+template <typename IO, typename Self>
+void
+ShardedDriver::ingressFields(IO &io, Self &self)
+{
+    nested(io, self.ingress_);
+    field(io, self.totals_.arrivals);
+    field(io, self.totals_.admitted);
+    field(io, self.totals_.shed);
+    field(io, self.totals_.requeued);
+    field(io, self.totals_.placed);
+    field(io, self.totals_.dropped);
+    field(io, self.totals_.completed);
+    field(io, self.nextJobId_);
+    field(io, self.peakQueueDepth_);
+    field(io, self.peakCoolingLoad_);
+    field(io, self.peakPower_);
+    field(io, self.maxAirTemp_);
+    field(io, self.maxMeltFraction_);
+    field(io, self.overheated_);
+}
+
+/** DGRD: the degraded-mode configuration echo, then the dynamic state:
+ *  totals, the brownout governor, and each shard's applied supply rise
+ *  and fault engine. */
+template <typename IO, typename Self>
+void
+ShardedDriver::degradedFields(IO &io, Self &self)
+{
+    const ServeConfig &config = self.config_;
+    echo(io, "fault layer enabled", config.faults.enable);
+    echoFaultPlan(io, config.faults.plan);
+    echoFaultParams(io, config.faults);
+    const BrownoutParams &brownout = config.brownout;
+    echo(io, "brownout air watermark", brownout.maxAirTemp);
+    echo(io, "brownout release", brownout.release);
+    echo(io, "brownout melt watermark", brownout.maxMelt);
+    echo(io, "brownout melt release", brownout.meltRelease);
+    echo(io, "brownout step", brownout.step);
+    echo(io, "brownout floor", brownout.floor);
+    echo(io, "brownout hold", brownout.holdIntervals);
+    echo(io, "max queue age", config.maxQueueAge);
+    echo(io, "evac retries", config.evacRetries);
+
+    field(io, self.totals_.evacuated);
+    field(io, self.totals_.migrated);
+    field(io, self.totals_.lost);
+    field(io, self.totals_.expired);
+    field(io, self.brownoutIntervals_);
+    if (self.brownout_)
+        nested(io, *self.brownout_);
+    for (auto &shard : self.shards_) {
+        field(io, shard.appliedRise);
+        if (shard.faults)
+            nested(io, *shard.faults, shard.cluster);
+    }
+}
+
 void
 ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
                                const JobFeed &feed,
                                std::size_t completed) const
 {
-    // SCON: reconstruction parameters, verified on load so a resume
-    // under a different configuration or feed is refused.
-    Serializer &conf = writer.section("SCON");
-    conf.putSize(completed);
-    conf.putSize(config_.numServers);
-    conf.putSize(config_.podSize);
-    conf.putDouble(config_.interval);
-    conf.putU64(config_.seed);
-    conf.putDouble(config_.powerScale);
-    conf.putDouble(config_.overheatTemp);
-    conf.putSize(config_.queueCapacity);
-    conf.putSize(config_.admissionBudget);
-    conf.putU8(static_cast<std::uint8_t>(config_.admit));
-    conf.putString(shards_.front().scheduler->name());
-    conf.putDouble(config_.gv);
-    conf.putDouble(config_.waxThreshold);
-    conf.putU8(kClosedFormIntegratorTag);
-    conf.putString(feed.name());
-
+    configFields(writer.section("SCON"), config_,
+                 shards_.front().scheduler->name(), feed.name(),
+                 completed);
     feed.saveState(writer.section("FEED"));
-
-    // INGR: the ring contents plus the cumulative accounting, so
-    // totals (and the telemetry deltas derived from them) survive a
-    // resume.
-    Serializer &ingr = writer.section("INGR");
-    ingress_.saveState(ingr);
-    ingr.putU64(arrivals_);
-    ingr.putU64(admitted_);
-    ingr.putU64(shed_);
-    ingr.putU64(requeued_);
-    ingr.putU64(placed_);
-    ingr.putU64(dropped_);
-    ingr.putU64(completedJobs_);
-    ingr.putU64(nextJobId_);
-    ingr.putSize(peakQueueDepth_);
-    ingr.putDouble(peakCoolingLoad_);
-    ingr.putDouble(peakPower_);
-    ingr.putDouble(maxAirTemp_);
-    ingr.putDouble(maxMeltFraction_);
-    ingr.putU64(overheated_);
+    ingressFields(writer.section("INGR"), *this);
 
     // SHRD: the full shard map — per shard, the cluster, the policy
     // and the departure ring (format v3: 4 B per running job).
@@ -993,51 +982,14 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
         shard.departures.saveState(shrd);
     }
 
-    // DGRD: degraded-mode configuration echo + dynamic state. Only
-    // written when the machinery is configured, so a clean run's
-    // snapshot stays byte-identical (and old clean checkpoints
+    // DGRD only when the degraded machinery is configured, and OBSV
+    // only when observability is attached, so a clean, uninstrumented
+    // run's snapshot keeps its section set (and old clean checkpoints
     // remain loadable).
-    if (degraded_) {
-        Serializer &dgrd = writer.section("DGRD");
-        dgrd.putBool(config_.faults.enable);
-        const FaultPlan &plan = config_.faults.plan;
-        dgrd.putSize(plan.size());
-        for (const FaultEvent &event : plan.events()) {
-            dgrd.putDouble(event.time);
-            dgrd.putU8(static_cast<std::uint8_t>(event.type));
-            dgrd.putSize(event.serverId);
-            dgrd.putDouble(event.supplyRise);
-        }
-        dgrd.putU64(config_.faults.seed);
-        dgrd.putDouble(config_.faults.mtbf);
-        dgrd.putDouble(config_.faults.mtbfRefTemp);
-        dgrd.putDouble(config_.faults.mtbfDoublingDelta);
-        dgrd.putDouble(config_.faults.repairTime);
-        dgrd.putDouble(config_.faults.criticalTemp);
-        dgrd.putDouble(config_.faults.criticalRelease);
-        dgrd.putDouble(config_.brownout.maxAirTemp);
-        dgrd.putDouble(config_.brownout.release);
-        dgrd.putDouble(config_.brownout.maxMelt);
-        dgrd.putDouble(config_.brownout.meltRelease);
-        dgrd.putDouble(config_.brownout.step);
-        dgrd.putDouble(config_.brownout.floor);
-        dgrd.putSize(config_.brownout.holdIntervals);
-        dgrd.putDouble(config_.maxQueueAge);
-        dgrd.putSize(config_.evacRetries);
-
-        dgrd.putU64(evacuated_);
-        dgrd.putU64(migrated_);
-        dgrd.putU64(lost_);
-        dgrd.putU64(expired_);
-        dgrd.putU64(brownoutIntervals_);
-        if (brownout_)
-            brownout_->saveState(dgrd);
-        for (const Shard &shard : shards_) {
-            dgrd.putDouble(shard.appliedRise);
-            if (shard.faults)
-                shard.faults->saveState(dgrd, shard.cluster);
-        }
-    }
+    if (degraded_)
+        degradedFields(writer.section("DGRD"), *this);
+    if (config_.obs)
+        config_.obs->saveState(writer.section("OBSV"));
 }
 
 std::size_t
@@ -1049,64 +1001,15 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     RecoveredSnapshot recovered = recoverSnapshot(path);
     const SnapshotReader &reader = recovered.reader;
 
-    Deserializer conf = reader.section("SCON");
-    const std::size_t completed = conf.getSize();
-    check.u64("server count", conf.getSize(), config_.numServers);
-    check.u64("pod size", conf.getSize(), config_.podSize);
-    check.real("interval", conf.getDouble(), config_.interval);
-    check.u64("seed", conf.getU64(), config_.seed);
-    check.real("power scale", conf.getDouble(), config_.powerScale);
-    check.real("overheat temp", conf.getDouble(),
-               config_.overheatTemp);
-    check.u64("queue capacity", conf.getSize(),
-              config_.queueCapacity);
-    check.u64("admission budget", conf.getSize(),
-              config_.admissionBudget);
-    const auto admit = static_cast<AdmitPolicy>(conf.getU8());
-    if (admit != config_.admit)
-        check.fail(std::string("admission policy: snapshot ") +
-                   admitPolicyName(admit) + ", run " +
-                   admitPolicyName(config_.admit));
-    const std::string scheduler_name = conf.getString();
-    if (scheduler_name != shards_.front().scheduler->name())
-        check.fail("scheduler: snapshot '" + scheduler_name +
-                   "', run '" + shards_.front().scheduler->name() +
-                   "'");
-    check.real("grouping value", conf.getDouble(), config_.gv);
-    check.real("wax threshold", conf.getDouble(),
-               config_.waxThreshold);
-    const std::uint8_t integrator = conf.getU8();
-    if (integrator != kClosedFormIntegratorTag)
-        check.fail(std::string("PCM integrator: snapshot ") +
-                   integratorTagName(integrator) + ", run " +
-                   integratorTagName(kClosedFormIntegratorTag));
-    const std::string feed_name = conf.getString();
-    if (feed_name != feed.name())
-        check.fail("feed: snapshot '" + feed_name + "', run '" +
-                   feed.name() + "'");
-    conf.expectEnd();
-
-    Deserializer feed_state = reader.section("FEED");
-    feed.loadState(feed_state);
-    feed_state.expectEnd();
-
-    Deserializer ingr = reader.section("INGR");
-    ingress_.loadState(ingr);
-    arrivals_ = ingr.getU64();
-    admitted_ = ingr.getU64();
-    shed_ = ingr.getU64();
-    requeued_ = ingr.getU64();
-    placed_ = ingr.getU64();
-    dropped_ = ingr.getU64();
-    completedJobs_ = ingr.getU64();
-    nextJobId_ = ingr.getU64();
-    peakQueueDepth_ = ingr.getSize();
-    peakCoolingLoad_ = ingr.getDouble();
-    peakPower_ = ingr.getDouble();
-    maxAirTemp_ = ingr.getDouble();
-    maxMeltFraction_ = ingr.getDouble();
-    overheated_ = ingr.getU64();
-    ingr.expectEnd();
+    std::size_t completed = 0;
+    restoreSection(reader, check, "SCON", [&](Restore &io) {
+        configFields(io, config_, shards_.front().scheduler->name(),
+                     feed.name(), completed);
+    });
+    restoreSection(reader, check, "FEED",
+                   [&](Restore &io) { nested(io, feed); });
+    restoreSection(reader, check, "INGR",
+                   [&](Restore &io) { ingressFields(io, *this); });
 
     Deserializer shrd = reader.section("SHRD");
     check.u64("shard count", shrd.getSize(), shards_.size());
@@ -1135,69 +1038,11 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
         check.fail("snapshot carries degraded-mode state but the run "
                    "configures none");
     }
-    if (degraded_) {
-        Deserializer dgrd = reader.section("DGRD");
-        if (dgrd.getBool() != config_.faults.enable)
-            check.fail("fault-engine enable flag");
-        const FaultPlan &plan = config_.faults.plan;
-        check.u64("fault plan size", dgrd.getSize(), plan.size());
-        for (const FaultEvent &event : plan.events()) {
-            check.real("fault event time", dgrd.getDouble(),
-                       event.time);
-            check.u64("fault event type", dgrd.getU8(),
-                      static_cast<std::uint8_t>(event.type));
-            check.u64("fault event server", dgrd.getSize(),
-                      event.serverId);
-            check.real("fault event supply rise", dgrd.getDouble(),
-                       event.supplyRise);
-        }
-        check.u64("fault seed", dgrd.getU64(), config_.faults.seed);
-        check.real("fault mtbf", dgrd.getDouble(),
-                   config_.faults.mtbf);
-        check.real("fault mtbf ref temp", dgrd.getDouble(),
-                   config_.faults.mtbfRefTemp);
-        check.real("fault mtbf doubling delta", dgrd.getDouble(),
-                   config_.faults.mtbfDoublingDelta);
-        check.real("fault repair time", dgrd.getDouble(),
-                   config_.faults.repairTime);
-        check.real("fault critical temp", dgrd.getDouble(),
-                   config_.faults.criticalTemp);
-        check.real("fault critical release", dgrd.getDouble(),
-                   config_.faults.criticalRelease);
-        check.real("brownout air watermark", dgrd.getDouble(),
-                   config_.brownout.maxAirTemp);
-        check.real("brownout release", dgrd.getDouble(),
-                   config_.brownout.release);
-        check.real("brownout melt watermark", dgrd.getDouble(),
-                   config_.brownout.maxMelt);
-        check.real("brownout melt release", dgrd.getDouble(),
-                   config_.brownout.meltRelease);
-        check.real("brownout step", dgrd.getDouble(),
-                   config_.brownout.step);
-        check.real("brownout floor", dgrd.getDouble(),
-                   config_.brownout.floor);
-        check.u64("brownout hold", dgrd.getSize(),
-                  config_.brownout.holdIntervals);
-        check.real("max queue age", dgrd.getDouble(),
-                   config_.maxQueueAge);
-        check.u64("evac retries", dgrd.getSize(),
-                  config_.evacRetries);
-
-        evacuated_ = dgrd.getU64();
-        migrated_ = dgrd.getU64();
-        lost_ = dgrd.getU64();
-        expired_ = dgrd.getU64();
-        brownoutIntervals_ = dgrd.getU64();
-        if (brownout_)
-            brownout_->loadState(dgrd);
-        for (Shard &shard : shards_) {
-            shard.appliedRise = dgrd.getDouble();
-            if (shard.faults)
-                shard.faults->loadState(dgrd, shard.cluster);
-        }
-        dgrd.expectEnd();
-    }
-
+    if (degraded_)
+        restoreSection(reader, check, "DGRD",
+                       [&](Restore &io) { degradedFields(io, *this); });
+    if (config_.obs)
+        config_.obs->restoreState(reader, completed);
     return completed;
 }
 

@@ -8,9 +8,10 @@
  * Per interval:
  *
  *  1. every shard drains its due departures (thread pool, one shard
- *     per chunk — shards share no mutable state); in degraded mode
- *     the same fan-out runs each shard's FaultEngine and drains the
- *     jobs resident on newly failed servers into a refugee list;
+ *     per chunk — shards share no mutable state); the same fan-out
+ *     runs each shard's FaultEngine (when faults are configured),
+ *     refreshes its policy state and drains the jobs resident on
+ *     newly failed servers into a refugee list;
  *  2. refugees are re-routed across shards through the waterfill
  *     router and batch-placed into surviving pods, with bounded
  *     retries before the remainder is shed (cross-shard migration);
@@ -24,9 +25,9 @@
  *     Under a thermal brownout the effective budget steps down before
  *     the admission pop, and a configured queue-age deadline sheds
  *     stale arrivals at the pop;
- *  5. every shard refreshes its policy state and batch-places its
- *     routed jobs through Scheduler::placeJobs (the PR-7 batched
- *     placement hot path), again fanned out per shard;
+ *  5. every shard batch-places its routed jobs through
+ *     Scheduler::placeJobs (the batched placement hot path), again
+ *     fanned out per shard;
  *  6. every shard advances its thermal state; the per-shard samples
  *     reduce serially in shard order and feed the brownout governor.
  *
@@ -35,9 +36,9 @@
  * identical at any thread count and across checkpoint/resume. The
  * periodic checkpoints (src/state/ snapshot container) carry the feed
  * cursor, the ingress ring, the full shard map (cluster, policy and
- * departure ring per shard) and — in degraded mode only — a DGRD
- * section with the fault/brownout state, so a run without any
- * degraded-mode configuration writes no fault state. Checkpoint
+ * departure ring per shard), in degraded mode only a DGRD section with
+ * the fault/brownout state, and with observability attached an OBSV
+ * section with the metric values and event log. Checkpoint
  * writes go through the crash-recovery manager (state/recovery.h):
  * failures are counted and retried instead of fatal, and resume scans
  * the retained generations instead of dying on a corrupt newest file.
@@ -310,28 +311,26 @@ class ShardedDriver
          *  current round (re-routed next round). */
         std::vector<WorkloadType> evacFailTypes;
         std::vector<Seconds> evacFailDue;
-        /** Free cores on Up servers — the degraded-mode routing
-         *  capacity (totalCores - busyCores would count dead and
-         *  quarantined capacity). */
-        std::size_t schedulableFree = 0;
 
         ClusterSample sample{};
         std::uint64_t completedThisInterval = 0;
         std::uint64_t placedThisInterval = 0;
         std::uint64_t unplacedThisInterval = 0;
-        std::uint64_t evacuatedThisInterval = 0;
         std::uint64_t migratedThisInterval = 0;
     };
 
     /** Complete a shard's jobs due at or before now. */
     void drainDepartures(Shard &shard, Seconds now);
     /**
-     * Degraded-mode per-shard boundary work (runs inside the
-     * departure fan-out): fault-engine step, supply-rise push,
-     * scheduler beginInterval, refugee drain off newly failed
-     * servers, and the schedulable-free capacity estimate.
+     * Per-shard boundary work (runs inside the departure fan-out):
+     * fault-engine step and supply-rise push when the shard has an
+     * engine, scheduler beginInterval and refugee drain off newly
+     * failed servers.
+     * @return Free cores on Up servers, the shard's routing capacity
+     *         (totalCores - busyCores would count dead and
+     *         quarantined capacity).
      */
-    void faultPhase(Shard &shard, Seconds now);
+    std::size_t faultPhase(Shard &shard, Seconds now);
     /** Cross-shard refugee re-routing: waterfill over surviving
      *  capacity, parallel batched placement, bounded retries, shed
      *  on exhaustion. Serial orchestration (shard order). */
@@ -342,8 +341,8 @@ class ShardedDriver
     void placeEvac(Shard &shard, std::span<const std::size_t> routed,
                    const std::vector<WorkloadType> &types,
                    const std::vector<Seconds> &dues);
-    /** beginInterval (clean mode only — faultPhase already ran it in
-     *  degraded mode) + batch placement + departure records. */
+    /** Batch placement + departure records (faultPhase already ran
+     *  the scheduler's beginInterval). */
     void placeBatch(Shard &shard, Seconds now);
     /** Admission: pop the budget's worth of queued arrivals (after
      *  the queue-age deadline), waterfill them over the shards' free
@@ -353,30 +352,47 @@ class ShardedDriver
                          std::size_t completed) const;
     std::size_t loadCheckpoint(JobFeed &feed,
                                const std::string &path);
+    /** The INGR and DGRD field lists (state/fields.h): buildCheckpoint
+     *  walks them with a Serializer and a const Self, loadCheckpoint
+     *  with a Restore. */
+    template <typename IO, typename Self>
+    static void ingressFields(IO &io, Self &self);
+    template <typename IO, typename Self>
+    static void degradedFields(IO &io, Self &self);
 
     ServeConfig config_;
     PowerModel power_;
     std::vector<Shard> shards_;
     IngressQueue ingress_;
     std::optional<BrownoutGovernor> brownout_;
-    /** Cached ServeConfig::degraded(). */
+    /** Cached ServeConfig::degraded(): gates the degraded-mode
+     *  outputs (telemetry fields, metrics, the DGRD section) only;
+     *  clean and degraded runs share one compute path. */
     bool degraded_ = false;
     /** Fleet-wide core count (the brownout's notional budget when
      *  admission is unlimited). */
     std::size_t totalCores_ = 0;
 
-    /** Cumulative accounting (serialized, so totals survive resume). */
-    std::uint64_t arrivals_ = 0;
-    std::uint64_t admitted_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t requeued_ = 0;
-    std::uint64_t placed_ = 0;
-    std::uint64_t dropped_ = 0;
-    std::uint64_t completedJobs_ = 0;
-    std::uint64_t evacuated_ = 0;
-    std::uint64_t migrated_ = 0;
-    std::uint64_t lost_ = 0;
-    std::uint64_t expired_ = 0;
+    /** Cumulative job counts (serialized, so totals survive resume). */
+    struct Totals
+    {
+        std::uint64_t arrivals = 0;
+        std::uint64_t admitted = 0;
+        std::uint64_t shed = 0;
+        std::uint64_t requeued = 0;
+        std::uint64_t placed = 0;
+        std::uint64_t dropped = 0;
+        std::uint64_t completed = 0;
+        std::uint64_t evacuated = 0;
+        std::uint64_t migrated = 0;
+        std::uint64_t lost = 0;
+        std::uint64_t expired = 0;
+
+        /** The counts since @p earlier, field by field. */
+        Totals since(const Totals &earlier) const;
+    };
+
+    Totals totals_;
     std::uint64_t brownoutIntervals_ = 0;
     std::uint64_t nextJobId_ = 0;
     std::size_t peakQueueDepth_ = 0;
@@ -388,9 +404,9 @@ class ShardedDriver
 
     /** Reused per-interval buffer of the feed's arrivals. */
     std::vector<FeedJob> feedBuf_;
-    /** Free cores per shard, the admission waterfill's input: in
-     *  degraded mode the post-evacuation schedulable-free estimates,
-     *  debited by the refugees routed before admission. */
+    /** Free cores per shard on Up servers (faultPhase), debited by
+     *  the refugees routed before admission: the admission
+     *  waterfill's input. */
     std::vector<std::size_t> freeEst_;
     bool ran_ = false;
 };

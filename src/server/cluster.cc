@@ -103,7 +103,6 @@ Cluster::setHealth(std::size_t server_id, ServerHealth health)
         ++aliveServers_;
     // A health flip changes the server's power draw (Failed = 0 W) —
     // and only that server's, so only its gather entry goes stale.
-    totalPowerCache_.reset();
     markPowerDirty(server_id);
 }
 
@@ -113,10 +112,9 @@ Cluster::server(std::size_t id)
     if (id >= servers_.size())
         panic("Cluster::server out of range");
     // Mutable access can change a server's job mix behind the
-    // cluster's back; conservatively drop the aggregate cache and the
-    // gathered power for this one server. (Read-only scans should use
-    // the const overload precisely to avoid this.)
-    totalPowerCache_.reset();
+    // cluster's back; conservatively drop the gathered power for this
+    // one server. (Read-only scans should use the const overload
+    // precisely to avoid this.)
     markPowerDirty(id);
     return servers_[id];
 }
@@ -124,26 +122,15 @@ Cluster::server(std::size_t id)
 Watts
 Cluster::totalPower() const
 {
-    if (totalPowerCache_)
-        return *totalPowerCache_;
-    // Per-server powers are cached in the servers themselves, so this
-    // is a pure serial index-order reduction over cached loads —
-    // bitwise identical to the historical serial recompute path (the
-    // old parallel fan-out reduced in the same order over the same
-    // values, so dropping it changes nothing).
     Watts total = 0.0;
     for (const Server &srv : servers_)
         total += srv.power(power_);
-    totalPowerCache_ = total;
     return total;
 }
 
 ClusterSample
 Cluster::stepThermal(Seconds dt, Celsius hot_threshold)
 {
-    // Stepping can flip per-server throttle states, which changes
-    // power draws.
-    totalPowerCache_.reset();
     const std::size_t n = servers_.size();
 
     // Gather stale power entries, then batch-step. Per-server values
@@ -291,7 +278,6 @@ Cluster::loadState(Deserializer &in)
     if (busy != busyCores_ || active != active_)
         fatal("Cluster::loadState: snapshot totals disagree with its "
               "servers' job counts");
-    totalPowerCache_.reset();
     markAllPowerDirty();
 }
 

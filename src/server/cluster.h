@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "server/power_model.h"
@@ -128,7 +127,6 @@ class Cluster
     {
         if (server_id >= servers_.size()) [[unlikely]]
             panic("Cluster::addJob out of range");
-        totalPowerCache_.reset();
         markPowerDirty(server_id);
         servers_[server_id].addJob(type);
         ++active_[workloadIndex(type)];
@@ -142,7 +140,6 @@ class Cluster
     {
         if (server_id >= servers_.size()) [[unlikely]]
             panic("Cluster::removeJob out of range");
-        totalPowerCache_.reset();
         markPowerDirty(server_id);
         servers_[server_id].removeJob(type);
         auto &count = active_[workloadIndex(type)];
@@ -153,12 +150,10 @@ class Cluster
     }
 
     /**
-     * Instantaneous total electrical power.
-     *
-     * Reads the per-server power caches and reduces serially in
-     * server-index order (bitwise identical to the historical serial
-     * recompute); the reduction itself is cached until the next job
-     * change, thermal step, or mutable server access.
+     * Instantaneous total electrical power: the per-server power
+     * caches reduced serially in server-index order (bitwise
+     * identical to the historical serial recompute). The drivers read
+     * stepThermal's sample instead.
      */
     Watts totalPower() const;
 
@@ -250,8 +245,6 @@ class Cluster
      *  change a server's draw (job churn, health flips, throttle
      *  flips, mutable access), cleared by refreshPowerArray. */
     std::vector<std::uint64_t> powerDirty_;
-    /** Cached totalPower() reduction; nullopt when stale. */
-    mutable std::optional<Watts> totalPowerCache_;
 };
 
 } // namespace vmt

@@ -7,12 +7,13 @@
 namespace vmt {
 
 PowerModel::PowerModel(const ServerSpec &spec, double dynamic_scale)
-    : spec_(spec), scale_(dynamic_scale)
+    : spec_(spec)
 {
     if (dynamic_scale <= 0.0)
         fatal("PowerModel requires a positive dynamic scale");
     for (WorkloadType type : kAllWorkloads)
-        corePower_[workloadIndex(type)] = perCorePower(type) * scale_;
+        corePower_[workloadIndex(type)] =
+            perCorePower(type) * dynamic_scale;
 }
 
 Watts

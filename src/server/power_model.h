@@ -50,12 +50,8 @@ class PowerModel
     /** The server spec in use. */
     const ServerSpec &spec() const { return spec_; }
 
-    /** The calibration multiplier. */
-    double dynamicScale() const { return scale_; }
-
   private:
     ServerSpec spec_;
-    double scale_;
     std::array<Watts, kNumWorkloads> corePower_;
 };
 

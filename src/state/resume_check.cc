@@ -21,12 +21,4 @@ ResumeCheck::u64(const char *field, std::uint64_t snap,
              ", run " + std::to_string(now));
 }
 
-void
-ResumeCheck::real(const char *field, double snap, double now) const
-{
-    if (!(snap == now))
-        fail(std::string(field) + ": snapshot " + std::to_string(snap) +
-             ", run " + std::to_string(now));
-}
-
 } // namespace vmt

@@ -28,14 +28,12 @@ class ResumeCheck
         : subject_(subject)
     {}
 
+    const char *subject() const { return subject_; }
+
     [[noreturn]] void fail(const std::string &what) const;
 
     void u64(const char *field, std::uint64_t snap,
              std::uint64_t now) const;
-
-    /** Compared exactly: a bitwise resume needs the same constants,
-     *  not merely close ones. */
-    void real(const char *field, double snap, double now) const;
 
   private:
     const char *subject_;

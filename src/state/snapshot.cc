@@ -69,15 +69,6 @@ SnapshotWriter::write(const std::string &path) const
     atomicWriteFile(path, image.data(), image.size());
 }
 
-bool
-SnapshotWriter::tryWrite(const std::string &path,
-                         std::string *error) const
-{
-    const std::vector<std::uint8_t> image = encode();
-    return tryAtomicWriteFile(path, image.data(), image.size(),
-                              error);
-}
-
 SnapshotReader::SnapshotReader(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary | std::ios::ate);

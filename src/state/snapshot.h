@@ -64,14 +64,6 @@ class SnapshotWriter
      *  @throws FatalError when the file cannot be written. */
     void write(const std::string &path) const;
 
-    /**
-     * Non-throwing write() for callers that degrade instead of dying
-     * (see state/recovery.h). Returns false on failure with the
-     * reason in @p error (when non-null); `path` is left untouched on
-     * any error.
-     */
-    bool tryWrite(const std::string &path, std::string *error) const;
-
   private:
     std::vector<std::pair<std::string, Serializer>> sections_;
 };

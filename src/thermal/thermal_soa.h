@@ -109,10 +109,6 @@ class ThermalSoA
     Celsius baseInlet(std::size_t i) const { return baseInlet_[i]; }
     void setBaseInlet(std::size_t i, Celsius t) { baseInlet_[i] = t; }
     Kelvin inletOffset(std::size_t i) const { return inletOffset_[i]; }
-    void setInletOffset(std::size_t i, Kelvin k)
-    {
-        inletOffset_[i] = k;
-    }
 
     /** Gathered electrical power for the upcoming step (W). */
     void setPower(std::size_t i, Watts w) { power_[i] = w; }

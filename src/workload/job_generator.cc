@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "state/serializer.h"
+#include "state/fields.h"
 #include "util/logging.h"
 
 namespace vmt {
@@ -99,24 +99,15 @@ JobGenerator::arrivalsFor(std::size_t interval,
 void
 JobGenerator::saveState(Serializer &out) const
 {
-    const RngState rng = rng_.state();
-    for (std::uint64_t word : rng.s)
-        out.putU64(word);
-    out.putBool(rng.hasSpare);
-    out.putDouble(rng.spare);
-    out.putU64(nextId_);
+    field(out, rng_);
+    field(out, nextId_);
 }
 
 void
-JobGenerator::loadState(Deserializer &in)
+JobGenerator::loadState(Restore &io)
 {
-    RngState rng;
-    for (std::uint64_t &word : rng.s)
-        word = in.getU64();
-    rng.hasSpare = in.getBool();
-    rng.spare = in.getDouble();
-    rng_.setState(rng);
-    nextId_ = in.getU64();
+    field(io, rng_);
+    field(io, nextId_);
 }
 
 } // namespace vmt

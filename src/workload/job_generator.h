@@ -24,7 +24,7 @@
 namespace vmt {
 
 class Serializer;
-class Deserializer;
+struct Restore;
 
 /** Per-workload count of currently running jobs. */
 using ActiveCounts = std::array<std::size_t, kNumWorkloads>;
@@ -91,7 +91,7 @@ class JobGenerator
      *  trace and mix schedule are reconstruction parameters, not
      *  state. */
     void saveState(Serializer &out) const;
-    void loadState(Deserializer &in);
+    void loadState(Restore &io);
 
   private:
     const DiurnalTrace &trace_;

@@ -240,7 +240,8 @@ TEST(FaultEngine, SaveLoadResumesTheExactStream)
     Cluster restored_cluster = makeCluster(n);
     FaultEngine restored(config, n);
     Deserializer in(out.bytes().data(), out.size());
-    restored.loadState(in, restored_cluster);
+    Restore io{in, ResumeCheck("snapshot"), "snapshot FALT"};
+    restored.loadState(io, restored_cluster);
     in.expectEnd();
 
     EXPECT_EQ(restored.supplyRise(), engine.supplyRise());
@@ -274,7 +275,8 @@ TEST(FaultEngine, LoadRejectsCorruptHealthTable)
     bytes.back() = 9;
     FaultEngine victim(config, 2);
     Deserializer in(bytes.data(), bytes.size());
-    EXPECT_THROW(victim.loadState(in, cluster), FatalError);
+    Restore io{in, ResumeCheck("snapshot"), "snapshot FALT"};
+    EXPECT_THROW(victim.loadState(io, cluster), FatalError);
 }
 
 } // namespace

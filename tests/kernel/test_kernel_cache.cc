@@ -1,14 +1,15 @@
 /**
  * @file
- * Regression tests for the Cluster power caches: the totalPower()
- * reduction cache and the SoA kernel's gathered power array must be
- * invalidated by exactly the events that can change a server's draw
- * (job churn, health flips, mutable server access) and by nothing
- * else (inlet changes never touch electrical power). The historical
- * bug class here is a stale cache surviving a mutation and feeding
- * the next thermal step old wattage — so each test compares against
- * a freshly computed serial sum, or against the per-object reference
- * fleet (tests/reference/), which has no gather array to go stale.
+ * Regression tests for the Cluster power caches: the per-server
+ * powers that totalPower() sums and the SoA kernel's gathered power
+ * array must be invalidated by exactly the events that can change a
+ * server's draw (job churn, health flips, mutable server access) and
+ * by nothing else (inlet changes never touch electrical power). The
+ * historical bug class here is a stale cache surviving a mutation and
+ * feeding the next thermal step old wattage — so each test compares
+ * against a freshly computed serial sum, or against the per-object
+ * reference fleet (tests/reference/), which has no gather array to go
+ * stale.
  */
 
 #include <gtest/gtest.h>

@@ -235,6 +235,67 @@ TEST(ServeDriver, ResumeProducesBitwiseIdenticalTelemetry)
     EXPECT_DOUBLE_EQ(resumed.maxMeltFraction, full.maxMeltFraction);
 }
 
+/**
+ * Observability survives a resume: a run stopped at interval 10 and
+ * resumed into a fresh Observability ends with the event log and the
+ * deterministic metric values of an uninterrupted run — on a clean
+ * run and on a degraded one, whose fault metrics are registered too.
+ */
+TEST(ServeDriver, ResumeRestoresObservability)
+{
+    for (const bool degraded : {false, true}) {
+        SCOPED_TRACE(degraded ? "degraded" : "clean");
+        ServeConfig config = smallConfig();
+        if (degraded) {
+            config.faults.mtbf = 2.0;
+            config.faults.repairTime = 0.1;
+        }
+        const std::string ckpt =
+            reference::scratchPath("serve_obs_resume.ckpt");
+
+        obs::Observability reference;
+        ServeConfig straight = config;
+        straight.obs = &reference;
+        runSmall(straight, busyFeed());
+
+        ServeConfig first = config;
+        first.checkpointEvery = 4;
+        first.checkpointPath = ckpt;
+        {
+            obs::Observability interrupted;
+            first.obs = &interrupted;
+            SyntheticFeed feed(busyFeed());
+            ShardedDriver driver(first);
+            std::size_t polls = 0;
+            const ServeResult leg =
+                driver.run(feed, [&polls] { return ++polls > 10; });
+            ASSERT_EQ(leg.completedIntervals, 10u);
+        }
+
+        obs::Observability resumed;
+        ServeConfig second = first;
+        second.resumeFrom = ckpt;
+        second.obs = &resumed;
+        SyntheticFeed feed(busyFeed());
+        ShardedDriver driver(second);
+        EXPECT_EQ(driver.run(feed).resumedIntervals, 10u);
+        std::remove(ckpt.c_str());
+        std::remove((ckpt + ".prev").c_str());
+
+        EXPECT_EQ(resumed.telemetry().eventLog(),
+                  reference.telemetry().eventLog());
+        const std::vector<obs::MetricValue> a =
+            reference.metrics().snapshotValues(false);
+        const std::vector<obs::MetricValue> b =
+            resumed.metrics().snapshotValues(false);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].name, b[i].name);
+            EXPECT_EQ(a[i].values, b[i].values) << a[i].name;
+        }
+    }
+}
+
 TEST(ServeDriver, FormatV2SnapshotStillResumes)
 {
     // tests/state/data/serve_v2.snap was written by a format v2 build

@@ -491,5 +491,55 @@ TEST(ServeFaults, MutatedFeedPayloadsEndInANamedFatalOrACleanResume)
     EXPECT_GT(fatals[2], 0);
 }
 
+TEST(ServeFaults, AllZeroShardEngineWordsAreANamedFatal)
+{
+    // Stochastic failures alone (an empty plan, no brownout), so each
+    // shard's engine draws from a live Rng.
+    ServeConfig config = smallConfig();
+    config.faults.mtbf = 5.0;
+    config.faults.repairTime = 0.2;
+    const std::string ckpt = reference::scratchPath("engine.ckpt");
+    {
+        ServeConfig saving = config;
+        saving.maxIntervals = 8;
+        saving.checkpointEvery = 8;
+        saving.checkpointPath = ckpt;
+        SyntheticFeed feed(busyFeed());
+        ShardedDriver(saving).run(feed);
+    }
+    reference::SnapshotSections sections(reference::readBytes(ckpt));
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".prev").c_str());
+
+    // DGRD's echo is 137 bytes with an empty plan (enable flag, plan
+    // length, seed, six fault and six brownout parameters, the
+    // brownout hold, queue age and retry count), then five totals and
+    // shard 0's applied rise, plan cursor and supply rise precede its
+    // engine's words.
+    std::vector<std::uint8_t> &dgrd = sections.payload("DGRD");
+    bool live = false;
+    for (std::size_t i = 201; i < 201 + 32; ++i) {
+        live = live || dgrd.at(i) != 0;
+        dgrd.at(i) = 0;
+    }
+    ASSERT_TRUE(live);
+    reference::writeBytes(ckpt, sections.encode());
+
+    config.resumeFrom = ckpt;
+    SyntheticFeed feed(busyFeed());
+    ShardedDriver driver(config);
+    std::string error;
+    try {
+        driver.run(feed);
+    } catch (const FatalError &e) {
+        error = e.what();
+    }
+    std::remove(ckpt.c_str());
+    EXPECT_NE(error.find("serve snapshot DGRD section is corrupt: "
+                         "all-zero RNG state"),
+              std::string::npos)
+        << error;
+}
+
 } // namespace
 } // namespace vmt::serve

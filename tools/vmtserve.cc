@@ -104,7 +104,7 @@
 #include <iostream>
 #include <memory>
 
-#include "obs/observability.h"
+#include "cli_common.h"
 #include "serve/job_feed.h"
 #include "serve/sharded_driver.h"
 #include "util/flags.h"
@@ -116,6 +116,8 @@ using namespace vmt::serve;
 
 namespace {
 
+constexpr const char *kTool = "vmtserve";
+
 /** Set by the signal handler; polled once per interval. */
 volatile std::sig_atomic_t g_stop_requested = 0;
 
@@ -125,29 +127,14 @@ handleStopSignal(int)
     g_stop_requested = 1;
 }
 
-obs::ObsOptions
-obsOptionsFromFlags(const Flags &flags)
-{
-    obs::ObsOptions options = obs::obsOptionsFromEnv();
-    if (flags.has("metrics-out"))
-        options.metricsOut = flags.getString("metrics-out");
-    if (flags.has("trace-events"))
-        options.traceEvents = flags.getString("trace-events");
-    return options;
-}
-
 ServeConfig
 configFromFlags(const Flags &flags)
 {
     ServeConfig config;
-    const long long servers = flags.getInt("servers", 1000);
-    if (servers <= 0)
-        fatal("vmtserve: --servers must be positive");
-    config.numServers = static_cast<std::size_t>(servers);
-    const long long pod = flags.getInt("pod-size", 256);
-    if (pod <= 0)
-        fatal("vmtserve: --pod-size must be positive");
-    config.podSize = static_cast<std::size_t>(pod);
+    config.numServers =
+        cli::countFlag(flags, kTool, "servers", 1000, 1, "positive");
+    config.podSize =
+        cli::countFlag(flags, kTool, "pod-size", 256, 1, "positive");
     config.seed =
         static_cast<std::uint64_t>(flags.getInt("seed", 7));
     config.policy = flags.getString("policy", "wa");
@@ -155,63 +142,37 @@ configFromFlags(const Flags &flags)
     config.waxThreshold = flags.getDouble("threshold", 0.98);
     config.overheatTemp = flags.getDouble("overheat-temp", 45.0);
 
-    const long long capacity = flags.getInt("queue-capacity", 65536);
-    if (capacity <= 0)
-        fatal("vmtserve: --queue-capacity must be positive");
-    config.queueCapacity = static_cast<std::size_t>(capacity);
-    const long long budget = flags.getInt("admission-budget", 0);
-    if (budget < 0)
-        fatal("vmtserve: --admission-budget must be >= 0 "
-              "(0 = unlimited)");
-    config.admissionBudget = static_cast<std::size_t>(budget);
+    config.queueCapacity = cli::countFlag(flags, kTool, "queue-capacity",
+                                          65536, 1, "positive");
+    config.admissionBudget = cli::countFlag(
+        flags, kTool, "admission-budget", 0, 0, ">= 0 (0 = unlimited)");
     config.admit =
         admitPolicyFromString(flags.getString("admit", "queue"));
     config.maxQueueAge = flags.getDouble("max-queue-age", 0.0);
     if (config.maxQueueAge < 0.0)
         fatal("vmtserve: --max-queue-age must be >= 0 (0 = off)");
 
-    if (flags.has("fault-plan"))
-        config.faults.plan =
-            FaultPlan::loadFile(flags.getString("fault-plan"));
-    config.faults.seed = static_cast<std::uint64_t>(
-        flags.getInt("fault-seed", 1));
-    config.faults.mtbf = flags.getDouble("fault-mtbf", 0.0);
-    if (config.faults.mtbf < 0.0)
-        fatal("vmtserve: --fault-mtbf must be >= 0 (0 = off)");
-    config.faults.repairTime = flags.getDouble("fault-repair", 4.0);
-    config.faults.criticalTemp =
-        flags.getDouble("critical-temp", 0.0);
-    if (config.faults.criticalTemp < 0.0)
-        fatal("vmtserve: --critical-temp must be >= 0 (0 = off)");
-    const long long retries = flags.getInt("evac-retries", 3);
-    if (retries < 0)
-        fatal("vmtserve: --evac-retries must be >= 0");
-    config.evacRetries = static_cast<std::size_t>(retries);
+    cli::readFaultFlags(flags, kTool, config.faults);
+    config.evacRetries =
+        cli::countFlag(flags, kTool, "evac-retries", 3, 0, ">= 0");
 
     config.brownout.maxAirTemp =
         flags.getDouble("brownout-temp", 0.0);
     config.brownout.maxMelt = flags.getDouble("brownout-melt", 0.0);
     config.brownout.step = flags.getDouble("brownout-step", 0.25);
     config.brownout.floor = flags.getDouble("brownout-floor", 0.1);
-    const long long hold = flags.getInt("brownout-hold", 5);
-    if (hold <= 0)
-        fatal("vmtserve: --brownout-hold must be positive");
-    config.brownout.holdIntervals = static_cast<std::size_t>(hold);
+    config.brownout.holdIntervals =
+        cli::countFlag(flags, kTool, "brownout-hold", 5, 1, "positive");
 
-    const long long minutes = flags.getInt("minutes", 0);
-    if (minutes < 0)
-        fatal("vmtserve: --minutes must be >= 0 (0 = open-ended)");
-    config.maxIntervals = static_cast<std::size_t>(minutes);
-
-    const long long every = flags.getInt("checkpoint-every", 0);
-    if (every < 0)
-        fatal("vmtserve: --checkpoint-every must be >= 0 (0 = off)");
-    config.checkpointEvery = static_cast<std::size_t>(every);
+    config.maxIntervals = cli::countFlag(flags, kTool, "minutes", 0, 0,
+                                         ">= 0 (0 = open-ended)");
+    config.checkpointEvery = cli::countFlag(
+        flags, kTool, "checkpoint-every", 0, 0, ">= 0 (0 = off)");
     config.checkpointPath =
         flags.getString("checkpoint-path", "vmtserve.ckpt");
     config.resumeFrom = flags.getString("resume-from", "");
     config.telemetryOut = flags.getString("telemetry-out", "");
-    if (obsOptionsFromFlags(flags).enabled())
+    if (cli::obsOptionsFromFlags(flags).enabled())
         config.obs = &obs::globalObservability();
     return config;
 }
@@ -306,22 +267,14 @@ main(int argc, char **argv)
 {
     const Flags flags(argc, argv);
     try {
-        const long long threads = flags.getInt("threads", 0);
-        if (threads < 0)
-            fatal("vmtserve: --threads must be >= 0 (0 = auto)");
-        setGlobalThreadCount(static_cast<std::size_t>(threads));
+        setGlobalThreadCount(cli::countFlag(flags, kTool, "threads", 0, 0,
+                                            ">= 0 (0 = auto)"));
 
         const ServeConfig config = configFromFlags(flags);
         std::unique_ptr<JobFeed> feed = feedFromFlags(flags, config);
 
-        const auto unread = flags.unreadFlags();
-        if (!unread.empty()) {
-            std::fprintf(stderr, "vmtserve: unknown flag(s):");
-            for (const std::string &name : unread)
-                std::fprintf(stderr, " --%s", name.c_str());
-            std::fprintf(stderr, "\n");
+        if (cli::reportUnknownFlags(flags, kTool))
             return 2;
-        }
 
         std::signal(SIGINT, handleStopSignal);
         std::signal(SIGTERM, handleStopSignal);
@@ -330,20 +283,7 @@ main(int argc, char **argv)
         const ServeResult result = driver.run(
             *feed, [] { return g_stop_requested != 0; });
         printSummary(result);
-
-        const obs::ObsOptions obs_opts = obsOptionsFromFlags(flags);
-        if (!obs_opts.metricsOut.empty()) {
-            obs::globalObservability().writeMetrics(
-                obs_opts.metricsOut);
-            std::printf("metrics written   %s (+ .csv)\n",
-                        obs_opts.metricsOut.c_str());
-        }
-        if (!obs_opts.traceEvents.empty()) {
-            obs::globalObservability().writeTraceEvents(
-                obs_opts.traceEvents);
-            std::printf("events written    %s\n",
-                        obs_opts.traceEvents.c_str());
-        }
+        cli::exportObservability(flags);
         return 0;
     } catch (const FatalError &err) {
         std::fprintf(stderr, "vmtserve: %s\n", err.what());

@@ -66,9 +66,9 @@
 #include <iostream>
 #include <memory>
 
+#include "cli_common.h"
 #include "core/policy_factory.h"
 #include "core/gv_tuner.h"
-#include "obs/observability.h"
 #include "sched/round_robin.h"
 #include "sim/result_io.h"
 #include "sim/simulation.h"
@@ -84,17 +84,7 @@ using namespace vmt;
 
 namespace {
 
-/** Export destinations: environment defaults, explicit flags win. */
-obs::ObsOptions
-obsOptionsFromFlags(const Flags &flags)
-{
-    obs::ObsOptions options = obs::obsOptionsFromEnv();
-    if (flags.has("metrics-out"))
-        options.metricsOut = flags.getString("metrics-out");
-    if (flags.has("trace-events"))
-        options.traceEvents = flags.getString("trace-events");
-    return options;
-}
+constexpr const char *kTool = "vmtsim";
 
 SimConfig
 configFromFlags(const Flags &flags)
@@ -119,22 +109,10 @@ configFromFlags(const Flags &flags)
         for (std::size_t i = 0; i < loaded.size(); ++i)
             config.traceSamples.push_back(loaded.utilization(i));
     }
-    if (flags.has("fault-plan"))
-        config.faults.plan =
-            FaultPlan::loadFile(flags.getString("fault-plan"));
-    config.faults.seed = static_cast<std::uint64_t>(
-        flags.getInt("fault-seed", 1));
-    config.faults.mtbf = flags.getDouble("fault-mtbf", 0.0);
-    if (config.faults.mtbf < 0.0)
-        fatal("vmtsim: --fault-mtbf must be >= 0 (0 = off)");
-    config.faults.repairTime = flags.getDouble("fault-repair", 4.0);
-    config.faults.criticalTemp =
-        flags.getDouble("critical-temp", 0.0);
-    if (config.faults.criticalTemp < 0.0)
-        fatal("vmtsim: --critical-temp must be >= 0 (0 = off)");
+    cli::readFaultFlags(flags, kTool, config.faults);
     // Every simulation this process runs shares the global
     // observability bundle; main() exports it once at the end.
-    if (obsOptionsFromFlags(flags).enabled())
+    if (cli::obsOptionsFromFlags(flags).enabled())
         config.obs = &obs::globalObservability();
     return config;
 }
@@ -180,12 +158,9 @@ cmdRun(const Flags &flags)
 
     // Environment supplies the defaults; explicit flags win.
     CheckpointOptions ckpt = checkpointOptionsFromEnv();
-    if (flags.has("checkpoint-every")) {
-        const long long every = flags.getInt("checkpoint-every", 0);
-        if (every < 0)
-            fatal("vmtsim: --checkpoint-every must be >= 0");
-        ckpt.every = static_cast<std::size_t>(every);
-    }
+    if (flags.has("checkpoint-every"))
+        ckpt.every =
+            cli::countFlag(flags, kTool, "checkpoint-every", 0, 0, ">= 0");
     if (flags.has("checkpoint-path"))
         ckpt.path = flags.getString("checkpoint-path");
     if (flags.has("resume-from"))
@@ -353,10 +328,8 @@ main(int argc, char **argv)
     const std::string command = flags.positional().front();
 
     try {
-        const long long threads = flags.getInt("threads", 0);
-        if (threads < 0)
-            fatal("vmtsim: --threads must be >= 0 (0 = auto)");
-        setGlobalThreadCount(static_cast<std::size_t>(threads));
+        setGlobalThreadCount(cli::countFlag(flags, kTool, "threads", 0, 0,
+                                            ">= 0 (0 = auto)"));
 
         int rc;
         if (command == "run")
@@ -372,28 +345,9 @@ main(int argc, char **argv)
         else
             return usage();
 
-        const obs::ObsOptions obs_opts = obsOptionsFromFlags(flags);
-        if (!obs_opts.metricsOut.empty()) {
-            obs::globalObservability().writeMetrics(
-                obs_opts.metricsOut);
-            std::printf("metrics written   %s (+ .csv)\n",
-                        obs_opts.metricsOut.c_str());
-        }
-        if (!obs_opts.traceEvents.empty()) {
-            obs::globalObservability().writeTraceEvents(
-                obs_opts.traceEvents);
-            std::printf("events written    %s\n",
-                        obs_opts.traceEvents.c_str());
-        }
-
-        const auto unread = flags.unreadFlags();
-        if (!unread.empty()) {
-            std::fprintf(stderr, "vmtsim: unknown flag(s):");
-            for (const std::string &name : unread)
-                std::fprintf(stderr, " --%s", name.c_str());
-            std::fprintf(stderr, "\n");
+        cli::exportObservability(flags);
+        if (cli::reportUnknownFlags(flags, kTool))
             return 2;
-        }
         return rc;
     } catch (const FatalError &err) {
         std::fprintf(stderr, "vmtsim: %s\n", err.what());
