@@ -181,10 +181,10 @@ ShardedDriver::Totals::since(const Totals &earlier) const
 ShardedDriver::Shard::Shard(std::size_t num_servers,
                             const ServeConfig &config,
                             const PowerModel &power)
-    : cluster(num_servers, config.spec, config.thermal, power),
-      scheduler(makeScheduler(config.policy, config.gv,
-                              config.waxThreshold)),
-      departures(config.interval, num_servers)
+    : policy(makeScheduler(config.policy, config.gv,
+                           config.waxThreshold)),
+      pod(Cluster(num_servers, config.spec, config.thermal, power),
+          *policy, config.interval)
 {}
 
 ShardedDriver::ShardedDriver(const ServeConfig &config)
@@ -218,7 +218,7 @@ ShardedDriver::ShardedDriver(const ServeConfig &config)
         const std::size_t size =
             std::min(config.podSize, config.numServers - first);
         shards_.emplace_back(size, config_, power_);
-        totalCores_ += shards_.back().cluster.totalCores();
+        totalCores_ += shards_.back().pod.cluster.totalCores();
         if (config_.faults.enabled()) {
             // One engine per pod: the global plan sliced to the
             // pod's id range, and a decorrelated Rng stream per
@@ -229,7 +229,7 @@ ShardedDriver::ShardedDriver(const ServeConfig &config)
             FaultConfig local = config_.faults;
             local.plan = config_.faults.plan.shardSlice(first, size);
             local.seed = config_.faults.seed + s;
-            shards_.back().faults.emplace(local, size);
+            shards_.back().pod.faults.emplace(local, size);
         }
     }
     if (config_.brownout.enabled())
@@ -237,55 +237,38 @@ ShardedDriver::ShardedDriver(const ServeConfig &config)
     freeEst_.resize(shards_.size(), 0);
 }
 
-void
-ShardedDriver::drainDepartures(Shard &shard, Seconds now)
-{
-    shard.departures.drain(now, [&shard](DepartureRing::Record record) {
-        shard.cluster.removeJob(DepartureRing::serverOf(record),
-                                DepartureRing::typeOf(record));
-        ++shard.completedThisInterval;
-    });
-}
-
 std::size_t
 ShardedDriver::faultPhase(Shard &shard, Seconds now)
 {
-    shard.evacBatch.clear();
-    shard.evacDue.clear();
+    Pod &pod = shard.pod;
     shard.migratedThisInterval = 0;
 
     std::vector<std::size_t> evacuating;
-    if (shard.faults) {
-        evacuating = shard.faults->beginInterval(shard.cluster, now,
-                                                 config_.interval);
+    if (pod.faults) {
+        evacuating = pod.faults->beginInterval(pod.cluster, now,
+                                               config_.interval);
         // A cooling derate hits the whole plant; push the supply
         // rise into this pod's inlets only when it changed (the
         // CLUS snapshot section restores the applied value, so the
         // latch survives resume).
-        const Kelvin rise = shard.faults->supplyRise();
-        if (rise != shard.appliedRise) {
-            shard.cluster.setBaseInlet(config_.thermal.inletTemp +
-                                       rise);
-            shard.appliedRise = rise;
-        }
+        pod.pushSupplyRise(config_.thermal.inletTemp);
     }
 
     // Refresh policy state before draining, mirroring the batch
     // driver: a Failed server reports no capacity regardless of its
     // residual bookkeeping, and placement reads only frozen heap
     // keys, thermal state and live capacity.
-    shard.scheduler->beginInterval(shard.cluster, now);
+    pod.scheduler.beginInterval(pod.cluster, now);
 
     // Drain every job resident on a newly failed server into the
     // refugee list; each refugee keeps its departure bucket, so a
     // migrated job finishes in the interval it would have.
-    evacuateServers(shard.departures, shard.cluster, evacuating,
-                    shard.evacBatch, shard.evacDue);
+    pod.evacuate(evacuating);
 
     // Routing capacity for refugees and admissions: free cores on Up
     // servers only — totalCores - busyCores would credit dead and
     // quarantined capacity and starve surviving pods.
-    const Cluster &cluster = shard.cluster;
+    const Cluster &cluster = pod.cluster;
     std::size_t free = 0;
     for (std::size_t id = 0; id < cluster.numServers(); ++id) {
         const Server &srv = cluster.server(id);
@@ -300,30 +283,20 @@ ShardedDriver::placeEvac(Shard &shard, std::span<const std::size_t> routed,
                          const std::vector<WorkloadType> &types,
                          const std::vector<Seconds> &dues)
 {
-    shard.evacBatch.clear();
-    shard.evacFailTypes.clear();
-    shard.evacFailDue.clear();
+    Pod &pod = shard.pod;
+    pod.refugees.clear();
+    shard.evacFailed.clear();
     if (routed.empty())
         return;
-    shard.evacBatch.reserve(routed.size());
+    pod.refugees.reserve(routed.size());
     for (const std::size_t j : routed)
-        shard.evacBatch.push_back(Job{0, types[j], 0.0});
-    shard.scheduler->placeJobs(shard.cluster, shard.evacBatch,
-                               shard.evacPlacements);
-    checkPlacements(*shard.scheduler, shard.evacBatch.size(),
-                    shard.evacPlacements, shard.cluster.numServers());
-    for (std::size_t k = 0; k < routed.size(); ++k) {
-        const std::size_t id = shard.evacPlacements[k];
-        const WorkloadType type = shard.evacBatch[k].type;
-        const Seconds due = dues[routed[k]];
-        if (id == kNoServer) {
-            shard.evacFailTypes.push_back(type);
-            shard.evacFailDue.push_back(due);
-            continue;
-        }
-        shard.departures.schedule(due, DepartureRing::pack(id, type));
-        ++shard.migratedThisInterval;
-    }
+        pod.refugees.push_back(Job{0, types[j], 0.0});
+    pod.place(pod.refugees);
+    shard.migratedThisInterval += pod.file(
+        pod.refugees, [&](std::size_t k) { return dues[routed[k]]; });
+    for (std::size_t k = 0; k < routed.size(); ++k)
+        if (pod.placements[k] == kNoServer)
+            shard.evacFailed.push_back(routed[k]);
 }
 
 void
@@ -334,17 +307,17 @@ ShardedDriver::evacuateRefugees()
     // fixes the cross-shard order).
     std::size_t refugees = 0;
     for (const Shard &shard : shards_)
-        refugees += shard.evacBatch.size();
+        refugees += shard.pod.refugees.size();
     std::vector<WorkloadType> types;
     std::vector<Seconds> dues;
     types.reserve(refugees);
     dues.reserve(refugees);
-    for (Shard &shard : shards_) {
-        for (std::size_t k = 0; k < shard.evacBatch.size(); ++k) {
-            types.push_back(shard.evacBatch[k].type);
-            dues.push_back(shard.evacDue[k]);
-        }
-        totals_.evacuated += shard.evacBatch.size();
+    for (const Shard &shard : shards_) {
+        for (const Job &job : shard.pod.refugees)
+            types.push_back(job.type);
+        dues.insert(dues.end(), shard.pod.dues.begin(),
+                    shard.pod.dues.end());
+        totals_.evacuated += shard.pod.refugees.size();
     }
     if (types.empty())
         return;
@@ -398,11 +371,10 @@ ShardedDriver::evacuateRefugees()
 
         // Collect this round's placement failures (shard order) for
         // the next round.
-        for (Shard &shard : shards_) {
-            for (std::size_t k = 0; k < shard.evacFailTypes.size();
-                 ++k) {
-                nextTypes.push_back(shard.evacFailTypes[k]);
-                nextDues.push_back(shard.evacFailDue[k]);
+        for (const Shard &shard : shards_) {
+            for (const std::size_t j : shard.evacFailed) {
+                nextTypes.push_back(types[j]);
+                nextDues.push_back(dues[j]);
             }
         }
         types.swap(nextTypes);
@@ -414,31 +386,6 @@ ShardedDriver::evacuateRefugees()
     totals_.lost += types.size();
     for (Shard &shard : shards_)
         totals_.migrated += shard.migratedThisInterval;
-}
-
-void
-ShardedDriver::placeBatch(Shard &shard, Seconds now)
-{
-    if (shard.batch.empty())
-        return;
-    // One batch call decides (and applies) every placement; the
-    // departure records below are driver-local and cannot influence
-    // decisions.
-    shard.scheduler->placeJobs(shard.cluster, shard.batch,
-                               shard.placements);
-    checkPlacements(*shard.scheduler, shard.batch.size(),
-                    shard.placements, shard.cluster.numServers());
-    for (std::size_t k = 0; k < shard.batch.size(); ++k) {
-        const Job &job = shard.batch[k];
-        const std::size_t id = shard.placements[k];
-        if (id == kNoServer) {
-            ++shard.unplacedThisInterval;
-            continue;
-        }
-        shard.departures.schedule(now + job.duration,
-                                  DepartureRing::pack(id, job.type));
-        ++shard.placedThisInterval;
-    }
 }
 
 void
@@ -497,7 +444,7 @@ ShardedDriver::run(JobFeed &feed,
     ran_ = true;
 
     ServeResult result;
-    result.schedulerName = shards_.front().scheduler->name();
+    result.schedulerName = shards_.front().pod.scheduler.name();
     result.shards = shards_.size();
     result.degraded = degraded_;
 
@@ -583,11 +530,11 @@ ShardedDriver::run(JobFeed &feed,
                         [&](std::size_t begin, std::size_t end) {
                             for (std::size_t s = begin; s < end; ++s) {
                                 Shard &shard = shards_[s];
-                                shard.completedThisInterval = 0;
                                 shard.placedThisInterval = 0;
                                 shard.unplacedThisInterval = 0;
                                 shard.batch.clear();
-                                drainDepartures(shard, now);
+                                shard.completedThisInterval =
+                                    shard.pod.drain(now);
                                 freeEst_[s] = faultPhase(shard, now);
                             }
                         });
@@ -617,17 +564,30 @@ ShardedDriver::run(JobFeed &feed,
             admit(now);
         }
 
-        // 4. Per-shard batched placement.
+        // 4. Per-shard batched placement. One batch call decides (and
+        // applies) every placement; the departure records filed after
+        // it are driver-local and cannot influence decisions.
         const auto place_start =
             timing ? std::chrono::steady_clock::now()
                    : std::chrono::steady_clock::time_point{};
         {
             obs::ScopedPhase timer(prof, sobs.phasePlace);
-            parallelFor(pool, 0, shards_.size(), 1,
-                        [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t s = begin; s < end; ++s)
-                                placeBatch(shards_[s], now);
-                        });
+            parallelFor(
+                pool, 0, shards_.size(), 1,
+                [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t s = begin; s < end; ++s) {
+                        Shard &shard = shards_[s];
+                        if (shard.batch.empty())
+                            continue;
+                        shard.pod.place(shard.batch);
+                        shard.placedThisInterval = shard.pod.file(
+                            shard.batch, [&](std::size_t k) {
+                                return now + shard.batch[k].duration;
+                            });
+                        shard.unplacedThisInterval =
+                            shard.batch.size() - shard.placedThisInterval;
+                    }
+                });
         }
         if (timing) {
             const double seconds =
@@ -648,7 +608,7 @@ ShardedDriver::run(JobFeed &feed,
                         [&](std::size_t begin, std::size_t end) {
                             for (std::size_t s = begin; s < end; ++s)
                                 shards_[s].sample =
-                                    shards_[s].cluster.stepThermal(
+                                    shards_[s].pod.cluster.stepThermal(
                                         dt, config_.overheatTemp);
                         });
         }
@@ -663,10 +623,11 @@ ShardedDriver::run(JobFeed &feed,
         std::size_t hot_group = 0;
         std::size_t failed_servers = 0;
         std::size_t quarantined_servers = 0;
-        for (Shard &shard : shards_) {
+        for (const Shard &shard : shards_) {
             const ClusterSample &sample = shard.sample;
+            const Cluster &cluster = shard.pod.cluster;
             const auto servers =
-                static_cast<double>(shard.cluster.numServers());
+                static_cast<double>(cluster.numServers());
             cooling += sample.coolingLoad;
             power += sample.totalPower;
             max_air = std::max(max_air, sample.maxAirTemp);
@@ -675,15 +636,16 @@ ShardedDriver::run(JobFeed &feed,
             max_shard_melt =
                 std::max(max_shard_melt, sample.meanMeltFraction);
             overheated_ += sample.serversAboveThreshold;
-            in_flight += shard.cluster.busyCores();
+            in_flight += cluster.busyCores();
             totals_.placed += shard.placedThisInterval;
             totals_.dropped += shard.unplacedThisInterval;
             totals_.completed += shard.completedThisInterval;
-            hot_group += shard.scheduler->hotGroupSize().value_or(0);
-            failed_servers += shard.cluster.numServers() -
-                              shard.cluster.aliveServers();
-            if (shard.faults)
-                quarantined_servers += shard.faults->quarantinedServers();
+            hot_group += shard.pod.scheduler.hotGroupSize().value_or(0);
+            failed_servers +=
+                cluster.numServers() - cluster.aliveServers();
+            if (shard.pod.faults)
+                quarantined_servers +=
+                    shard.pod.faults->quarantinedServers();
         }
         const auto total_servers =
             static_cast<double>(config_.numServers);
@@ -699,9 +661,8 @@ ShardedDriver::run(JobFeed &feed,
         // admission.
         if (brownout_)
             brownout_->observe(max_air, max_shard_melt);
-        const Kelvin supply_rise =
-            shards_.front().faults ? shards_.front().faults->supplyRise()
-                                   : 0.0;
+        const std::optional<FaultEngine> &front = shards_.front().pod.faults;
+        const Kelvin supply_rise = front ? front->supplyRise() : 0.0;
         const Totals delta = totals_.since(prev);
         prev = totals_;
 
@@ -848,12 +809,13 @@ ShardedDriver::run(JobFeed &feed,
     result.finalQueueDepth = ingress_.size();
     result.peakQueueDepth = peakQueueDepth_;
     for (const Shard &shard : shards_) {
-        result.finalInFlight += shard.cluster.busyCores();
-        result.failedServers += shard.cluster.numServers() -
-                                shard.cluster.aliveServers();
-        if (shard.faults)
+        const Cluster &cluster = shard.pod.cluster;
+        result.finalInFlight += cluster.busyCores();
+        result.failedServers +=
+            cluster.numServers() - cluster.aliveServers();
+        if (shard.pod.faults)
             result.quarantinedServers +=
-                shard.faults->quarantinedServers();
+                shard.pod.faults->quarantinedServers();
     }
     result.peakCoolingLoad = peakCoolingLoad_;
     result.peakPower = peakPower_;
@@ -955,9 +917,9 @@ ShardedDriver::degradedFields(IO &io, Self &self)
     if (self.brownout_)
         nested(io, *self.brownout_);
     for (auto &shard : self.shards_) {
-        field(io, shard.appliedRise);
-        if (shard.faults)
-            nested(io, *shard.faults, shard.cluster);
+        field(io, shard.pod.appliedRise);
+        if (shard.pod.faults)
+            nested(io, *shard.pod.faults, shard.pod.cluster);
     }
 }
 
@@ -967,7 +929,7 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
                                std::size_t completed) const
 {
     configFields(writer.section("SCON"), config_,
-                 shards_.front().scheduler->name(), feed.name(),
+                 shards_.front().pod.scheduler.name(), feed.name(),
                  completed);
     feed.saveState(writer.section("FEED"));
     ingressFields(writer.section("INGR"), *this);
@@ -977,9 +939,9 @@ ShardedDriver::buildCheckpoint(SnapshotWriter &writer,
     Serializer &shrd = writer.section("SHRD");
     shrd.putSize(shards_.size());
     for (const Shard &shard : shards_) {
-        shard.cluster.saveState(shrd);
-        shard.scheduler->saveState(shrd);
-        shard.departures.saveState(shrd);
+        shard.pod.cluster.saveState(shrd);
+        shard.pod.scheduler.saveState(shrd);
+        shard.pod.departures.saveState(shrd);
     }
 
     // DGRD only when the degraded machinery is configured, and OBSV
@@ -1003,7 +965,7 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
 
     std::size_t completed = 0;
     restoreSection(reader, check, "SCON", [&](Restore &io) {
-        configFields(io, config_, shards_.front().scheduler->name(),
+        configFields(io, config_, shards_.front().pod.scheduler.name(),
                      feed.name(), completed);
     });
     restoreSection(reader, check, "FEED",
@@ -1016,15 +978,12 @@ ShardedDriver::loadCheckpoint(JobFeed &feed, const std::string &path)
     const Seconds resume_time =
         static_cast<double>(completed) * config_.interval;
     for (Shard &shard : shards_) {
-        shard.cluster.loadState(shrd);
-        shard.scheduler->loadState(shrd);
+        shard.pod.cluster.loadState(shrd);
+        shard.pod.scheduler.loadState(shrd);
         // The next drain is the resume boundary; a v1/v2 slot ledger
         // converts to records.
-        if (reader.version() >= 3)
-            shard.departures.loadState(shrd, resume_time);
-        else
-            shard.departures.loadLegacy(shrd, resume_time);
-        checkLedger(shard.departures, shard.cluster);
+        shard.pod.loadLedger(shrd, reader.version(), resume_time);
+        shard.pod.checkLedger();
     }
     shrd.expectEnd();
 

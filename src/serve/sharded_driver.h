@@ -55,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_engine.h"
 #include "fault/fault_plan.h"
 #include "obs/observability.h"
 #include "sched/scheduler.h"
@@ -64,7 +63,7 @@
 #include "serve/job_feed.h"
 #include "server/cluster.h"
 #include "server/server_spec.h"
-#include "sim/departure_ring.h"
+#include "sim/pod.h"
 #include "thermal/thermal_params.h"
 #include "util/units.h"
 
@@ -275,42 +274,26 @@ class ShardedDriver
                     const std::function<bool()> &shouldStop = {});
 
   private:
-    /** One pod's worth of servers with its own policy instance and
-     *  departure ring — the unit of parallelism. */
+    /** One pod with its own policy instance — the unit of
+     *  parallelism. Server ids are shard-local. */
     struct Shard
     {
         Shard(std::size_t num_servers, const ServeConfig &config,
               const PowerModel &power);
 
-        Cluster cluster;
-        std::unique_ptr<Scheduler> scheduler;
-        /** Pending departures: one (server, type) record per running
-         *  job, shard-local server ids. */
-        DepartureRing departures;
-        /** This interval's routed arrivals / placement results. */
+        /** The policy pod binds; declared first, so built first. */
+        std::unique_ptr<Scheduler> policy;
+        /** Its fault engine (degraded mode with faults only) sees the
+         *  global plan sliced to this pod and its own decorrelated Rng
+         *  stream. Its refugees are the jobs drained off newly failed
+         *  servers this interval, then each retry round's refugees
+         *  routed to this shard. */
+        Pod pod;
+        /** This interval's routed arrivals. */
         std::vector<Job> batch;
-        std::vector<std::size_t> placements;
-
-        /** Per-pod fault engine (degraded mode with faults only);
-         *  sees the global plan sliced to this pod and its own
-         *  decorrelated Rng stream. */
-        std::optional<FaultEngine> faults;
-        /** Supply-air rise currently pushed into this shard's
-         *  inlets (mirrors the batch driver's applied-rise latch). */
-        Kelvin appliedRise = 0.0;
-        /** Newly failed servers' drained jobs (this interval), and
-         *  later each retry round's refugees routed to this shard. */
-        std::vector<Job> evacBatch;
-        /** Parallel to the drained evacBatch: the boundary time of
-         *  the departure bucket each refugee keeps (the evacuation
-         *  rule). Every shard drains at the same boundaries, so the
-         *  destination files it back into the same bucket. */
-        std::vector<Seconds> evacDue;
-        std::vector<std::size_t> evacPlacements;
-        /** Refugees this shard's scheduler could not place in the
-         *  current round (re-routed next round). */
-        std::vector<WorkloadType> evacFailTypes;
-        std::vector<Seconds> evacFailDue;
+        /** This round's refugees the pod could not place, as indices
+         *  into the round's types and dues (re-routed next round). */
+        std::vector<std::size_t> evacFailed;
 
         ClusterSample sample{};
         std::uint64_t completedThisInterval = 0;
@@ -319,8 +302,6 @@ class ShardedDriver
         std::uint64_t migratedThisInterval = 0;
     };
 
-    /** Complete a shard's jobs due at or before now. */
-    void drainDepartures(Shard &shard, Seconds now);
     /**
      * Per-shard boundary work (runs inside the departure fan-out):
      * fault-engine step and supply-rise push when the shard has an
@@ -341,9 +322,6 @@ class ShardedDriver
     void placeEvac(Shard &shard, std::span<const std::size_t> routed,
                    const std::vector<WorkloadType> &types,
                    const std::vector<Seconds> &dues);
-    /** Batch placement + departure records (faultPhase already ran
-     *  the scheduler's beginInterval). */
-    void placeBatch(Shard &shard, Seconds now);
     /** Admission: pop the budget's worth of queued arrivals (after
      *  the queue-age deadline), waterfill them over the shards' free
      *  cores into their batches, and re-queue or shed the rest. */

@@ -69,8 +69,7 @@ Cluster::refreshPowerArray()
 {
     // Walk set bits only: between steps, only servers whose draw
     // could have changed (job churn, health, throttle, mutable
-    // access) are re-read. Failed servers get 0 W written directly —
-    // the same value Server::refreshPowerCache produces.
+    // access) are re-read.
     for (std::size_t w = 0; w < powerDirty_.size(); ++w) {
         std::uint64_t word = powerDirty_[w];
         powerDirty_[w] = 0;
@@ -81,9 +80,7 @@ Cluster::refreshPowerArray()
             const std::size_t id = (w << 6) + bit;
             if (id >= servers_.size())
                 break;
-            soa_->setPower(id, soa_->failed(id)
-                                   ? 0.0
-                                   : servers_[id].power(power_));
+            soa_->setPower(id, servers_[id].power(power_));
         }
     }
 }
@@ -220,9 +217,8 @@ Cluster::setBaseInlet(std::size_t server_id, Celsius inlet)
 {
     if (server_id >= servers_.size())
         panic("Cluster::setBaseInlet out of range");
-    // An inlet change affects thermal state only, so neither the
-    // total-power cache nor the gathered power entry needs
-    // invalidating.
+    // An inlet change affects thermal state only, so the gathered
+    // power entry stays valid.
     soa_->setBaseInlet(server_id, inlet);
 }
 

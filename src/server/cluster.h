@@ -101,7 +101,7 @@ class Cluster
 
     /**
      * Change one server's operational state, keeping the alive-server
-     * aggregate and power cache consistent. The fault engine is the
+     * aggregate and gathered power consistent. The fault engine is the
      * only caller; taking a server down does NOT evacuate its jobs —
      * the driver drains them through the active scheduler first.
      */
@@ -150,9 +150,8 @@ class Cluster
     }
 
     /**
-     * Instantaneous total electrical power: the per-server power
-     * caches reduced serially in server-index order (bitwise
-     * identical to the historical serial recompute). The drivers read
+     * Instantaneous total electrical power: the servers' powers
+     * reduced serially in server-index order. The drivers read
      * stepThermal's sample instead.
      */
     Watts totalPower() const;
@@ -176,7 +175,7 @@ class Cluster
 
     /** Set every server's cold-aisle inlet (cooling feedback);
      *  per-server offsets are preserved. Inlet changes never affect
-     *  electrical power, so no power cache is invalidated. */
+     *  electrical power, so no gathered power goes stale. */
     void setBaseInlet(Celsius inlet);
 
     /** Set one server's cold-aisle inlet (recirculation modelling). */
@@ -211,7 +210,7 @@ class Cluster
      * base cold-aisle inlet (thermalParams().inletTemp tracks cooling
      * feedback and schedulers read it) and every server's state.
      * loadState requires a cluster constructed with the same server
-     * count and invalidates the total-power cache.
+     * count and marks every gathered power stale.
      */
     void saveState(Serializer &out) const;
     void loadState(Deserializer &in);

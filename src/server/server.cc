@@ -12,31 +12,16 @@ Server::Server(std::size_t id, const ServerSpec &spec, ThermalSoA &soa)
 Watts
 Server::power(const PowerModel &model) const
 {
-    if (&model != powerCacheModel_)
-        refreshPowerCache(model);
-    return powerCache_;
-}
-
-void
-Server::refreshPowerCache(const PowerModel &model) const
-{
-    if (health_ == ServerHealth::Failed) {
-        // Powered off: no idle draw, no dynamic draw. The thermal
-        // step then lets air decay toward inlet and wax refreeze.
-        powerCache_ = 0.0;
-        powerCacheModel_ = &model;
-        return;
-    }
+    // Powered off: no idle draw, no dynamic draw. The thermal step
+    // then lets air decay toward inlet and wax refreeze.
+    if (health_ == ServerHealth::Failed)
+        return 0.0;
     const Watts nominal = model.serverPower(counts_);
-    if (!throttled()) {
-        powerCache_ = nominal;
-    } else {
-        // DVFS trims the dynamic part only; idle power is unaffected.
-        const Watts idle = model.spec().idlePower;
-        powerCache_ =
-            idle + (nominal - idle) * soa_->params().throttleFactor;
-    }
-    powerCacheModel_ = &model;
+    if (!throttled())
+        return nominal;
+    // DVFS trims the dynamic part only; idle power is unaffected.
+    const Watts idle = model.spec().idlePower;
+    return idle + (nominal - idle) * soa_->params().throttleFactor;
 }
 
 Celsius
@@ -53,13 +38,11 @@ Server::applyThrottle(Celsius cpu_temp)
     if (!throttled_now && cpu_temp >= tp.cpuLimit &&
         tp.throttleFactor < 1.0) {
         soa_->setThrottled(id_, true);
-        powerCacheModel_ = nullptr;
         return true;
     }
     if (throttled_now &&
         cpu_temp < tp.cpuLimit - tp.throttleHysteresis) {
         soa_->setThrottled(id_, false);
-        powerCacheModel_ = nullptr;
         return true;
     }
     return false;
@@ -89,7 +72,6 @@ Server::loadState(Deserializer &in)
     soa_->setAirTemp(id_, in.getDouble());
     soa_->setEnthalpy(id_, in.getDouble());
     soa_->setEstimatedEnthalpy(id_, in.getDouble());
-    powerCacheModel_ = nullptr;
 }
 
 } // namespace vmt

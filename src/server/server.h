@@ -86,12 +86,10 @@ class Server
     /**
      * Change operational state. A Failed server draws 0 W (the driver
      * evacuates its jobs first); coming back Up re-enables placement.
-     * Invalidates the power cache.
      */
     void setHealth(ServerHealth health)
     {
         health_ = health;
-        powerCacheModel_ = nullptr;
         soa_->setFailed(id_, health_ == ServerHealth::Failed);
     }
 
@@ -107,7 +105,6 @@ class Server
             panic("Server::addJob on a full server");
         ++counts_[workloadIndex(type)];
         ++busyCores_;
-        powerCacheModel_ = nullptr;
     }
 
     /** Release one core of the given type.
@@ -120,20 +117,13 @@ class Server
             panic("Server::removeJob with no such job running");
         --count;
         --busyCores_;
-        powerCacheModel_ = nullptr;
     }
 
     /**
      * Instantaneous power under the given model, including any
-     * active thermal throttling.
-     *
-     * The value is cached and invalidated only on addJob/removeJob
-     * and throttle transitions, so the steady-state cost is one load
-     * instead of a per-workload multiply-add reduction. The cache is
-     * keyed on the model's address (the cluster passes its one shared
-     * model on every call); passing a different model recomputes. The
-     * cached value is produced by exactly the same expression as the
-     * uncached computation, so results are bitwise identical.
+     * active thermal throttling; 0 W while Failed. The thermal step
+     * and the placement fast path read the cluster's gathered copy
+     * (Cluster::refreshGatheredPower).
      */
     Watts power(const PowerModel &model) const;
 
@@ -193,16 +183,12 @@ class Server
     /**
      * Checkpoint the server's dynamic state: job mix, throttle latch,
      * base inlet, air temperature, wax enthalpy and the estimator's
-     * drift state. The power cache is not saved — loadState
-     * invalidates it and the recompute is bitwise identical.
+     * drift state.
      */
     void saveState(Serializer &out) const;
     void loadState(Deserializer &in);
 
   private:
-    /** Recompute the power cache against the given model. */
-    void refreshPowerCache(const PowerModel &model) const;
-
     std::size_t id_;
     ServerSpec spec_;
     /** The cluster's thermal arrays; this server is slot id_. */
@@ -213,14 +199,6 @@ class Server
     // v1 compatibility); the fault engine persists health in the FALT
     // section instead.
     ServerHealth health_ = ServerHealth::Up;
-
-    // Power cache (see power()). nullptr means stale. Mutable so the
-    // logically-const power() can fill it; the cluster's parallel
-    // thermal chunks never read it (they read the gathered SoA power
-    // array), so one thread at a time touches a server's cache.
-    mutable const PowerModel *powerCacheModel_ = nullptr;
-    /** Power including any active throttling (what power() returns). */
-    mutable Watts powerCache_ = 0.0;
 };
 
 } // namespace vmt

@@ -92,8 +92,7 @@ runDatacenter(const DatacenterSimConfig &config,
         result.coolingLoad.add(cooling);
         result.totalPower.add(power);
     }
-    result.peakCoolingLoad = result.coolingLoad.smoothedPeak(
-        config.cluster.peakWindow);
+    result.peakCoolingLoad = result.coolingLoad.smoothedPeak(kPeakWindow);
     return result;
 }
 

@@ -3,15 +3,11 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <string>
 #include <utility>
 
-#include "sched/scheduler.h"
-#include "server/cluster.h"
 #include "state/serializer.h"
 #include "util/logging.h"
-#include "workload/job.h"
 
 namespace vmt {
 
@@ -25,6 +21,9 @@ constexpr std::size_t kBucketHeaderBytes = 16;
 constexpr std::size_t kLegacySlotBytes = 13;
 /** A v1/v2 departure: time (8) and slot id (4). */
 constexpr std::size_t kLegacyDepartureBytes = 12;
+/** A v1/v2 slot's server id once its job was lost (a tombstone). */
+constexpr std::size_t kLegacyTombstone =
+    std::numeric_limits<std::size_t>::max();
 
 std::string
 str(std::uint64_t value)
@@ -223,7 +222,7 @@ DepartureRing::loadLegacy(Deserializer &in, Seconds resume)
         if (type >= kNumWorkloads)
             fatal("snapshot job slot " + str(i) +
                   " has invalid workload type " + str(type));
-        if (slot.server >= servers_ && slot.server != kNoServer)
+        if (slot.server >= servers_ && slot.server != kLegacyTombstone)
             fatal("snapshot job slot " + str(i) + " names server " +
                   str(slot.server) + " of a " + str(servers_) +
                   "-server pod");
@@ -268,155 +267,8 @@ DepartureRing::loadLegacy(Deserializer &in, Seconds resume)
     for (std::size_t i = 0; i < pending; ++i) {
         const Seconds time = in.getDouble();
         const Slot &slot = slots[slotId("departure")];
-        if (slot.server != kNoServer) // Tombstones leave no record.
+        if (slot.server != kLegacyTombstone) // Tombstones leave no record.
             schedule(time, pack(slot.server, slot.type));
-    }
-}
-
-void
-evacuateServers(DepartureRing &ring, Cluster &cluster,
-                const std::vector<std::size_t> &servers,
-                std::vector<Job> &refugees, std::vector<Seconds> &dues)
-{
-    refugees.clear();
-    dues.clear();
-    if (servers.empty())
-        return;
-    // Pair p = (position of the server in `servers`) * K + type. A
-    // pair holds one record per running job, so the cluster's counts
-    // lay out each pair's slice of `grouped`; the pass over the ring
-    // fills the slices in drain order and counts what each pair
-    // holds, past the end of its slice too.
-    const Cluster &view = cluster;
-    const std::size_t pairs = servers.size() * kNumWorkloads;
-    std::vector<std::size_t> start(pairs + 1, 0);
-    constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
-    std::vector<std::uint32_t> position(ring.servers(), kNone);
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        position[servers[i]] = static_cast<std::uint32_t>(i);
-        const CoreCounts &counts = view.server(servers[i]).coreCounts();
-        for (std::size_t t = 0; t < kNumWorkloads; ++t)
-            start[i * kNumWorkloads + t + 1] = counts[t];
-    }
-    for (std::size_t p = 1; p <= pairs; ++p)
-        start[p] += start[p - 1];
-    std::vector<std::uint64_t> grouped(start.back());
-    std::vector<std::size_t> held(pairs, 0);
-    ring.removeIf([&](std::uint64_t b, DepartureRing::Record record) {
-        const std::uint32_t i =
-            position[DepartureRing::serverOf(record)];
-        if (i == kNone)
-            return false;
-        const std::size_t p = i * kNumWorkloads + record % kNumWorkloads;
-        if (start[p] + held[p] < start[p + 1])
-            grouped[start[p] + held[p]] = b;
-        ++held[p];
-        return true;
-    });
-
-    refugees.reserve(grouped.size());
-    dues.reserve(grouped.size());
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        const std::size_t from = servers[i];
-        for (const WorkloadType type : kAllWorkloads) {
-            const std::size_t p = i * kNumWorkloads + workloadIndex(type);
-            const std::size_t count = start[p + 1] - start[p];
-            if (count != held[p])
-                panic("evacuation: server " + str(from) + " runs " +
-                      str(count) + " type-" + str(workloadIndex(type)) +
-                      " jobs but the departure ring holds " +
-                      str(held[p]));
-            for (std::size_t k = start[p]; k < start[p + 1]; ++k) {
-                cluster.removeJob(from, type);
-                refugees.push_back(Job{0, type, 0.0});
-                dues.push_back(ring.boundary(grouped[k]));
-            }
-        }
-    }
-}
-
-void
-migrateRecords(DepartureRing &ring,
-               const std::vector<MigrationRequest> &moves)
-{
-    using Record = DepartureRing::Record;
-    if (moves.empty())
-        return;
-    // Per source (server, type): how many records it gives up — no
-    // more of its own records than that can be taken — and its
-    // candidates as (drain position, record), earliest first.
-    struct Source
-    {
-        std::size_t gives = 0;
-        std::vector<std::pair<std::uint64_t, Record *>> candidates;
-    };
-    std::map<Record, Source> sources;
-    for (const MigrationRequest &move : moves)
-        ++sources[DepartureRing::pack(move.fromServer, move.type)].gives;
-
-    // One pass collects each source's earliest-draining records.
-    std::size_t wanted = moves.size();
-    std::uint64_t position = 0;
-    ring.forEachBucket([&](std::uint64_t, std::vector<Record> &bucket) {
-        for (Record &record : bucket) {
-            if (wanted == 0)
-                return;
-            const auto it = sources.find(record);
-            if (it != sources.end() &&
-                it->second.candidates.size() < it->second.gives) {
-                it->second.candidates.emplace_back(position, &record);
-                --wanted;
-            }
-            ++position;
-        }
-    });
-
-    // Serve the moves in request order; a moved record is a
-    // candidate at its destination from then on.
-    for (const MigrationRequest &move : moves) {
-        auto &from =
-            sources[DepartureRing::pack(move.fromServer, move.type)]
-                .candidates;
-        if (from.empty())
-            panic("migration: server " + str(move.fromServer) +
-                  " has no pending type-" +
-                  str(workloadIndex(move.type)) + " record to move");
-        const auto taken = from.front();
-        from.erase(from.begin());
-        const Record to = DepartureRing::pack(move.toServer, move.type);
-        *taken.second = to;
-        const auto dest = sources.find(to);
-        if (dest != sources.end()) {
-            auto &into = dest->second.candidates;
-            into.insert(std::upper_bound(into.begin(), into.end(),
-                                         taken),
-                        taken);
-        }
-    }
-}
-
-void
-checkLedger(const DepartureRing &ring, const Cluster &cluster)
-{
-    if (cluster.numServers() != ring.servers())
-        fatal("snapshot departure ledger covers " +
-              str(ring.servers()) + " servers, the cluster " +
-              str(cluster.numServers()));
-    const std::vector<std::uint32_t> counts = ring.countsByRecord();
-    for (std::size_t server = 0; server < ring.servers(); ++server) {
-        const CoreCounts &running = cluster.server(server).coreCounts();
-        for (const WorkloadType type : kAllWorkloads) {
-            const std::uint32_t pending =
-                counts[DepartureRing::pack(server, type)];
-            if (pending != running[workloadIndex(type)])
-                fatal("snapshot departure ledger holds " +
-                      str(pending) + " departures of server " +
-                      str(server) + " type " +
-                      str(workloadIndex(type)) +
-                      ", but the cluster runs " +
-                      str(running[workloadIndex(type)]) +
-                      " such jobs");
-        }
     }
 }
 

@@ -34,9 +34,8 @@
  * filing, so the steady state performs no allocation. (DESIGN.md
  * §8b.)
  *
- * Which job an evacuation or a migration moves is a rule over this
- * ring (evacuateServers, migrateRecords); DESIGN.md §11 and §16
- * state it.
+ * Which record an evacuation or a migration moves is a rule over this
+ * ring that the pod applies (sim/pod.h).
  */
 
 #ifndef VMT_SIM_DEPARTURE_RING_H
@@ -54,11 +53,8 @@
 
 namespace vmt {
 
-class Cluster;
 class Deserializer;
 class Serializer;
-struct Job;
-struct MigrationRequest;
 
 class DepartureRing
 {
@@ -390,41 +386,6 @@ class DepartureRing
     std::size_t size_ = 0;
     std::size_t inRing_ = 0;
 };
-
-/**
- * The evacuation rule (both drivers). One pass over the pending
- * records, in drain order, removes every record of a server in
- * `servers` and keeps its bucket per (server, type). The refugee
- * batch is then built server by server and type by type from the
- * cluster's counts, each job removed from the cluster, so the type
- * sequence placement sees does not depend on the ring. The i-th
- * refugee of a (server, type)
- * keeps the bucket of that pair's i-th record: dues[k] is that
- * bucket's boundary time, which schedule() maps back to the bucket.
- * Panics when a pair's record count differs from the cluster's.
- */
-void evacuateServers(DepartureRing &ring, Cluster &cluster,
-                     const std::vector<std::size_t> &servers,
-                     std::vector<Job> &refugees,
-                     std::vector<Seconds> &dues);
-
-/**
- * The migration rule (runSimulation with a migration budget). For
- * moves already applied to the cluster's counts, in request order,
- * one pass over the pending records gives each move the source's
- * earliest-draining record of that type at its turn (records moved
- * in by an earlier move count), rewriting it in place to name the
- * destination. Panics when a source has too few records.
- */
-void migrateRecords(DepartureRing &ring,
-                    const std::vector<MigrationRequest> &moves);
-
-/**
- * Snapshot check: the ring holds exactly the cluster's per-(server,
- * type) core counts. @throws FatalError naming the first pair that
- * differs.
- */
-void checkLedger(const DepartureRing &ring, const Cluster &cluster);
 
 } // namespace vmt
 

@@ -7,7 +7,6 @@
 #include "cooling/cooling_system.h"
 #include "fault/fault_engine.h"
 #include "obs/observability.h"
-#include "sim/departure_ring.h"
 #include "thermal/inlet_model.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -132,8 +131,10 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         drawInletOffsets(config.numServers, config.inletStddev, rng);
 
     const PowerModel power(config.spec, config.powerScale);
-    Cluster cluster(config.numServers, config.spec, config.thermal,
-                    power, offsets);
+    Pod pod(Cluster(config.numServers, config.spec, config.thermal,
+                    power, offsets),
+            scheduler, config.interval);
+    Cluster &cluster = pod.cluster;
 
     TraceParams trace_params = config.trace;
     trace_params.sampleInterval = config.interval;
@@ -165,11 +166,6 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         result.meltMap.emplace(config.numServers, trace.size());
     }
 
-    // One (server, type) record per running job: a departure is one
-    // Cluster::removeJob, and which job of a (server, type) leaves
-    // cannot change a result.
-    DepartureRing departures(config.interval, config.numServers);
-
     std::optional<CoolingSystem> plant;
     if (config.coolingCapacity > 0.0) {
         plant.emplace(config.coolingCapacity,
@@ -187,22 +183,16 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
     std::vector<Kelvin> recirc_offsets;
     if (recirc)
         rejected.resize(config.numServers, 0.0);
-    // Arrival buffer, likewise hoisted and reused.
+    // Arrival buffer and this interval's executed migrations, likewise
+    // hoisted and reused.
     std::vector<Job> arrivals;
-    // Batch-placement buffers: one placement result per arrival, the
-    // evacuation loop's refugee jobs + their kept due times, and this
-    // interval's executed migrations.
-    std::vector<std::size_t> placements;
-    std::vector<Job> refugees;
-    std::vector<Seconds> refugee_dues;
     std::vector<MigrationRequest> moves;
 
     // Fault layer: scripted/stochastic outages and degraded-mode
     // handling. Disabled (the default) leaves every code path below
     // exactly as before.
-    std::optional<FaultEngine> faults;
     if (config.faults.enabled())
-        faults.emplace(config.faults, config.numServers);
+        pod.faults.emplace(config.faults, config.numServers);
 
     // Observability: register the driver's handles and open the run
     // *before* the restore hook, so a snapshot OBSV section finds its
@@ -218,11 +208,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                     config.interval);
     }
 
-    SimState state{config,     trace.size(), cluster,
-                   generator,  scheduler,    departures,
-                   result,     prev_cooling_load,
-                   faults ? &*faults : nullptr,
-                   o};
+    SimState state{config, trace.size(), pod, generator,
+                   result, prev_cooling_load, o};
 
     // Resume: skip intervals a snapshot already covers. The hook
     // rebuilds every structure above in place; everything not restored
@@ -237,7 +224,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
     // The cooling derate already pushed into per-server inlets; only
     // a *change* re-pushes below (and per-server CLUS state restores
     // the applied value on resume).
-    Kelvin applied_supply_rise = faults ? faults->supplyRise() : 0.0;
+    if (pod.faults)
+        pod.appliedRise = pod.faults->supplyRise();
 
     // Job-accounting totals as of the last recorded interval, so the
     // per-interval counters/telemetry record deltas. Read after the
@@ -257,20 +245,17 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         // 1. Complete jobs due by now.
         {
             obs::ScopedPhase timer(prof, dobs.phaseDepartures);
-            departures.drain(now, [&](DepartureRing::Record record) {
-                cluster.removeJob(DepartureRing::serverOf(record),
-                                  DepartureRing::typeOf(record));
-            });
+            pod.drain(now);
         }
 
         // 1b. Apply fault events due at this boundary (server
         // outages/repairs, cooling derates, stochastic draws,
         // thermal-emergency quarantine).
         std::vector<std::size_t> evacuating;
-        if (faults) {
+        if (pod.faults) {
             obs::ScopedPhase timer(prof, dobs.phaseFault);
-            evacuating = faults->beginInterval(cluster, now,
-                                               config.interval);
+            evacuating = pod.faults->beginInterval(cluster, now,
+                                                   config.interval);
         }
 
         // 2. Refresh per-interval scheduler state (wax scans etc.)
@@ -289,32 +274,22 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         // Failed server reports no capacity regardless of its
         // residual bookkeeping, and placement reads only frozen heap
         // keys, thermal state and live capacity. A placed refugee
-        // keeps its departure bucket (evacuateServers); jobs with
+        // keeps its departure bucket (Pod::evacuate); jobs with
         // nowhere to go are lost.
         if (!evacuating.empty()) {
             {
                 obs::ScopedPhase timer(prof, dobs.phasePlacementEvac);
-                evacuateServers(departures, cluster, evacuating,
-                                refugees, refugee_dues);
-                scheduler.placeJobs(cluster, refugees, placements);
-                checkPlacements(scheduler, refugees.size(), placements,
-                                config.numServers);
+                pod.evacuate(evacuating);
+                pod.place(pod.refugees);
             }
             obs::ScopedPhase timer(prof, dobs.phaseLedger);
-            for (std::size_t k = 0; k < refugees.size(); ++k) {
-                const std::size_t to = placements[k];
-                if (to == kNoServer) {
-                    ++result.lostJobs;
-                    continue;
-                }
-                departures.schedule(
-                    refugee_dues[k],
-                    DepartureRing::pack(to, refugees[k].type));
-                ++result.evacuatedJobs;
-            }
+            const std::size_t placed = pod.file(
+                pod.refugees, [&](std::size_t k) { return pod.dues[k]; });
+            result.evacuatedJobs += placed;
+            result.lostJobs += pod.refugees.size() - placed;
         }
 
-        // Migrations are decided on core counts; migrateRecords then
+        // Migrations are decided on core counts; Pod::migrate then
         // re-homes each move's departure record (the source's
         // earliest-draining one of that type).
         if (config.migrationBudget > 0) {
@@ -339,7 +314,7 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
                 ++result.migrations;
                 --budget;
             }
-            migrateRecords(departures, moves);
+            pod.migrate(moves);
         }
 
         // 3. Place this interval's arrivals.
@@ -356,23 +331,16 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
             // the departure records below are driver-local and cannot
             // influence decisions.
             obs::ScopedPhase timer(prof, dobs.phasePlacement);
-            scheduler.placeJobs(cluster, arrivals, placements);
-            checkPlacements(scheduler, arrivals.size(), placements,
-                            config.numServers);
+            pod.place(arrivals);
         }
         {
             obs::ScopedPhase timer(prof, dobs.phaseLedger);
-            for (std::size_t k = 0; k < arrivals.size(); ++k) {
-                const Job &job = arrivals[k];
-                const std::size_t id = placements[k];
-                if (id == kNoServer) {
-                    ++result.droppedJobs;
-                    continue;
-                }
-                departures.schedule(now + job.duration,
-                                    DepartureRing::pack(id, job.type));
-                ++result.placedJobs;
-            }
+            const std::size_t placed =
+                pod.file(arrivals, [&](std::size_t k) {
+                    return now + arrivals[k].duration;
+                });
+            result.placedJobs += placed;
+            result.droppedJobs += arrivals.size() - placed;
         }
 
         // 4. Cooling-plant feedback: an overloaded plant cannot hold
@@ -381,21 +349,17 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         Celsius inlet = config.thermal.inletTemp;
         if (plant)
             inlet = plant->inletFor(prev_cooling_load);
-        if (faults) {
-            inlet += faults->supplyRise();
-            if (!plant && !recirc &&
-                faults->supplyRise() != applied_supply_rise)
-                cluster.setBaseInlet(inlet);
-            applied_supply_rise = faults->supplyRise();
-        }
+        if (pod.faults)
+            inlet += pod.faults->supplyRise();
+        if (!plant && !recirc)
+            pod.pushSupplyRise(config.thermal.inletTemp);
         if (plant && !recirc)
             cluster.setBaseInlet(inlet);
         // 4b. Rack recirculation: each rack's exhaust warms its own
         // inlets in proportion to the rack's heat.
         if (recirc) {
-            // Read-only access (std::as_const) so the per-server
-            // power caches are consulted without invalidating the
-            // cluster aggregate.
+            // Read-only access (std::as_const), so no server's
+            // gathered power goes stale.
             const Cluster &cc = std::as_const(cluster);
             for (std::size_t id = 0; id < config.numServers; ++id)
                 rejected[id] =
@@ -410,8 +374,7 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         ClusterSample sample;
         {
             obs::ScopedPhase timer(prof, dobs.phaseThermal);
-            sample = cluster.stepThermal(config.interval,
-                                         config.overheatTemp);
+            sample = cluster.stepThermal(config.interval, kOverheatTemp);
         }
         prev_cooling_load = sample.coolingLoad;
         result.maxAirTemp =
@@ -430,7 +393,7 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         result.utilization.add(utilization_now);
         result.aliveServers.add(
             static_cast<double>(cluster.aliveServers()));
-        if (faults && config.faults.criticalTemp > 0.0) {
+        if (pod.faults && config.faults.criticalTemp > 0.0) {
             const Cluster &cc = std::as_const(cluster);
             for (std::size_t id = 0; id < config.numServers; ++id)
                 if (cc.server(id).airTemp() >=
@@ -490,7 +453,7 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
 
         if (config.recordHeatmaps) {
             for (std::size_t id = 0; id < config.numServers; ++id) {
-                const Server &srv = cluster.server(id);
+                const Server &srv = std::as_const(cluster).server(id);
                 result.airTempMap->at(id, interval) = srv.airTemp();
                 result.meltMap->at(id, interval) =
                     srv.waxMeltFraction() * 100.0;
@@ -506,9 +469,8 @@ runSimulation(const SimConfig &config, Scheduler &scheduler,
         }
     }
 
-    result.peakCoolingLoad =
-        result.coolingLoad.smoothedPeak(config.peakWindow);
-    result.peakPower = result.totalPower.smoothedPeak(config.peakWindow);
+    result.peakCoolingLoad = result.coolingLoad.smoothedPeak(kPeakWindow);
+    result.peakPower = result.totalPower.smoothedPeak(kPeakWindow);
     result.maxMeltFraction = result.meanMeltFraction.peak();
 
     if (o) {

@@ -24,7 +24,7 @@
 #include "sched/scheduler.h"
 #include "server/cluster.h"
 #include "server/server_spec.h"
-#include "sim/departure_ring.h"
+#include "sim/pod.h"
 #include "thermal/thermal_params.h"
 #include "util/heatmap.h"
 #include "util/time_series.h"
@@ -39,7 +39,12 @@ class Observability;
 } // namespace obs
 
 struct SimState;
-class FaultEngine;
+
+/** Smoothing window (in intervals) for the peak cooling load and the
+ *  peak power. */
+inline constexpr std::size_t kPeakWindow = 15;
+/** Air temperature counted as overheating a server. */
+inline constexpr Celsius kOverheatTemp = 45.0;
 
 /** Everything needed to reproduce one scale-out run. */
 struct SimConfig
@@ -69,8 +74,6 @@ struct SimConfig
     std::uint64_t seed = 7;
     /** Record per-server heatmaps (costs memory on big runs). */
     bool recordHeatmaps = false;
-    /** Smoothing window (in intervals) for the peak cooling load. */
-    std::size_t peakWindow = 15;
 
     /**
      * Cooling plant capacity in watts; 0 leaves the plant
@@ -81,8 +84,6 @@ struct SimConfig
     Watts coolingCapacity = 0.0;
     /** Inlet rise per watt of heat beyond the plant capacity. */
     KelvinPerWatt coolingOverloadRise = 1.5e-3;
-    /** Air temperature counted as overheating a server. */
-    Celsius overheatTemp = 45.0;
 
     /** Migrations the scheduler may execute per interval (0 turns
      *  live migration off; placement then relies on job churn). */
@@ -171,7 +172,7 @@ struct SimResult
     double maxMeltFraction = 0.0;
     /** Hottest per-server air temperature seen in the run. */
     Celsius maxAirTemp = 0.0;
-    /** Server-intervals spent at or above SimConfig::overheatTemp. */
+    /** Server-intervals spent at or above kOverheatTemp. */
     std::uint64_t overheatedServerIntervals = 0;
     /** Server-intervals spent thermally throttled (the downclocking
      *  TTS/VMT are meant to avoid). */
@@ -208,18 +209,14 @@ struct SimState
     const SimConfig &config;
     /** Total intervals in the trace (the run length). */
     std::size_t numIntervals;
-    Cluster &cluster;
+    /** The cluster, the policy, the departure ring and, when
+     *  SimConfig::faults is enabled, the fault engine (serialized
+     *  into the snapshot FALT section, format v2). */
+    Pod &pod;
     JobGenerator &generator;
-    Scheduler &scheduler;
-    /** Pending departures: one (server, type) record per running
-     *  job. */
-    DepartureRing &departures;
     SimResult &result;
     /** Previous interval's cooling load (plant feedback input). */
     Watts &prevCoolingLoad;
-    /** Fault engine when SimConfig::faults is enabled, else null.
-     *  Serialized into the snapshot FALT section (format v2). */
-    FaultEngine *faults;
     /** Observability layer when SimConfig::obs is attached, else
      *  null. Serialized into the optional OBSV snapshot section. */
     obs::Observability *obs;

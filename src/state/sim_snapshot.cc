@@ -69,14 +69,14 @@ configFields(IO &io, const SimState &state, std::size_t &completed)
     echo(io, "inlet stddev", config.inletStddev);
     echo(io, "cooling capacity", config.coolingCapacity);
     echo(io, "cooling overload rise", config.coolingOverloadRise);
-    echo(io, "overheat temp", config.overheatTemp);
+    echo(io, "overheat temp", kOverheatTemp);
     echo(io, "migration budget", config.migrationBudget);
-    echo(io, "peak window", config.peakWindow);
+    echo(io, "peak window", kPeakWindow);
     echo(io, "recirculation modelling", config.modelRecirculation);
     echo(io, "heatmap recording", config.recordHeatmaps);
     echo(io, "PCM integrator", kClosedFormIntegratorTag,
          integratorTagName);
-    echo(io, "scheduler", state.scheduler.name());
+    echo(io, "scheduler", state.pod.scheduler.name());
 }
 
 /** RSLT: the series and aggregates accumulated so far, plus the
@@ -118,9 +118,10 @@ faultFields(IO &io, const SimState &state, std::size_t completed)
     echo(io, "fault layer enabled", faults.enable);
     echoFaultParams(io, faults);
     echoFaultPlan(io, faults.plan);
-    echo(io, "fault engine active", state.faults != nullptr);
-    if (state.faults)
-        nested(io, *state.faults, state.cluster);
+    Pod &pod = state.pod;
+    echo(io, "fault engine active", pod.faults.has_value());
+    if (pod.faults)
+        nested(io, *pod.faults, pod.cluster);
     SimResult &result = state.result;
     series(io, result.aliveServers, completed, "aliveServers");
     field(io, result.evacuatedJobs);
@@ -137,11 +138,11 @@ saveSnapshot(const SimState &state, std::size_t completed,
     SnapshotWriter writer;
     configFields(writer.section("CONF"), state, completed);
     state.generator.saveState(writer.section("GENR"));
-    state.cluster.saveState(writer.section("CLUS"));
+    state.pod.cluster.saveState(writer.section("CLUS"));
     // QUEU (format v3): the departure ring, one 4-byte (server, type)
     // record per running job, bucket by bucket in drain order.
-    state.departures.saveState(writer.section("QUEU"));
-    state.scheduler.saveState(writer.section("SCHD"));
+    state.pod.departures.saveState(writer.section("QUEU"));
+    state.pod.scheduler.saveState(writer.section("SCHD"));
     resultFields(writer.section("RSLT"), state, completed);
     faultFields(writer.section("FALT"), state, completed);
     // OBSV (optional): metric values + run telemetry, written only
@@ -168,22 +169,19 @@ loadSnapshot(SimState &state, const std::string &path)
     restoreSection(reader, check, "GENR",
                    [&](Restore &io) { nested(io, state.generator); });
     restoreSection(reader, check, "CLUS",
-                   [&](Restore &io) { nested(io, state.cluster); });
+                   [&](Restore &io) { nested(io, state.pod.cluster); });
 
     // QUEU: the departure ring (v3), or a v1/v2 slot-table ledger
     // converted to records. Either way the next drain is the resume
     // boundary, and the ring must hold exactly the cluster's jobs.
     Deserializer queue = reader.section("QUEU");
-    const Seconds resume = static_cast<double>(completed) * config.interval;
-    if (reader.version() >= 3)
-        state.departures.loadState(queue, resume);
-    else
-        state.departures.loadLegacy(queue, resume);
+    state.pod.loadLedger(queue, reader.version(),
+                         static_cast<double>(completed) * config.interval);
     queue.expectEnd();
-    checkLedger(state.departures, state.cluster);
+    state.pod.checkLedger();
 
     restoreSection(reader, check, "SCHD",
-                   [&](Restore &io) { nested(io, state.scheduler); });
+                   [&](Restore &io) { nested(io, state.pod.scheduler); });
     restoreSection(reader, check, "RSLT", [&](Restore &io) {
         resultFields(io, state, completed);
     });

@@ -59,9 +59,9 @@ TEST(Migration, BookkeepingSurvivesConstantChurn)
     std::size_t mismatches = 0;
     config.checkpointHook = [&mismatches](const SimState &state,
                                           std::size_t) {
-        const Cluster &cluster = state.cluster;
+        const Cluster &cluster = state.pod.cluster;
         const std::vector<std::uint32_t> pending =
-            state.departures.countsByRecord();
+            state.pod.departures.countsByRecord();
         for (std::size_t id = 0; id < cluster.numServers(); ++id)
             for (const WorkloadType type : kAllWorkloads)
                 mismatches += pending[DepartureRing::pack(id, type)] !=

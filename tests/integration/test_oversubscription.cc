@@ -80,7 +80,7 @@ TEST(Oversubscription, SeverelyUndersizedPlantOverheatsServers)
     RoundRobinScheduler rr;
     const SimResult r = runSimulation(config, rr);
     EXPECT_GT(r.overheatedServerIntervals, 0u);
-    EXPECT_GT(r.maxAirTemp, config.overheatTemp);
+    EXPECT_GT(r.maxAirTemp, kOverheatTemp);
 }
 
 } // namespace

@@ -383,9 +383,9 @@ TEST(PlacementSimEquivalence, DepartureLedgerMatchesTheClusterEveryInterval)
             std::size_t mismatches = 0;
             config.checkpointHook = [&](const SimState &state,
                                         std::size_t) {
-                const Cluster &cluster = state.cluster;
+                const Cluster &cluster = state.pod.cluster;
                 const std::vector<std::uint32_t> pending =
-                    state.departures.countsByRecord();
+                    state.pod.departures.countsByRecord();
                 for (std::size_t id = 0; id < cluster.numServers();
                      ++id)
                     for (const WorkloadType type : kAllWorkloads)

@@ -136,7 +136,7 @@ class Twin
     }
 
     /** Rewrite some records in place through the mutable
-     *  forEachBucket, as migrateRecords does. */
+     *  forEachBucket, as Pod::migrate does. */
     void
     rewrite(std::uint64_t salt)
     {

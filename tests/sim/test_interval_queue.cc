@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the departure ring (sim/departure_ring.h), the
- * interval-bucketed queue both drivers drain. The suite keeps its
- * name, IntervalQueue, from the time-ordered queue the ring replaced.
+ * interval-bucketed queue both drivers drain, and for the pod
+ * operations over it (sim/pod.h). The suite keeps its name,
+ * IntervalQueue, from the time-ordered queue the ring replaced.
  *
  * The contract under test: for any schedule sequence drained once per
  * interval boundary, the records the ring hands over at a boundary
@@ -22,10 +23,13 @@
 #include <utility>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "reference/event_queue.h"
+#include "sched/round_robin.h"
 #include "sched/scheduler.h"
 #include "server/cluster.h"
 #include "sim/departure_ring.h"
+#include "sim/pod.h"
 #include "state/serializer.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -581,61 +585,71 @@ TEST(DepartureRing, RecordsPackServerAndType)
     EXPECT_EQ(DepartureRing::typeOf(record), WorkloadType::VirusScan);
 }
 
-/** A small pod whose ring and cluster agree: server s runs jobs of
- *  the listed types, each due at the listed time. */
-struct Pod
+/** A 4-server pod under `policy`. */
+Pod
+smallPod(Scheduler &policy)
 {
-    Pod() : cluster(4, ServerSpec{}, ServerThermalParams{},
-                    PowerModel(ServerSpec{}, 1.77))
-    {}
+    return Pod(Cluster(4, ServerSpec{}, ServerThermalParams{},
+                       PowerModel(ServerSpec{}, 1.77)),
+               policy, kDt);
+}
 
-    void
-    add(std::size_t server, WorkloadType type, Seconds due)
-    {
-        cluster.addJob(server, type);
-        ring.schedule(due, DepartureRing::pack(server, type));
-    }
+/** Run a job of `type` on `server` with its departure record due at
+ *  `due`, so the pod's ring and cluster keep agreeing. */
+void
+add(Pod &pod, std::size_t server, WorkloadType type, Seconds due)
+{
+    pod.cluster.addJob(server, type);
+    pod.departures.schedule(due, DepartureRing::pack(server, type));
+}
 
-    Cluster cluster;
-    DepartureRing ring{kDt, 4};
-};
+/** Every pending record of a ring as (bucket, record), in drain
+ *  order. */
+std::vector<std::pair<std::uint64_t, Record>>
+pendingOf(const DepartureRing &ring)
+{
+    std::vector<std::pair<std::uint64_t, Record>> pending;
+    ring.forEachBucket(
+        [&](std::uint64_t b, const std::vector<Record> &bucket) {
+            for (const Record record : bucket)
+                pending.emplace_back(b, record);
+        });
+    return pending;
+}
 
 TEST(DepartureRing, EvacuationKeepsEachPairsBucketsInDrainOrder)
 {
     using WT = WorkloadType;
-    Pod pod;
-    pod.add(1, WT::DataCaching, 5.0 * kDt);   // bucket 5
-    pod.add(0, WT::WebSearch, 2.0 * kDt);     // bucket 2, stays
-    pod.add(1, WT::WebSearch, 4.0 * kDt);     // bucket 4
-    pod.add(3, WT::Clustering, 3.0 * kDt);    // bucket 3
-    pod.add(1, WT::DataCaching, 2.5 * kDt);   // bucket 3
-    pod.add(2, WT::VirusScan, 3.0 * kDt);     // bucket 3, stays
-    pod.add(1, WT::DataCaching, 1.0 * kDt);   // bucket 1
-    pod.add(0, WT::Clustering, 5.0 * kDt);    // bucket 5, stays
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    add(pod, 1, WT::DataCaching, 5.0 * kDt);   // bucket 5
+    add(pod, 0, WT::WebSearch, 2.0 * kDt);     // bucket 2, stays
+    add(pod, 1, WT::WebSearch, 4.0 * kDt);     // bucket 4
+    add(pod, 3, WT::Clustering, 3.0 * kDt);    // bucket 3
+    add(pod, 1, WT::DataCaching, 2.5 * kDt);   // bucket 3
+    add(pod, 2, WT::VirusScan, 3.0 * kDt);     // bucket 3, stays
+    add(pod, 1, WT::DataCaching, 1.0 * kDt);   // bucket 1
+    add(pod, 0, WT::Clustering, 5.0 * kDt);    // bucket 5, stays
 
-    std::vector<Job> refugees;
-    std::vector<Seconds> dues;
-    evacuateServers(pod.ring, pod.cluster, {3, 1}, refugees, dues);
+    pod.evacuate({3, 1});
 
     // Server by server in the given order, type by type; each pair's
     // refugees take its records' buckets in drain order.
     std::vector<WT> types;
-    for (const Job &job : refugees)
+    for (const Job &job : pod.refugees)
         types.push_back(job.type);
     EXPECT_EQ(types, (std::vector<WT>{WT::Clustering, WT::WebSearch,
                                       WT::DataCaching, WT::DataCaching,
                                       WT::DataCaching}));
-    EXPECT_EQ(dues, (std::vector<Seconds>{3.0 * kDt, 4.0 * kDt,
-                                          1.0 * kDt, 3.0 * kDt,
-                                          5.0 * kDt}));
+    EXPECT_EQ(pod.dues, (std::vector<Seconds>{3.0 * kDt, 4.0 * kDt,
+                                              1.0 * kDt, 3.0 * kDt,
+                                              5.0 * kDt}));
     EXPECT_EQ(pod.cluster.server(1).busyCores(), 0u);
     EXPECT_EQ(pod.cluster.server(3).busyCores(), 0u);
 
     // The other records keep their buckets and order.
-    EXPECT_EQ(pod.ring.size(), 3u);
-    std::vector<Record> rest;
-    pod.ring.drain(10.0 * kDt,
-                   [&rest](Record record) { rest.push_back(record); });
+    EXPECT_EQ(pod.departures.size(), 3u);
+    const std::vector<Record> rest = drained(pod.departures, 10.0 * kDt);
     EXPECT_EQ(rest, (std::vector<Record>{
                         DepartureRing::pack(0, WT::WebSearch),
                         DepartureRing::pack(2, WT::VirusScan),
@@ -645,12 +659,13 @@ TEST(DepartureRing, EvacuationKeepsEachPairsBucketsInDrainOrder)
 TEST(DepartureRing, MigrationTakesEachSourcesEarliestDrainingRecord)
 {
     using WT = WorkloadType;
-    Pod pod;
-    pod.add(0, WT::WebSearch, 4.0 * kDt);
-    pod.add(0, WT::WebSearch, 2.0 * kDt);
-    pod.add(1, WT::WebSearch, 3.0 * kDt);
-    pod.add(0, WT::WebSearch, 6.0 * kDt);
-    pod.add(0, WT::VirusScan, 1.0 * kDt);
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    add(pod, 0, WT::WebSearch, 4.0 * kDt);
+    add(pod, 0, WT::WebSearch, 2.0 * kDt);
+    add(pod, 1, WT::WebSearch, 3.0 * kDt);
+    add(pod, 0, WT::WebSearch, 6.0 * kDt);
+    add(pod, 0, WT::VirusScan, 1.0 * kDt);
 
     // 0 -> 1 takes server 0's bucket-2 record; 1 -> 2 then takes the
     // earliest of server 1's records, that same moved record; the
@@ -662,38 +677,28 @@ TEST(DepartureRing, MigrationTakesEachSourcesEarliestDrainingRecord)
         pod.cluster.removeJob(move.fromServer, move.type);
         pod.cluster.addJob(move.toServer, move.type);
     }
-    migrateRecords(pod.ring, moves);
+    pod.migrate(moves);
 
-    std::vector<std::pair<std::uint64_t, Record>> pending;
-    pod.ring.forEachBucket(
-        [&](std::uint64_t b, const std::vector<Record> &bucket) {
-            for (const Record record : bucket)
-                pending.emplace_back(b, record);
-        });
     using DR = DepartureRing;
-    EXPECT_EQ(pending,
+    EXPECT_EQ(pendingOf(pod.departures),
               (std::vector<std::pair<std::uint64_t, Record>>{
                   {1, DR::pack(0, WT::VirusScan)},
                   {2, DR::pack(2, WT::WebSearch)},
                   {3, DR::pack(1, WT::WebSearch)},
                   {4, DR::pack(3, WT::WebSearch)},
                   {6, DR::pack(0, WT::WebSearch)}}));
-    EXPECT_NO_THROW(checkLedger(pod.ring, pod.cluster));
+    EXPECT_NO_THROW(pod.checkLedger());
 }
 
 TEST(DepartureRing, RulesPanicWhenTheRingMissesAJob)
 {
     // A job the cluster runs without a departure record is a driver
     // bug; evacuation and migration name it instead of guessing.
-    Pod pod;
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
     pod.cluster.addJob(1, WorkloadType::WebSearch);
-    std::vector<Job> refugees;
-    std::vector<Seconds> dues;
-    EXPECT_DEATH(evacuateServers(pod.ring, pod.cluster, {1}, refugees,
-                                 dues),
-                 "server 1 runs 1 type-0 jobs");
-    EXPECT_DEATH(migrateRecords(pod.ring,
-                                {{1, WorkloadType::WebSearch, 2}}),
+    EXPECT_DEATH(pod.evacuate({1}), "server 1 runs 1 type-0 jobs");
+    EXPECT_DEATH(pod.migrate({{1, WorkloadType::WebSearch, 2}}),
                  "server 1 has no pending type-0 record");
 }
 
@@ -704,33 +709,102 @@ TEST(DepartureRing, EvacuationPanicsWhenTheRingHoldsAnExtraRecord)
     // counts); evacuation still counts every record and names the
     // pair with the ring's full count.
     using WT = WorkloadType;
-    Pod pod;
-    pod.add(1, WT::WebSearch, 2.0 * kDt);
-    pod.add(1, WT::WebSearch, 3.0 * kDt);
-    pod.add(1, WT::DataCaching, 2.0 * kDt);
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    add(pod, 1, WT::WebSearch, 2.0 * kDt);
+    add(pod, 1, WT::WebSearch, 3.0 * kDt);
+    add(pod, 1, WT::DataCaching, 2.0 * kDt);
     pod.cluster.removeJob(1, WT::WebSearch);
-    std::vector<Job> refugees;
-    std::vector<Seconds> dues;
-    EXPECT_DEATH(evacuateServers(pod.ring, pod.cluster, {1}, refugees,
-                                 dues),
+    EXPECT_DEATH(pod.evacuate({1}),
                  "server 1 runs 1 type-0 jobs but the departure ring "
                  "holds 2");
 }
 
 TEST(DepartureRing, LedgerCheckNamesTheFirstDisagreeingPair)
 {
-    Pod pod;
-    pod.add(2, WorkloadType::VideoEncoding, kDt);
-    EXPECT_NO_THROW(checkLedger(pod.ring, pod.cluster));
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    add(pod, 2, WorkloadType::VideoEncoding, kDt);
+    EXPECT_NO_THROW(pod.checkLedger());
     pod.cluster.addJob(2, WorkloadType::VideoEncoding);
     try {
-        checkLedger(pod.ring, pod.cluster);
+        pod.checkLedger();
         ADD_FAILURE() << "a missing departure was accepted";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("server 2 type 2"),
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(Pod, FileSkipsUnplacedJobsAndFilesTheRestAtTheirDue)
+{
+    // file() reads the last placement result: kNoServer entries file
+    // nothing and are not counted, and each placed job lands in the
+    // bucket of its own due time.
+    using WT = WorkloadType;
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    const std::vector<Job> jobs = {{0, WT::WebSearch, 0.0},
+                                   {1, WT::VirusScan, 0.0},
+                                   {2, WT::Clustering, 0.0},
+                                   {3, WT::DataCaching, 0.0}};
+    pod.placements = {3, kNoServer, 0, 3};
+    const std::vector<Seconds> due = {2.5 * kDt, 1.0 * kDt, 1.0 * kDt,
+                                      0.5 * kDt};
+    EXPECT_EQ(pod.file(jobs, [&](std::size_t k) { return due[k]; }), 3u);
+
+    using DR = DepartureRing;
+    EXPECT_EQ(pendingOf(pod.departures),
+              (std::vector<std::pair<std::uint64_t, Record>>{
+                  {1, DR::pack(0, WT::Clustering)},
+                  {1, DR::pack(3, WT::DataCaching)},
+                  {3, DR::pack(3, WT::WebSearch)}}));
+}
+
+TEST(Pod, DrainReturnsTheDrainedCount)
+{
+    using WT = WorkloadType;
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    add(pod, 0, WT::WebSearch, 1.0 * kDt);
+    add(pod, 2, WT::WebSearch, 0.5 * kDt);
+    add(pod, 2, WT::VirusScan, 3.0 * kDt);
+    EXPECT_EQ(pod.drain(0.0), 0u);
+    EXPECT_EQ(pod.drain(1.0 * kDt), 2u);
+    EXPECT_EQ(pod.cluster.busyCores(), 1u);
+    EXPECT_EQ(pod.drain(2.0 * kDt), 0u);
+    EXPECT_EQ(pod.drain(3.0 * kDt), 1u);
+    EXPECT_EQ(pod.cluster.busyCores(), 0u);
+    EXPECT_TRUE(pod.departures.empty());
+}
+
+TEST(Pod, SupplyRiseIsPushedWhenItChangesARestoreIncluded)
+{
+    RoundRobinScheduler policy;
+    Pod pod = smallPod(policy);
+    const auto inlet = [&pod] {
+        return std::as_const(pod.cluster).server(2).inletTemp();
+    };
+    const Celsius initial = inlet();
+    pod.pushSupplyRise(30.0); // No engine: nothing to push.
+    EXPECT_EQ(inlet(), initial);
+
+    FaultConfig config;
+    config.plan = FaultPlan::parse("0 cooling-derate 2\n"
+                                   "0.5 cooling-restore\n");
+    pod.faults.emplace(config, pod.cluster.numServers());
+    pod.faults->beginInterval(pod.cluster, 0.0, kDt);
+    pod.pushSupplyRise(30.0);
+    EXPECT_EQ(pod.appliedRise, 2.0);
+    EXPECT_EQ(inlet(), 32.0);
+    pod.pushSupplyRise(20.0); // Same rise: the latch holds.
+    EXPECT_EQ(inlet(), 32.0);
+
+    pod.faults->beginInterval(pod.cluster, 0.5 * kHour, kDt);
+    pod.pushSupplyRise(30.0);
+    EXPECT_EQ(pod.appliedRise, 0.0);
+    EXPECT_EQ(inlet(), 30.0);
 }
 
 TEST(DepartureRing, LoaderRejectsWhatSaveStateNeverWrites)
@@ -854,14 +928,7 @@ TEST(DepartureRing, LegacyLedgerConvertsAndDropsTombstones)
     // Each live departure becomes a record in its time's bucket, a
     // late one (0.5 dt, before the resume boundary) in the resume
     // bucket; the tombstone leaves none.
-    const DepartureRing ring = legacyLedger().load();
-    std::vector<std::pair<std::uint64_t, Record>> pending;
-    ring.forEachBucket(
-        [&](std::uint64_t b, const std::vector<Record> &bucket) {
-            for (const Record record : bucket)
-                pending.emplace_back(b, record);
-        });
-    EXPECT_EQ(pending,
+    EXPECT_EQ(pendingOf(legacyLedger().load()),
               (std::vector<std::pair<std::uint64_t, Record>>{
                   {1, DepartureRing::pack(3, WorkloadType::Clustering)},
                   {2, DepartureRing::pack(1, WorkloadType::WebSearch)}}));

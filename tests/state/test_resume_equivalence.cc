@@ -284,12 +284,12 @@ TEST(ResumeEquivalence, MidMeltCheckpointRestoresPartialEnthalpy)
                                 std::size_t completed) {
         if (completed != at)
             return;
+        const Cluster &cluster = state.pod.cluster;
         double sum = 0.0;
-        for (std::size_t id = 0; id < state.cluster.numServers();
-             ++id)
-            sum += state.cluster.server(id).waxMeltFraction();
+        for (std::size_t id = 0; id < cluster.numServers(); ++id)
+            sum += cluster.server(id).waxMeltFraction();
         const double mean =
-            sum / static_cast<double>(state.cluster.numServers());
+            sum / static_cast<double>(cluster.numServers());
         EXPECT_GT(mean, 0.0);
         EXPECT_LT(mean, 1.0);
         checkpointed_mid_melt = true;

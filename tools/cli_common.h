@@ -2,8 +2,8 @@
  * @file
  * Command-line code that vmtsim and vmtserve share: the export
  * destinations, checked count flags, the fault flags, the end-of-run
- * export and the unknown-flag report. Messages carry the calling
- * tool's name.
+ * export and the unknown-flag report. A fatal's message leaves the
+ * tool's name to the caller's main(), which prefixes it once.
  */
 
 #ifndef VMT_TOOLS_CLI_COMMON_H
@@ -34,14 +34,14 @@ obsOptionsFromFlags(const Flags &flags)
 }
 
 /** Integer flag @p name (default @p fallback) as a count; a value
- *  below @p least is fatal: "<tool>: --<name> must be <rule>". */
+ *  below @p least is fatal: "--<name> must be <rule>". */
 inline std::size_t
-countFlag(const Flags &flags, const std::string &tool, const char *name,
-          long long fallback, long long least, const char *rule)
+countFlag(const Flags &flags, const char *name, long long fallback,
+          long long least, const char *rule)
 {
     const long long value = flags.getInt(name, fallback);
     if (value < least)
-        fatal(tool + ": --" + name + " must be " + rule);
+        fatal(std::string("--") + name + " must be " + rule);
     return static_cast<std::size_t>(value);
 }
 
@@ -49,19 +49,18 @@ countFlag(const Flags &flags, const std::string &tool, const char *name,
  *  --critical-temp into @p faults; a negative rate or temperature is
  *  fatal. */
 inline void
-readFaultFlags(const Flags &flags, const std::string &tool,
-               FaultConfig &faults)
+readFaultFlags(const Flags &flags, FaultConfig &faults)
 {
     if (flags.has("fault-plan"))
         faults.plan = FaultPlan::loadFile(flags.getString("fault-plan"));
     faults.seed = static_cast<std::uint64_t>(flags.getInt("fault-seed", 1));
     faults.mtbf = flags.getDouble("fault-mtbf", 0.0);
     if (faults.mtbf < 0.0)
-        fatal(tool + ": --fault-mtbf must be >= 0 (0 = off)");
+        fatal("--fault-mtbf must be >= 0 (0 = off)");
     faults.repairTime = flags.getDouble("fault-repair", 4.0);
     faults.criticalTemp = flags.getDouble("critical-temp", 0.0);
     if (faults.criticalTemp < 0.0)
-        fatal(tool + ": --critical-temp must be >= 0 (0 = off)");
+        fatal("--critical-temp must be >= 0 (0 = off)");
 }
 
 /** Write the metrics and trace events the flags ask for from the

@@ -132,9 +132,8 @@ configFromFlags(const Flags &flags)
 {
     ServeConfig config;
     config.numServers =
-        cli::countFlag(flags, kTool, "servers", 1000, 1, "positive");
-    config.podSize =
-        cli::countFlag(flags, kTool, "pod-size", 256, 1, "positive");
+        cli::countFlag(flags, "servers", 1000, 1, "positive");
+    config.podSize = cli::countFlag(flags, "pod-size", 256, 1, "positive");
     config.seed =
         static_cast<std::uint64_t>(flags.getInt("seed", 7));
     config.policy = flags.getString("policy", "wa");
@@ -142,19 +141,18 @@ configFromFlags(const Flags &flags)
     config.waxThreshold = flags.getDouble("threshold", 0.98);
     config.overheatTemp = flags.getDouble("overheat-temp", 45.0);
 
-    config.queueCapacity = cli::countFlag(flags, kTool, "queue-capacity",
-                                          65536, 1, "positive");
+    config.queueCapacity =
+        cli::countFlag(flags, "queue-capacity", 65536, 1, "positive");
     config.admissionBudget = cli::countFlag(
-        flags, kTool, "admission-budget", 0, 0, ">= 0 (0 = unlimited)");
+        flags, "admission-budget", 0, 0, ">= 0 (0 = unlimited)");
     config.admit =
         admitPolicyFromString(flags.getString("admit", "queue"));
     config.maxQueueAge = flags.getDouble("max-queue-age", 0.0);
     if (config.maxQueueAge < 0.0)
-        fatal("vmtserve: --max-queue-age must be >= 0 (0 = off)");
+        fatal("--max-queue-age must be >= 0 (0 = off)");
 
-    cli::readFaultFlags(flags, kTool, config.faults);
-    config.evacRetries =
-        cli::countFlag(flags, kTool, "evac-retries", 3, 0, ">= 0");
+    cli::readFaultFlags(flags, config.faults);
+    config.evacRetries = cli::countFlag(flags, "evac-retries", 3, 0, ">= 0");
 
     config.brownout.maxAirTemp =
         flags.getDouble("brownout-temp", 0.0);
@@ -162,12 +160,12 @@ configFromFlags(const Flags &flags)
     config.brownout.step = flags.getDouble("brownout-step", 0.25);
     config.brownout.floor = flags.getDouble("brownout-floor", 0.1);
     config.brownout.holdIntervals =
-        cli::countFlag(flags, kTool, "brownout-hold", 5, 1, "positive");
+        cli::countFlag(flags, "brownout-hold", 5, 1, "positive");
 
-    config.maxIntervals = cli::countFlag(flags, kTool, "minutes", 0, 0,
-                                         ">= 0 (0 = open-ended)");
-    config.checkpointEvery = cli::countFlag(
-        flags, kTool, "checkpoint-every", 0, 0, ">= 0 (0 = off)");
+    config.maxIntervals =
+        cli::countFlag(flags, "minutes", 0, 0, ">= 0 (0 = open-ended)");
+    config.checkpointEvery = cli::countFlag(flags, "checkpoint-every", 0,
+                                            0, ">= 0 (0 = off)");
     config.checkpointPath =
         flags.getString("checkpoint-path", "vmtserve.ckpt");
     config.resumeFrom = flags.getString("resume-from", "");
@@ -267,8 +265,8 @@ main(int argc, char **argv)
 {
     const Flags flags(argc, argv);
     try {
-        setGlobalThreadCount(cli::countFlag(flags, kTool, "threads", 0, 0,
-                                            ">= 0 (0 = auto)"));
+        setGlobalThreadCount(
+            cli::countFlag(flags, "threads", 0, 0, ">= 0 (0 = auto)"));
 
         const ServeConfig config = configFromFlags(flags);
         std::unique_ptr<JobFeed> feed = feedFromFlags(flags, config);

@@ -102,14 +102,13 @@ configFromFlags(const Flags &flags)
             loadTraceCsv(flags.getString("trace"));
         if (std::abs(loaded.sampleInterval() - config.interval) >
             1e-6)
-            fatal("vmtsim: trace sampling interval must be one "
-                  "minute");
+            fatal("trace sampling interval must be one minute");
         config.traceSamples = std::vector<double>();
         config.traceSamples.reserve(loaded.size());
         for (std::size_t i = 0; i < loaded.size(); ++i)
             config.traceSamples.push_back(loaded.utilization(i));
     }
-    cli::readFaultFlags(flags, kTool, config.faults);
+    cli::readFaultFlags(flags, config.faults);
     // Every simulation this process runs shares the global
     // observability bundle; main() exports it once at the end.
     if (cli::obsOptionsFromFlags(flags).enabled())
@@ -160,7 +159,7 @@ cmdRun(const Flags &flags)
     CheckpointOptions ckpt = checkpointOptionsFromEnv();
     if (flags.has("checkpoint-every"))
         ckpt.every =
-            cli::countFlag(flags, kTool, "checkpoint-every", 0, 0, ">= 0");
+            cli::countFlag(flags, "checkpoint-every", 0, 0, ">= 0");
     if (flags.has("checkpoint-path"))
         ckpt.path = flags.getString("checkpoint-path");
     if (flags.has("resume-from"))
@@ -224,7 +223,7 @@ cmdSweep(const Flags &flags)
     const double to = flags.getDouble("gv-to", 28.0);
     const double step = flags.getDouble("gv-step", 2.0);
     if (step <= 0.0 || to < from)
-        fatal("vmtsim sweep: need gv-from <= gv-to and gv-step > 0");
+        fatal("sweep: need gv-from <= gv-to and gv-step > 0");
 
     RoundRobinScheduler rr;
     const SimResult base = runSimulation(config, rr);
@@ -287,13 +286,13 @@ cmdTrace(const Flags &flags)
 {
     if (flags.getBool("analyze", false)) {
         if (!flags.has("trace"))
-            fatal("vmtsim trace --analyze requires --trace FILE");
+            fatal("trace --analyze requires --trace FILE");
         printTraceStats(loadTraceCsv(flags.getString("trace")));
         return 0;
     }
     const std::string out = flags.getString("out", "");
     if (out.empty())
-        fatal("vmtsim trace: --out FILE is required");
+        fatal("trace: --out FILE is required");
     TraceParams params;
     params.duration = flags.getDouble("hours", 48.0);
     params.seed =
@@ -328,8 +327,8 @@ main(int argc, char **argv)
     const std::string command = flags.positional().front();
 
     try {
-        setGlobalThreadCount(cli::countFlag(flags, kTool, "threads", 0, 0,
-                                            ">= 0 (0 = auto)"));
+        setGlobalThreadCount(
+            cli::countFlag(flags, "threads", 0, 0, ">= 0 (0 = auto)"));
 
         int rc;
         if (command == "run")
